@@ -105,10 +105,13 @@ def resolve_config(command: str, raw: dict) -> dict:
             raise ConfigError(f"{key} must lie in (0, 1], got {cfg[key]}")
     if "deltas" in cfg:
         try:
-            for d in cfg["deltas"]:
-                dyadic_level(float(d))
+            levels = [dyadic_level(float(d)) for d in cfg["deltas"]]
         except ProjLabError as exc:
             raise ConfigError(f"bad deltas: {exc}") from exc
+        if not levels or min(levels) < 1:
+            raise ConfigError(f"deltas must be a nonempty list below 1, got {cfg['deltas']}")
+    if "n_seeds" in cfg and int(cfg["n_seeds"]) < 1:
+        raise ConfigError(f"n_seeds must be at least 1, got {cfg['n_seeds']}")
     if "theta_grid" in cfg and int(cfg["theta_grid"]) < 2:
         raise ConfigError("theta_grid must be at least 2")
     if "seed" in cfg:

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dyadic import group_rows, rows_in
 from .errors import ConfigurationError, InconsistencyError, InfeasibleError, RangeError
 from .fractal import PointSet
 
@@ -62,15 +63,6 @@ class CoveringReport:
     witness: Optional[tuple]
 
 
-def _cell_level(x: PointSet) -> int:
-    return x.level
-
-
-def _shift(x: PointSet) -> int:
-    """Index offset making all lattice indices nonnegative (ball domains)."""
-    return 2**x.level if x.domain == "ball" else 0
-
-
 def greedy_cover(
     x: PointSet, s: float, epsilon: float, min_level: int = 1
 ) -> Covering:
@@ -88,7 +80,7 @@ def greedy_cover(
     a counting violation at a level at or below min_level cannot be fixed
     inside the permitted range.
     """
-    k_max = _cell_level(x)
+    k_max = x.level
     if min_level >= k_max:
         raise RangeError(f"min_level {min_level} >= finest level {k_max}")
     if len(x) == 0:
@@ -99,46 +91,35 @@ def greedy_cover(
             f"finest-level budget {finest_budget:.4g} exceeds epsilon={epsilon}; "
             f"the set looks at least {s}-dimensional at delta=2^-{k_max}"
         )
-    off = _shift(x)
-    # chosen[k] = set of index tuples at level k (shifted to be nonnegative)
-    chosen = {k: set() for k in range(min_level + 1, k_max + 1)}
-    chosen[k_max] = set(map(tuple, (x.indices + off).tolist()))
-
-    changed = True
-    while changed:
-        changed = False
-        for l in range(min_level + 1, k_max):  # coarse-to-fine merge targets
-            cap_by_k = {
-                k: 2.0 ** ((k - l) * s) for k in range(l + 1, k_max + 1)
-            }
-            # group chosen fine cubes by their level-l ancestor
-            ancestors = {}
-            for k in range(l + 1, k_max + 1):
-                for c in chosen[k]:
-                    D = tuple(v >> (k - l) for v in c)
-                    ancestors.setdefault(D, {}).setdefault(k, 0)
-                    ancestors[D][k] += 1
-            for D in sorted(ancestors):
-                if any(
-                    ancestors[D][k] > cap_by_k[k] + BUDGET_SLACK for k in ancestors[D]
-                ):
-                    # exchange: D replaces every chosen cube inside it
-                    for k in range(l + 1, k_max + 1):
-                        chosen[k] = {
-                            c
-                            for c in chosen[k]
-                            if tuple(v >> (k - l) for v in c) != D
-                        }
-                    chosen[l].add(D)
-                    changed = True
-            if changed:
-                break  # restart coarse-to-fine after any exchange
-
-    levels = {
-        k: np.array(sorted(cubes), dtype=np.int64).reshape(len(cubes), x.ambient_dim) - (off >> (k_max - k) if off else 0)
-        for k, cubes in chosen.items()
-        if cubes
+    # chosen[k] = cube index rows at level k
+    chosen = {
+        k: np.empty((0, x.ambient_dim), dtype=np.int64)
+        for k in range(min_level + 1, k_max + 1)
     }
+    chosen[k_max] = x.indices
+
+    l = min_level + 1  # merge targets run coarse-to-fine
+    while l < k_max:
+        finer = range(l + 1, k_max + 1)
+        caps = np.array([2.0 ** ((k - l) * s) for k in finer])
+        sizes = [len(chosen[k]) for k in finer]
+        # count chosen fine cubes per level-l ancestor D and per level
+        anc = np.concatenate([chosen[k] >> (k - l) for k in finer])
+        first, inv = group_rows(anc)
+        slot = inv * len(caps) + np.repeat(np.arange(len(caps)), sizes)
+        counts = np.bincount(slot, minlength=len(first) * len(caps))
+        over = np.any(counts.reshape(-1, len(caps)) > caps + BUDGET_SLACK, axis=1)
+        if not over.any():
+            l += 1
+            continue
+        # exchange: each violating D replaces every chosen cube inside it
+        keep = np.split(~over[inv], np.cumsum(sizes)[:-1])
+        for k, kept in zip(finer, keep):
+            chosen[k] = chosen[k][kept]
+        chosen[l] = np.concatenate([chosen[l], anc[first[over]]])
+        l = min_level + 1  # restart coarse-to-fine after any exchange
+
+    levels = {k: cubes[group_rows(cubes)[0]] for k, cubes in chosen.items() if len(cubes)}
     cov = Covering(x.ambient_dim, s, epsilon, levels, target=x)
     report = validate_covering(cov)
     if not report.cover_ok or not report.disjoint_ok:
@@ -158,7 +139,8 @@ def single_level_covering(x: PointSet, s: float, level: Optional[int] = None) ->
     k = x.level if level is None else level
     if level is not None and level > x.level:
         raise RangeError("covering level cannot be finer than the lattice")
-    cubes = np.unique(x.indices >> (x.level - k), axis=0)
+    anc = x.indices >> (x.level - k)
+    cubes = anc[group_rows(anc)[0]]
     budget = len(cubes) * (2.0**-k) ** s
     return Covering(x.ambient_dim, s, budget, {k: cubes}, target=x)
 
@@ -179,21 +161,21 @@ def validate_covering(c: Covering) -> CoveringReport:
         idx = c.levels[k]
         for l in range(0, k):
             anc = idx >> (k - l)
-            u, counts = np.unique(anc, axis=0, return_counts=True)
+            first, inv = group_rows(anc)
+            counts = np.bincount(inv)
             ratio = counts.max() / 2.0 ** ((k - l) * c.s)
             if ratio > worst:
                 worst = float(ratio)
-                witness = (l, k, tuple(u[int(np.argmax(counts))].tolist()))
+                witness = (l, k, tuple(anc[first[int(np.argmax(counts))]].tolist()))
 
     # disjointness: no chosen cube strictly inside another chosen cube
     disjoint = True
-    chosen_sets = {k: set(map(tuple, c.levels[k].tolist())) for k in ks}
     for i, l in enumerate(ks):
         for k in ks[i + 1 :]:
-            for cube in chosen_sets[k]:
-                if tuple(v >> (k - l) for v in cube) in chosen_sets[l]:
-                    disjoint = False
-                    witness = witness or (l, k, cube)
+            inside = rows_in(c.levels[k] >> (k - l), c.levels[l])
+            if inside.any():
+                disjoint = False
+                witness = witness or (l, k, tuple(c.levels[k][inside][0].tolist()))
 
     # cover check against the recorded target
     cover_ok = True
@@ -205,10 +187,7 @@ def validate_covering(c: Covering) -> CoveringReport:
             anc = cells >> (k_cell - k) if k <= k_cell else None
             if anc is None:
                 raise InconsistencyError("covering finer than the target lattice")
-            cubes = chosen_sets[k]
-            for i, row in enumerate(map(tuple, anc.tolist())):
-                if row in cubes:
-                    covered[i] = True
+            covered |= rows_in(anc, c.levels[k])
         cover_ok = bool(covered.all())
         if not cover_ok:
             missing = cells[~covered][0]
@@ -236,20 +215,20 @@ def dyadic_content(x: PointSet, t: float, max_level: int) -> float:
     k = x.level
     if len(x) == 0:
         return 0.0
-    off = _shift(x)
     if max_level <= k:
-        nodes = np.unique((x.indices + off) >> (k - max_level), axis=0)
+        nodes = x.indices >> (k - max_level)
     else:
         # refine below the lattice: the cell point i*delta lies on the level-m
         # cube boundary, i.e. in cube i << (m-k)
-        nodes = np.unique((x.indices + off) << (max_level - k), axis=0)
+        nodes = x.indices << (max_level - k)
+    nodes = nodes[group_rows(nodes)[0]]
     content = np.full(len(nodes), (2.0**-max_level) ** t)
     for l in range(max_level - 1, -1, -1):
         parents = nodes >> 1
-        uniq, inv = np.unique(parents, axis=0, return_inverse=True)
+        first, inv = group_rows(parents)
         sums = np.bincount(inv, weights=content)
         content = np.minimum((2.0**-l) ** t, sums)
-        nodes = uniq
+        nodes = parents[first]
     return float(content.sum())
 
 

@@ -2,6 +2,10 @@
 
 All scale arithmetic in the library runs on exact powers of two, so scans
 can work on integer lattice indices and stay free of float round-off.
+The level-l ancestor of a level-k cell is `indices >> (k - l)` (a floor, so
+negative ball-domain indices need no shift), and every grouping of cells
+by equality or by ancestor goes through `group_rows`, which numbers the
+groups in lexicographic row order.
 """
 
 from __future__ import annotations
@@ -66,3 +70,28 @@ def spacing_scan(indices: np.ndarray, k: int, exponent: float):
             worst = ratio
             witness = (2.0 ** (-m), start * delta)
     return worst, witness
+
+
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an (n, d) integer array.
+
+    Returns (first, inverse) exactly as np.unique(rows, axis=0,
+    return_index=True, return_inverse=True) does: groups are numbered in
+    lexicographic row order, rows[first] are the distinct rows with first
+    the lowest index of each group, and rows[first][inverse] == rows.
+    """
+    order = np.lexsort(rows.T[::-1])  # stable, so each group starts at its lowest index
+    sorted_rows = rows[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+def rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of `rows` that also occur among the rows of `table`."""
+    _, inverse = group_rows(np.concatenate([rows, table]))
+    hit = np.zeros(len(inverse) + 1, dtype=bool)
+    hit[inverse[len(rows):]] = True
+    return hit[inverse[: len(rows)]]

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import dyadic_level, max_window_count
+from .dyadic import dyadic_level, group_rows, max_window_count
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -24,11 +24,6 @@ from .errors import (
 
 #: hard cap on cells per PointSet (desk-scale budget)
 CELL_CAP = 2**24
-
-
-def _lex_sort(indices: np.ndarray, weights: Optional[np.ndarray]):
-    order = np.lexsort(indices.T[::-1])
-    return indices[order], (None if weights is None else weights[order])
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,8 @@ class PointSet:
             raise ConfigurationError("indices must have shape (n, ambient_dim)")
         if idx.shape[0] > CELL_CAP:
             raise CapacityError(f"{idx.shape[0]} cells exceed the cap {CELL_CAP}")
-        if idx.shape[0] and np.unique(idx, axis=0).shape[0] != idx.shape[0]:
+        order, _ = group_rows(idx)  # distinct rows come out in lexicographic order
+        if len(order) != idx.shape[0]:
             raise ConfigurationError("cells must be pairwise distinct on the lattice")
         vals = idx * self.delta
         if self.domain == "cube":
@@ -77,9 +73,8 @@ class PointSet:
                 raise ConfigurationError("weights must be nonnegative")
             if abs(w.sum() - 1.0) > 1e-10:
                 raise ConfigurationError("weights must sum to 1")
-        idx, w = _lex_sort(idx, w)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "indices", idx[order])
+        object.__setattr__(self, "weights", None if w is None else w[order])
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
@@ -115,10 +110,8 @@ def frostman_constant(p: PointSet) -> float:
         raise ConfigurationError("frostman_constant needs nominal_dim metadata")
     k = p.level
     worst = 0.0
-    shifted = p.indices + 2**k  # make indices nonnegative for ball domains
     for l in range(k + 1):
-        codes = shifted >> (k - l)
-        _, inv = np.unique(codes, axis=0, return_inverse=True)
+        _, inv = group_rows(p.indices >> (k - l))
         mass = np.bincount(inv, weights=p.weights)
         side = 2.0 ** (-l)
         if a == 0:
@@ -243,7 +236,8 @@ def ifs_attractor(maps: Sequence[SimilarityMap], depth: int, delta: float) -> Po
     pts = np.full((1, dim), 0.5)
     for _ in range(depth):
         pts = np.concatenate([m.apply(pts) for m in maps], axis=0)
-    idx = np.unique(np.floor(pts / delta).astype(np.int64), axis=0)
+    cells = np.floor(pts / delta).astype(np.int64)
+    idx = cells[group_rows(cells)[0]]
     return PointSet(dim, delta, idx, nominal_dim=similarity_dimension([m.ratio for m in maps]))
 
 
@@ -317,16 +311,6 @@ def validate_delta_s_set(p: PointSet, s: float) -> DeltaSetReport:
     )
 
 
-def _level_codes(shifted: np.ndarray, k: int, l: int) -> np.ndarray:
-    """Collapse shifted (nonnegative) indices to single int codes at level l."""
-    coarse = shifted >> (k - l)
-    code = coarse[:, 0].astype(np.int64)
-    base = np.int64(2 ** (l + 1))
-    for j in range(1, coarse.shape[1]):
-        code = code * base + coarse[:, j]
-    return code
-
-
 def extract_delta_s_set(p: PointSet, s: float, content_estimate: float) -> PointSet:
     """Greedy dyadic-tree pruning into a (delta, s)-subset.
 
@@ -348,65 +332,41 @@ def extract_delta_s_set(p: PointSet, s: float, content_estimate: float) -> Point
         raise InfeasibleError("cannot extract from an empty set")
 
     w = p.weights if p.weights is not None else np.full(n, 1.0)
-    shifted = p.indices + 2**k
 
-    # Bottom-up: per-level group ids, subtree weights, and achievable ranks.
+    # Bottom-up: the nodes of level l are the groups of level-l ancestors,
+    # numbered in lexicographic order; level k's nodes are the cells.
     caps = [math.ceil((2 ** (k - l)) ** s) for l in range(k + 1)]
-    inv_by_level, rank_by_level, weight_by_level = [], [], []
-    child_group_of_cell = np.arange(n)
-    rank = np.ones(n, dtype=np.int64)
-    weight = w.copy()
-    # level k: each distinct cell is its own node
-    inv_by_level.append(child_group_of_cell)
-    rank_by_level.append(rank)
-    weight_by_level.append(weight)
+    groups = [group_rows(p.indices >> (k - l)) for l in range(k + 1)]
+    # parent[l][i] is the level-(l-1) node above level-l node i
+    parent = [None] + [groups[l - 1][1][groups[l][0]] for l in range(1, k + 1)]
+    weight = [np.bincount(inv, weights=w) for _, inv in groups]
+    rank = [None] * k + [np.ones(n, dtype=np.int64)]
     for l in range(k - 1, -1, -1):
-        codes = _level_codes(shifted, k, l)
-        _, inv = np.unique(codes, return_inverse=True)
-        n_nodes = inv.max() + 1
-        node_w = np.bincount(inv, weights=w, minlength=n_nodes)
-        # children of this level's nodes are the level-(l+1) nodes
-        child_inv = inv_by_level[-1]
-        node_of_child = np.zeros(child_inv.max() + 1, dtype=np.int64)
-        node_of_child[child_inv] = inv
-        child_ranks = rank_by_level[-1]
-        sum_child_rank = np.bincount(
-            node_of_child, weights=child_ranks.astype(float), minlength=n_nodes
-        ).astype(np.int64)
-        node_rank = np.minimum(caps[l], sum_child_rank)
-        inv_by_level.append(inv)
-        rank_by_level.append(node_rank)
-        weight_by_level.append(node_w)
-    inv_by_level.reverse()  # now index 0 = level 0, ..., k = cells
-    rank_by_level.reverse()
-    weight_by_level.reverse()
+        child_rank_sum = np.bincount(parent[l + 1], weights=rank[l + 1]).astype(np.int64)
+        rank[l] = np.minimum(caps[l], child_rank_sum)
 
-    total_rank = int(rank_by_level[0].sum())  # roots are unit cubes, no super-cap
+    total_rank = int(rank[0].sum())  # roots are unit cubes, no super-cap
     if total_rank < max(1.0, target):
         raise InfeasibleError(
             f"achievable (delta,{s})-cardinality {total_rank} is below the "
             f"target {target:.3g}; the content estimate was too optimistic"
         )
 
-    # Top-down allocation preferring heaviest subtrees.
-    budgets = rank_by_level[0].copy()
-    for l in range(k):
-        inv_parent = inv_by_level[l]
-        inv_child = inv_by_level[l + 1]
-        n_child = inv_child.max() + 1
-        parent_of_child = np.zeros(n_child, dtype=np.int64)
-        parent_of_child[inv_child] = inv_parent
-        child_rank = rank_by_level[l + 1]
-        child_weight = weight_by_level[l + 1]
-        child_budget = np.zeros(n_child, dtype=np.int64)
-        order = np.lexsort((np.arange(n_child), -child_weight))
-        remaining = budgets.copy()
-        for c in order:
-            give = min(child_rank[c], remaining[parent_of_child[c]])
-            child_budget[c] = give
-            remaining[parent_of_child[c]] -= give
-        budgets = child_budget
-    keep = budgets[inv_by_level[k]] >= 1
+    # Top-down allocation preferring heaviest subtrees: within each parent,
+    # children in (-weight, id) order take min(rank, what is left), i.e. a
+    # clamped cumulative sum of their ranks.
+    budgets = rank[0]
+    for l in range(1, k + 1):
+        order = np.lexsort((-weight[l], parent[l]))  # stable: ties keep id order
+        n_children = np.bincount(parent[l])
+        first = np.cumsum(n_children) - n_children
+        r = rank[l][order]
+        cum = np.cumsum(r)
+        cum -= np.repeat(cum[first] - r[first], n_children)
+        budget = np.repeat(budgets, n_children)
+        budgets = np.empty_like(r)
+        budgets[order] = np.minimum(cum, budget) - np.minimum(cum - r, budget)
+    keep = budgets >= 1
     out_idx = p.indices[keep]
     out_w = None
     if p.weights is not None:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .covering import Covering
 from .curve import Curve, frame
+from .dyadic import group_rows, rows_in
 from .errors import ConfigurationError, InconsistencyError, RangeError
 from .fractal import PointSet
 
@@ -40,15 +41,10 @@ class SweepRow:
 
 
 def _dedup(indices: np.ndarray, weights):
-    if indices.shape[1] == 1:  # flat unique is much faster than axis=0
-        uniq, inv = np.unique(indices[:, 0], return_inverse=True)
-        uniq = uniq[:, None]
-    else:
-        uniq, inv = np.unique(indices, axis=0, return_inverse=True)
+    first, inv = group_rows(indices)
     if weights is None:
-        return uniq, None
-    w = np.bincount(inv, weights=weights, minlength=len(uniq))
-    return uniq, w
+        return indices[first], None
+    return indices[first], np.bincount(inv, weights=weights, minlength=len(first))
 
 
 def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
@@ -93,7 +89,7 @@ def box_counts(p: PointSet, level: int) -> int:
     k = p.level
     if level > k:
         raise RangeError("cannot count boxes below the lattice scale")
-    return int(np.unique(p.indices >> (k - level), axis=0).shape[0])
+    return len(group_rows(p.indices >> (k - level))[0])
 
 
 def box_dimension(p: PointSet, r_min: float, r_max: float) -> DimensionFit:
@@ -141,9 +137,7 @@ def select_scale(cov: Covering, weighted: PointSet) -> int:
         idx = cov.levels[j]
         if j > k:
             raise InconsistencyError("covering finer than the set lattice")
-        cubes = set(map(tuple, idx.tolist()))
-        anc = cells >> (k - j)
-        hit = np.array([tuple(r) in cubes for r in anc.tolist()])
+        hit = rows_in(cells >> (k - j), idx)
         masses[j] = float(weighted.weights[hit & remaining].sum())
         remaining &= ~hit
     if remaining.any():

@@ -112,6 +112,21 @@ class TestRun:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "config"
 
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("incidence", {"deltas": [1.0]}),
+            ("incidence", {"deltas": []}),
+            ("incidence", {"n_seeds": 0}),
+            ("decouple", {"n_seeds": 0}),
+        ],
+    )
+    def test_degenerate_deltas_or_seeds_exit_code(self, tmp_path, capsys, command, override):
+        code = run(command, override, tmp_path)
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["kind"] == "config"
+
 
 class TestCliProcess:
     def test_set_override_and_determinism(self, tmp_path):

@@ -275,6 +275,16 @@ class TestExtract:
             rep = validate_delta_s_set(q, s)
             assert rep.valid, (s, rep)
 
+    def test_ball_cubes_with_colliding_packed_codes_stay_apart(self):
+        # (0, 0, 1) and (0, 0.5, -0.75) lie in distinct level-0 and level-1
+        # cubes; codes packed with base 2^(l+1) from the shifted indices
+        # gave both the level-1 code 44 and kept only one of them.
+        p = PointSet(
+            3, 2**-3, [[0, 0, 8], [0, 4, -6]], domain="ball", nominal_dim=0.0
+        )
+        q = extract_delta_s_set(p, 0.0, 1e-6)
+        assert q.indices.tolist() == [[0, 0, 8], [0, 4, -6]]
+
     def test_deterministic(self):
         a = extract_delta_s_set(full_grid(7), 0.6, 1.0)
         b = extract_delta_s_set(full_grid(7), 0.6, 1.0)

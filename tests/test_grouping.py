@@ -1,0 +1,356 @@
+"""Property tests of the dyadic row grouping and of its array-based users.
+
+The loop and set-based implementations that `dyadic.group_rows` replaced
+live on here as oracles: `oracle_greedy_cover` (dicts and sets of index
+tuples), `oracle_validate_covering` (sets of tuples) and
+`oracle_extract_delta_s_set` (the per-child budget loop).  Each new
+implementation must give exactly the oracle's result on small random sets
+in 1-D, 2-D and 3-D, on cube and ball domains.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from projlab.covering import (
+    BUDGET_SLACK,
+    Covering,
+    CoveringReport,
+    greedy_cover,
+    validate_covering,
+)
+from projlab.dyadic import group_rows, rows_in
+from projlab.errors import (
+    ConfigurationError,
+    InconsistencyError,
+    InfeasibleError,
+    ProjLabError,
+    RangeError,
+)
+from projlab.fractal import PointSet, extract_delta_s_set, frostman_constant
+
+MAX_LEVEL = {1: 6, 2: 4, 3: 3}
+
+
+def oracle_greedy_cover(x, s, epsilon, min_level=1):
+    k_max = x.level
+    if min_level >= k_max:
+        raise RangeError(f"min_level {min_level} >= finest level {k_max}")
+    if len(x) == 0:
+        raise ConfigurationError("cannot cover an empty set")
+    finest_budget = len(x) * (2.0**-k_max) ** s
+    if finest_budget > epsilon + BUDGET_SLACK:
+        raise InfeasibleError("finest-level budget exceeds epsilon")
+    off = 2**x.level if x.domain == "ball" else 0
+    # chosen[k] = set of index tuples at level k (shifted to be nonnegative)
+    chosen = {k: set() for k in range(min_level + 1, k_max + 1)}
+    chosen[k_max] = set(map(tuple, (x.indices + off).tolist()))
+
+    changed = True
+    while changed:
+        changed = False
+        for l in range(min_level + 1, k_max):  # coarse-to-fine merge targets
+            cap_by_k = {
+                k: 2.0 ** ((k - l) * s) for k in range(l + 1, k_max + 1)
+            }
+            # group chosen fine cubes by their level-l ancestor
+            ancestors = {}
+            for k in range(l + 1, k_max + 1):
+                for c in chosen[k]:
+                    D = tuple(v >> (k - l) for v in c)
+                    ancestors.setdefault(D, {}).setdefault(k, 0)
+                    ancestors[D][k] += 1
+            for D in sorted(ancestors):
+                if any(
+                    ancestors[D][k] > cap_by_k[k] + BUDGET_SLACK for k in ancestors[D]
+                ):
+                    # exchange: D replaces every chosen cube inside it
+                    for k in range(l + 1, k_max + 1):
+                        chosen[k] = {
+                            c
+                            for c in chosen[k]
+                            if tuple(v >> (k - l) for v in c) != D
+                        }
+                    chosen[l].add(D)
+                    changed = True
+            if changed:
+                break  # restart coarse-to-fine after any exchange
+
+    levels = {
+        k: np.array(sorted(cubes), dtype=np.int64).reshape(len(cubes), x.ambient_dim) - (off >> (k_max - k) if off else 0)
+        for k, cubes in chosen.items()
+        if cubes
+    }
+    cov = Covering(x.ambient_dim, s, epsilon, levels, target=x)
+    report = oracle_validate_covering(cov)
+    if not report.cover_ok or not report.disjoint_ok:
+        raise InconsistencyError(f"internal covering invariant broken: {report}")
+    if report.budget_value > epsilon + BUDGET_SLACK:
+        raise InfeasibleError(f"budget {report.budget_value:.4g} exceeds {epsilon}")
+    if report.worst_condition3_ratio > 1.0 + BUDGET_SLACK:
+        raise InfeasibleError("counting condition cannot be satisfied")
+    return cov
+
+
+def oracle_validate_covering(c):
+    ks = sorted(k for k, idx in c.levels.items() if len(idx))
+    budget = c.budget_value()
+
+    # condition (3): for every pair l < k, group level-k cubes by level-l ancestor
+    worst, witness = 0.0, None
+    for k in ks:
+        idx = c.levels[k]
+        for l in range(0, k):
+            anc = idx >> (k - l)
+            u, counts = np.unique(anc, axis=0, return_counts=True)
+            ratio = counts.max() / 2.0 ** ((k - l) * c.s)
+            if ratio > worst:
+                worst = float(ratio)
+                witness = (l, k, tuple(u[int(np.argmax(counts))].tolist()))
+
+    # disjointness: no chosen cube strictly inside another chosen cube
+    disjoint = True
+    chosen_sets = {k: set(map(tuple, c.levels[k].tolist())) for k in ks}
+    for i, l in enumerate(ks):
+        for k in ks[i + 1 :]:
+            for cube in chosen_sets[k]:
+                if tuple(v >> (k - l) for v in cube) in chosen_sets[l]:
+                    disjoint = False
+                    witness = witness or (l, k, cube)
+
+    # cover check against the recorded target
+    cover_ok = True
+    if c.target is not None:
+        cells = c.target.indices
+        k_cell = c.target.level
+        covered = np.zeros(len(cells), dtype=bool)
+        for k in ks:
+            anc = cells >> (k_cell - k) if k <= k_cell else None
+            if anc is None:
+                raise InconsistencyError("covering finer than the target lattice")
+            cubes = chosen_sets[k]
+            for i, row in enumerate(map(tuple, anc.tolist())):
+                if row in cubes:
+                    covered[i] = True
+        cover_ok = bool(covered.all())
+        if not cover_ok:
+            missing = cells[~covered][0]
+            witness = ("uncovered", tuple(missing.tolist()))
+
+    return CoveringReport(
+        cover_ok=cover_ok,
+        disjoint_ok=disjoint,
+        budget_value=budget,
+        budget_ok=bool(budget <= c.epsilon + BUDGET_SLACK),
+        worst_condition3_ratio=worst,
+        witness=witness,
+    )
+
+
+def oracle_extract_delta_s_set(p, s, content_estimate):
+    """Per-child top-down allocation loop; groups levels with np.unique.
+
+    The grouping is np.unique(axis=0) of the shifted indices, not the
+    packed codes of the original, which merged distinct ball-domain cubes.
+    """
+    k = p.level
+    n = len(p)
+    target = content_estimate * p.delta ** (-s) / 64.0
+
+    w = p.weights if p.weights is not None else np.full(n, 1.0)
+    shifted = p.indices + 2**k
+
+    # Bottom-up: per-level group ids, subtree weights, and achievable ranks.
+    caps = [math.ceil((2 ** (k - l)) ** s) for l in range(k + 1)]
+    inv_by_level, rank_by_level, weight_by_level = [], [], []
+    child_group_of_cell = np.arange(n)
+    rank = np.ones(n, dtype=np.int64)
+    weight = w.copy()
+    # level k: each distinct cell is its own node
+    inv_by_level.append(child_group_of_cell)
+    rank_by_level.append(rank)
+    weight_by_level.append(weight)
+    for l in range(k - 1, -1, -1):
+        _, inv = np.unique(shifted >> (k - l), axis=0, return_inverse=True)
+        n_nodes = inv.max() + 1
+        node_w = np.bincount(inv, weights=w, minlength=n_nodes)
+        # children of this level's nodes are the level-(l+1) nodes
+        child_inv = inv_by_level[-1]
+        node_of_child = np.zeros(child_inv.max() + 1, dtype=np.int64)
+        node_of_child[child_inv] = inv
+        child_ranks = rank_by_level[-1]
+        sum_child_rank = np.bincount(
+            node_of_child, weights=child_ranks.astype(float), minlength=n_nodes
+        ).astype(np.int64)
+        node_rank = np.minimum(caps[l], sum_child_rank)
+        inv_by_level.append(inv)
+        rank_by_level.append(node_rank)
+        weight_by_level.append(node_w)
+    inv_by_level.reverse()  # now index 0 = level 0, ..., k = cells
+    rank_by_level.reverse()
+    weight_by_level.reverse()
+
+    total_rank = int(rank_by_level[0].sum())  # roots are unit cubes, no super-cap
+    if total_rank < max(1.0, target):
+        raise InfeasibleError("achievable cardinality is below the target")
+
+    # Top-down allocation preferring heaviest subtrees.
+    budgets = rank_by_level[0].copy()
+    for l in range(k):
+        inv_parent = inv_by_level[l]
+        inv_child = inv_by_level[l + 1]
+        n_child = inv_child.max() + 1
+        parent_of_child = np.zeros(n_child, dtype=np.int64)
+        parent_of_child[inv_child] = inv_parent
+        child_rank = rank_by_level[l + 1]
+        child_weight = weight_by_level[l + 1]
+        child_budget = np.zeros(n_child, dtype=np.int64)
+        order = np.lexsort((np.arange(n_child), -child_weight))
+        remaining = budgets.copy()
+        for c in order:
+            give = min(child_rank[c], remaining[parent_of_child[c]])
+            child_budget[c] = give
+            remaining[parent_of_child[c]] -= give
+        budgets = child_budget
+    keep = budgets[inv_by_level[k]] >= 1
+    return p.indices[keep]
+
+
+@st.composite
+def point_sets(draw, weighted=False):
+    """Random subsets of a box on the cube or the ball domain, in 1-D to 3-D.
+
+    The box has a random dyadic side, so the clusters that force covering
+    merges are common.  Weights, when asked for, are small integers, so
+    ties are common too.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(1, MAX_LEVEL[d]))
+    domain = draw(st.sampled_from(["cube", "ball"]))
+    span = 2 ** draw(st.integers(0, k))
+    lo = draw(st.integers(0 if domain == "cube" else -(2**k), 2**k - span))
+    axes = np.meshgrid(*[np.arange(lo, lo + span + 1)] * d, indexing="ij")
+    box = np.stack([a.ravel() for a in axes], axis=1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = box[rng.random(len(box)) < draw(st.floats(0.05, 1.0))]
+    if domain == "ball":
+        idx = idx[(idx**2).sum(axis=1) <= 4**k]
+    assume(len(idx) > 0)
+    p = PointSet(d, 2.0**-k, idx, nominal_dim=float(d), domain=domain)
+    if weighted:
+        w = rng.integers(1, 4, size=len(p))
+        p = p.with_weights(w / w.sum())
+    return p
+
+
+int_rows = hnp.arrays(
+    np.int64,
+    st.tuples(st.integers(0, 40), st.integers(1, 3)),
+    elements=st.integers(-5, 5),
+)
+
+
+@given(int_rows)
+def test_group_rows_matches_np_unique(rows):
+    first, inverse = group_rows(rows)
+    _, u_first, u_inverse = np.unique(
+        rows, axis=0, return_index=True, return_inverse=True
+    )
+    assert np.array_equal(first, u_first)
+    assert np.array_equal(inverse, u_inverse.ravel())
+
+
+@given(int_rows)
+def test_group_rows_matches_python_sets(rows):
+    first, inverse = group_rows(rows)
+    distinct = [tuple(r) for r in rows[first].tolist()]
+    assert distinct == sorted(set(map(tuple, rows.tolist())))
+    assert np.array_equal(rows[first][inverse], rows)
+    assert first.tolist() == [int(np.flatnonzero(inverse == g)[0]) for g in range(len(first))]
+
+
+@given(int_rows, st.integers(0, 12))
+def test_rows_in_matches_python_sets(rows, n_table):
+    # shares the even rows of the prefix; the odd ones, moved past the
+    # element range, miss
+    table = np.concatenate([rows[:n_table:2], rows[1:n_table:2] + 11])
+    expected = [tuple(r) in set(map(tuple, table.tolist())) for r in rows.tolist()]
+    assert rows_in(rows, table).tolist() == expected
+    assert rows_in(table, rows).tolist() == [
+        tuple(r) in set(map(tuple, rows.tolist())) for r in table.tolist()
+    ]
+
+
+def _outcome(fn, *args, result=lambda out: out):
+    """fn(*args) mapped by `result`, or the class of the ProjLabError it raises."""
+    try:
+        return result(fn(*args))
+    except ProjLabError as exc:
+        return type(exc)
+
+
+def _levels(cov):
+    return [(k, idx.tolist()) for k, idx in cov.levels.items()]
+
+
+@given(point_sets(), st.floats(0.05, 1.0), st.sampled_from([1.0, 1.5, 4.0]), st.data())
+def test_greedy_cover_matches_oracle(p, s_share, slack, data):
+    s = s_share * p.ambient_dim
+    epsilon = slack * len(p) * p.delta**s  # the finest cover always fits
+    min_level = data.draw(st.integers(0, p.level - 1))
+    args = (p, s, epsilon, min_level)
+    assert _outcome(greedy_cover, *args, result=_levels) == _outcome(
+        oracle_greedy_cover, *args, result=_levels
+    )
+
+
+@st.composite
+def coverings(draw):
+    """A target set plus random cube families at up to three levels."""
+    p = draw(point_sets())
+    k = p.level
+    levels = {}
+    for lev in draw(st.sets(st.integers(0, k + 1), max_size=3)):
+        coord = st.integers(0 if p.domain == "cube" else -(2**lev), 2**lev)
+        rows = draw(st.lists(st.tuples(*[coord] * p.ambient_dim), max_size=6))
+        if draw(st.booleans()):  # add ancestors of some target cells
+            rows += [tuple(r) for r in (p.indices[:3] >> max(k - lev, 0)).tolist()]
+        levels[lev] = np.array(sorted(set(rows)), dtype=np.int64).reshape(-1, p.ambient_dim)
+    s = draw(st.floats(0.1, float(p.ambient_dim)))
+    return Covering(p.ambient_dim, s, 1.0, levels, target=p)
+
+
+@given(coverings())
+def test_validate_covering_matches_oracle(cov):
+    assert _outcome(validate_covering, cov) == _outcome(oracle_validate_covering, cov)
+
+
+@given(point_sets(weighted=True), st.floats(0.0, 1.0), st.sampled_from([1e-6, 0.5, 4.0]))
+def test_extract_weighted_matches_oracle(p, s_share, content):
+    s = s_share * p.ambient_dim
+    got = _outcome(extract_delta_s_set, p, s, content, result=lambda q: q.indices.tolist())
+    want = _outcome(oracle_extract_delta_s_set, p, s, content, result=np.ndarray.tolist)
+    assert got == want
+
+
+@given(point_sets(), st.floats(0.0, 1.0))
+def test_extract_unweighted_matches_oracle(p, s_share):
+    s = s_share * p.ambient_dim
+    assert np.array_equal(
+        extract_delta_s_set(p, s, 1e-6).indices, oracle_extract_delta_s_set(p, s, 1e-6)
+    )
+
+
+@given(point_sets(weighted=True))
+def test_frostman_constant_matches_tuple_masses(p):
+    k = p.level
+    worst = 0.0
+    for l in range(k + 1):
+        mass = {}
+        for row, w in zip((p.indices >> (k - l)).tolist(), p.weights):
+            mass[tuple(row)] = mass.get(tuple(row), 0.0) + w
+        worst = max(worst, max(mass.values()) / (2.0**-l) ** p.nominal_dim)
+    assert frostman_constant(p) == worst
