@@ -11,6 +11,7 @@ from projlab.fractal import (
     SimilarityMap,
     cantor_1d,
     extract_delta_s_set,
+    frostman_constant,
     full_grid,
     ifs_attractor,
     product_set,
@@ -54,4 +55,4 @@ w = np.linspace(1, 3, len(grid))
 weighted = grid.with_weights(w / w.sum())
 sub = extract_delta_s_set(weighted, 0.5, 1.0)
 print(f"  kept cells lie at indices {sub.indices[:, 0].tolist()}")
-print(f"  recorded Frostman constant of the kept mass: {sub.frostman_c:.3f}")
+print(f"  Frostman constant of the kept mass: {frostman_constant(sub):.3f}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +77,12 @@ DEFAULTS = {
 
 COMMANDS = tuple(DEFAULTS)
 
+#: integer-valued config keys and their smallest allowed value
+INTEGER_KEYS = {"depth": 1, "min_level": 0, "theta_grid": 2, "n_seeds": 1, "seed": 0}
+
+#: real-valued config keys; each must be a finite number
+REAL_KEYS = ("s", "t", "margin", "ratio", "epsilon")
+
 
 class ConfigError(ValueError):
     pass
@@ -97,11 +104,18 @@ def resolve_config(command: str, raw: dict) -> dict:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     cfg.update({k: v for k, v in raw.items() if k != "command"})
     cfg["command"] = command
-    # shared validation
+    # shared validation; values are checked, never rewritten
     if cfg["curve"] not in ("model", "helix", "greatcircle"):
         raise ConfigError(f"unknown curve {cfg['curve']!r}")
+    for key in REAL_KEYS:
+        if key in cfg and not _is_real(cfg[key]):
+            raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
+    for key, lowest in INTEGER_KEYS.items():
+        v = cfg.get(key)
+        if key in cfg and not (_is_real(v) and v == int(v) and v >= lowest):
+            raise ConfigError(f"{key} must be an integer >= {lowest}, got {v!r}")
     for key in ("s", "t"):
-        if key in cfg and not (0.0 < float(cfg[key]) <= 1.0):
+        if key in cfg and not (0.0 < cfg[key] <= 1.0):
             raise ConfigError(f"{key} must lie in (0, 1], got {cfg[key]}")
     if "deltas" in cfg:
         try:
@@ -110,13 +124,14 @@ def resolve_config(command: str, raw: dict) -> dict:
             raise ConfigError(f"bad deltas: {exc}") from exc
         if not levels or min(levels) < 1:
             raise ConfigError(f"deltas must be a nonempty list below 1, got {cfg['deltas']}")
-    if "n_seeds" in cfg and int(cfg["n_seeds"]) < 1:
-        raise ConfigError(f"n_seeds must be at least 1, got {cfg['n_seeds']}")
-    if "theta_grid" in cfg and int(cfg["theta_grid"]) < 2:
-        raise ConfigError("theta_grid must be at least 2")
-    if "seed" in cfg:
-        cfg["seed"] = int(cfg["seed"])
     return cfg
+
+
+def _is_real(v) -> bool:
+    """True for a finite real number; bools and strings are not numbers here."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    return isinstance(v, numbers.Integral) or math.isfinite(v)
 
 
 def _write(path: Path, text: str) -> None:

@@ -127,14 +127,8 @@ class ConeGeometry:
     def cap_direction(self, cap_id: int) -> int:
         return cap_id % self.n_directions
 
-    def sigma_of_direction(self, di: int) -> int:
-        return int(di * self.delta / self.s_min)
-
     def n_sigma(self) -> int:
         return round(1.0 / self.s_min)
-
-    def tau_of_sigma(self, si: int, s: float) -> int:
-        return int(si * self.s_min / s)
 
     def sigma_assignment(self) -> np.ndarray:
         """Lattice point -> sigma id (or -1), derived from the cap map."""

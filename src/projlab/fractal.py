@@ -3,7 +3,8 @@
 Sets are stored as integer indices on the delta-lattice (coordinates are
 index * delta), not as abstract subsets of R^d: everything downstream
 operates after discretization anyway.  Generators are deterministic;
-weighted sets carry a recorded Frostman-type constant.
+the Frostman-type constant of a weighted set is computed on request by
+`frostman_constant`, never stored.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ class PointSet:
     `indices` has shape (n, ambient_dim) and is kept lexicographically
     sorted; coordinates are `indices * delta`.  `nominal_dim` is declared
     dimension metadata (similarity dimension for the shipped generators).
-    `frostman_c` records the constant of the dyadic-cube mass scan when
-    weights are attached, else NaN.
     """
 
     ambient_dim: int
@@ -43,7 +42,6 @@ class PointSet:
     weights: Optional[np.ndarray] = None
     nominal_dim: float = float("nan")
     domain: str = "cube"  # "cube" = [0,1]^d, "ball" = closed unit ball
-    frostman_c: float = float("nan")
 
     def __post_init__(self):
         k = dyadic_level(self.delta)
@@ -88,8 +86,7 @@ class PointSet:
         return self.indices * self.delta
 
     def with_weights(self, weights: Sequence[float]) -> "PointSet":
-        p = replace(self, weights=np.asarray(weights, dtype=float))
-        return replace(p, frostman_c=frostman_constant(p))
+        return replace(self, weights=np.asarray(weights, dtype=float))
 
     def with_uniform_weights(self) -> "PointSet":
         n = len(self)
@@ -372,7 +369,7 @@ def extract_delta_s_set(p: PointSet, s: float, content_estimate: float) -> Point
     if p.weights is not None:
         out_w = p.weights[keep]
         out_w = out_w / out_w.sum()
-    out = PointSet(
+    return PointSet(
         p.ambient_dim,
         p.delta,
         out_idx,
@@ -380,9 +377,6 @@ def extract_delta_s_set(p: PointSet, s: float, content_estimate: float) -> Point
         nominal_dim=s,
         domain=p.domain,
     )
-    if out_w is not None:
-        out = replace(out, frostman_c=frostman_constant(out))
-    return out
 
 
 def rebase_unit_interval(p: PointSet):
@@ -403,7 +397,6 @@ def rebase_unit_interval(p: PointSet):
         weights=p.weights,
         nominal_dim=p.nominal_dim,
         domain="cube",
-        frostman_c=p.frostman_c,
     )
     return out, (2.0, -1.0)
 

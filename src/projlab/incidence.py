@@ -1,9 +1,9 @@
 """Slab-incidence experiments: exact counting against the discretized bound.
 
 A configuration couples a direction net with one slab family per direction
-and a set of lattice balls.  Counting is brute force (every ball against
-every family via binary search over slab offsets), which makes the matrix
-the oracle for everything layered on top.
+and a set of lattice balls.  Counting is exhaustive (every ball against
+every family via binary search over slab offsets) and yields the
+incidence matrix in CSR form, which everything layered on top reads.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .covering import Covering
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
-from .dyadic import dyadic_level
+from .dyadic import dyadic_level, group_rows
 from .errors import ConfigurationError, InfeasibleError, PreconditionError
 from .fractal import PointSet, extract_delta_s_set, full_grid
 
@@ -28,30 +28,13 @@ FITTED_C_CEILING = 2.0**16
 
 
 @dataclass(frozen=True)
-class Slab:
-    """A slab of the given thickness orthogonal to gamma(theta).
-
-    Membership: |x . gamma(theta) - offset| <= thickness/2 and |x| <= extent.
-    """
-
-    theta: float
-    offset: float
-    thickness: float
-    extent: float
-
-    def contains(self, points: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        proj = points @ gamma
-        inside_band = np.abs(proj - self.offset) <= self.thickness / 2
-        inside_ball = np.linalg.norm(points, axis=-1) <= self.extent
-        return inside_band & inside_ball
-
-
-@dataclass(frozen=True)
 class SlabFamily:
     """All slabs of one direction, with recorded spacing constants.
 
-    count_constant = #slabs * delta^s; ball_condition_worst comes from an
-    exhaustive scan over dyadic radii of how many slabs a ball can meet.
+    A point x lies in the slab at offset c iff |x . gamma(theta) - c| <=
+    thickness/2 and |x| <= extent.  count_constant = #slabs * delta^s;
+    ball_condition_worst comes from an exhaustive scan over dyadic radii of
+    how many slabs a ball can meet.
     """
 
     theta: float
@@ -73,12 +56,23 @@ class SlabFamily:
     def ball_ok(self) -> bool:
         return self.ball_condition_worst <= FAMILY_CONSTANT_OK
 
-    @property
-    def slabs(self) -> list:
-        return [
-            Slab(self.theta, float(c), self.thickness, self.extent)
-            for c in self.offsets
-        ]
+
+def _in_band(fam: SlabFamily, proj: np.ndarray) -> np.ndarray:
+    """Mask of projections within thickness/2 of some offset of the family.
+
+    Binary search over the sorted offsets; the ball condition |x| <= extent
+    is left to the caller.
+    """
+    lo = np.searchsorted(fam.offsets, proj - fam.thickness / 2, side="left")
+    hi = np.searchsorted(fam.offsets, proj + fam.thickness / 2, side="right")
+    return hi > lo
+
+
+def _rescaled(fam: SlabFamily, inv: float) -> SlabFamily:
+    """The family in the coordinates x -> inv * x, with thickness set to 1."""
+    return replace(
+        fam, offsets=fam.offsets * inv, thickness=1.0, extent=fam.extent * inv
+    )
 
 
 def scan_slab_family(
@@ -153,13 +147,7 @@ def slabs_from_covering(
     thickness = scale * 2.0**-j
     fam = make_family(theta, offsets, delta=thickness, s=cov.s, thickness=thickness)
     if mode == "rescaled":
-        inv = 1.0 / thickness
-        fam = replace(
-            fam,
-            offsets=fam.offsets * inv,
-            thickness=1.0,
-            extent=fam.extent * inv,
-        )
+        fam = _rescaled(fam, 1.0 / thickness)
     elif mode != "unit":
         raise ConfigurationError(f"unknown mode {mode!r}")
     return fam
@@ -194,30 +182,32 @@ class IncidenceConfig:
 
     def family_at(self, i: int) -> SlabFamily:
         fam = self.families[i]
-        if self.mode == "unit":
-            return fam
-        inv = 1.0 / self.delta
-        return replace(
-            fam, offsets=fam.offsets * inv, thickness=1.0, extent=fam.extent * inv
-        )
+        return fam if self.mode == "unit" else _rescaled(fam, 1.0 / self.delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
-    """Sparse ball-direction relation with both section views."""
+    """Sparse ball-direction relation in direction-major CSR form.
 
-    rows: tuple  # rows[i] = sorted direction indices meeting ball i
-    cols: tuple  # cols[j] = sorted ball indices meeting direction j
+    balls[ptr[j]:ptr[j + 1]] are the sorted indices of the balls meeting a
+    slab of direction j.
+    """
+
+    n_balls: int
+    ptr: np.ndarray  # int64, length #directions + 1
+    balls: np.ndarray  # int64, length ptr[-1]
 
     @property
     def total(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return int(self.ptr[-1])
 
     def row_counts(self) -> np.ndarray:
-        return np.array([len(r) for r in self.rows], dtype=np.int64)
+        """Per ball, the number of directions it meets."""
+        return np.bincount(self.balls, minlength=self.n_balls)
 
     def col_counts(self) -> np.ndarray:
-        return np.array([len(c) for c in self.cols], dtype=np.int64)
+        """Per direction, the number of balls meeting it."""
+        return np.diff(self.ptr)
 
 
 def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
@@ -229,24 +219,16 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     unchanged, hence the matrix is invariant under rescaling.
     """
     pts = cfg.ball_coordinates()
-    n = len(cfg.balls)
-    rows = [[] for _ in range(n)]
+    norms = np.linalg.norm(pts, axis=1)
     cols = []
-    norms = np.linalg.norm(pts, axis=1) if n else np.zeros(0)
     for j, theta in enumerate(cfg.net.thetas):
         fam = cfg.family_at(j)
         gamma = curve.points(np.array([theta]))[0]
-        proj = pts @ gamma
-        lo = np.searchsorted(fam.offsets, proj - fam.thickness / 2, side="left")
-        hi = np.searchsorted(fam.offsets, proj + fam.thickness / 2, side="right")
-        hit = (hi > lo) & (norms <= fam.extent)
-        ball_ids = np.nonzero(hit)[0]
-        cols.append(tuple(int(b) for b in ball_ids))
-        for b in ball_ids:
-            rows[int(b)].append(j)
-    return IncidenceMatrix(
-        rows=tuple(tuple(r) for r in rows), cols=tuple(cols)
-    )
+        cols.append(np.nonzero(_in_band(fam, pts @ gamma) & (norms <= fam.extent))[0])
+    ptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    ptr[1:] = np.cumsum([c.size for c in cols])
+    balls = np.concatenate([np.zeros(0, dtype=np.int64), *cols])
+    return IncidenceMatrix(n_balls=len(cfg.balls), ptr=ptr, balls=balls)
 
 
 def heavy_threshold(cfg: IncidenceConfig) -> float:
@@ -412,32 +394,29 @@ def random_admissible_config(
         for theta in net.thetas
     )
     want = ball_target(spec.delta, spec.s, spec.t) if target is None else target
-    collected = set()
+    collected = np.zeros((0, 3), dtype=np.int64)  # distinct, lexicographic order
     for _attempt in range(64):
         if len(collected) >= want:
             break
         batch = max(64, 2 * (want - len(collected)))
         js = rng.integers(0, len(net), size=batch)
-        for j in np.unique(js):
+        found = [collected]
+        for j, count in zip(*np.unique(js, return_counts=True)):
             fam = families[j]
-            theta = float(net.thetas[j])
-            g, tv, nv = frame(curve, theta)
-            count = int(np.sum(js == j))
+            g, tv, nv = frame(curve, float(net.thetas[j]))
             cs = fam.offsets[rng.integers(0, len(fam), size=count)]
             u = rng.uniform(-0.7, 0.7, size=count)
             v = rng.uniform(-0.7, 0.7, size=count)
             pts = cs[:, None] * g + u[:, None] * tv + v[:, None] * nv
             idx = np.round(pts / spec.delta).astype(np.int64)
             snapped = idx * spec.delta
-            proj = snapped @ g
-            lo = np.searchsorted(fam.offsets, proj - fam.thickness / 2, "left")
-            hi = np.searchsorted(fam.offsets, proj + fam.thickness / 2, "right")
-            ok = (hi > lo) & (np.linalg.norm(snapped, axis=1) <= 0.98)
-            for row in idx[ok].tolist():
-                collected.add(tuple(row))
-    if not collected:
+            ok = _in_band(fam, snapped @ g) & (np.linalg.norm(snapped, axis=1) <= 0.98)
+            found.append(idx[ok])
+        stacked = np.concatenate(found)
+        collected = stacked[group_rows(stacked)[0]]
+    if len(collected) == 0:
         raise InfeasibleError("failed to sample any admissible ball")
-    cells = np.array(sorted(collected), dtype=np.int64)[:want]
+    cells = collected[:want]
     balls = PointSet(3, spec.delta, cells, domain="ball", nominal_dim=3.0)
     cfg = IncidenceConfig(
         delta=spec.delta,

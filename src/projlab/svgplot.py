@@ -114,9 +114,3 @@ def line_plot(
                 )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def scatter_plot(xs, ys, title: str, xlabel: str, ylabel: str) -> str:
-    """Scatter of points as dots (no connecting line)."""
-    body = line_plot(xs, ys, title, xlabel, ylabel, marker=True)
-    return body.replace('stroke="#1f77b4" stroke-width="1.5"', 'stroke="none"')

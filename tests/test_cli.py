@@ -119,6 +119,17 @@ class TestRun:
             ("incidence", {"deltas": []}),
             ("incidence", {"n_seeds": 0}),
             ("decouple", {"n_seeds": 0}),
+            # numeric keys are type- and range-checked once in resolve_config
+            ("cover", {"epsilon": "x"}),
+            ("cover", {"ratio": "x"}),
+            ("cover", {"depth": "x"}),
+            ("sweep", {"margin": "x"}),
+            ("sweep", {"theta_grid": 2.5}),
+            ("cover", {"min_level": -3}),
+            ("cover", {"epsilon": float("inf")}),
+            ("incidence", {"seed": -1}),
+            ("incidence", {"n_seeds": 1.5}),
+            ("gen", {"depth": True}),
         ],
     )
     def test_degenerate_deltas_or_seeds_exit_code(self, tmp_path, capsys, command, override):

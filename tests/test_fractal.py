@@ -15,6 +15,7 @@ from projlab.fractal import (
     SimilarityMap,
     cantor_1d,
     extract_delta_s_set,
+    frostman_constant,
     full_grid,
     ifs_attractor,
     load_csv,
@@ -294,9 +295,9 @@ class TestExtract:
 class TestWeights:
     def test_frostman_scan(self):
         p = product_set(cantor_1d(1 / 3, 3), cantor_1d(1 / 3, 3), cantor_1d(1 / 3, 3))
-        c = p.frostman_c
+        c = frostman_constant(p)
         assert np.isfinite(c) and c > 0
-        # brute-force re-check of the recorded constant at every level
+        # brute-force re-check of the constant at every level
         k = p.level
         shifted = p.indices + 2**k
         worst = 0.0
@@ -314,6 +315,14 @@ class TestWeights:
                 1, 0.5, np.array([[0], [1]]), weights=np.array([0.7, 0.6]),
                 nominal_dim=1.0,
             )
+
+    def test_weights_attach_without_nominal_dim_but_scan_needs_it(self):
+        # the constant is computed on request only, so attaching weights to a
+        # set without dimension metadata succeeds and the scan itself refuses
+        p = PointSet(1, 0.25, np.array([[0], [3]])).with_uniform_weights()
+        assert np.array_equal(p.weights, [0.5, 0.5])
+        with pytest.raises(ConfigurationError, match="nominal_dim"):
+            frostman_constant(p)
 
 
 class TestSerialization:

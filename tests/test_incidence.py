@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from projlab.covering import Covering, single_level_covering
 from projlab.curve import direction_net, model_curve
@@ -9,6 +11,7 @@ from projlab.errors import ConfigurationError, PreconditionError
 from projlab.fractal import PointSet, cantor_1d
 from projlab.incidence import (
     IncidenceConfig,
+    IncidenceMatrix,
     IncidenceSpec,
     ball_target,
     heavy_subset,
@@ -49,7 +52,7 @@ class TestSlabFamilies:
         fam = slabs_from_covering(cov, theta=0.3)
         assert len(fam) == 1
         assert fam.thickness == 2.0**-3
-        assert fam.slabs[0].offset == pytest.approx((2 + 0.5) * 2.0**-3)
+        assert fam.offsets[0] == pytest.approx((2 + 0.5) * 2.0**-3)
 
     def test_cantor_image_family_passes(self):
         p = cantor_1d(1 / 3, 4)
@@ -80,7 +83,7 @@ class TestSlabFamilies:
         cov = single_level_covering(p, s=0.5)
         fam = slabs_from_covering(cov, theta=0.0, axis=(2.0, -1.0))
         assert fam.thickness == pytest.approx(2.0**-4)
-        assert fam.slabs[0].offset == pytest.approx(2 * (4.5 * 2.0**-5) - 1)
+        assert fam.offsets[0] == pytest.approx(2 * (4.5 * 2.0**-5) - 1)
 
     def test_rescaled_mode(self):
         p = PointSet(1, 2.0**-5, np.array([[4], [20]]), nominal_dim=0.5)
@@ -95,7 +98,7 @@ class TestIncidenceCount:
     def test_origin_ball_meets_every_direction(self):
         cfg = config_through_origin(2.0**-5)
         m = incidence_count(cfg, CURVE)
-        assert len(m.rows[0]) == len(cfg.net)
+        assert m.row_counts()[0] == len(cfg.net)
 
     def test_empty_families_empty_matrix(self):
         net = direction_net(CURVE, 2.0**-4, 1.0, seed=0)
@@ -129,6 +132,78 @@ class TestIncidenceCount:
         cfg2 = replace(cfg, families=(fam0b,) + cfg.families[1:])
         m2 = incidence_count(cfg2, CURVE)
         assert np.all(m2.row_counts() >= m1.row_counts())
+
+
+def slab_contains(points, gamma, offset, thickness, extent):
+    """Membership in one slab: |x . gamma - offset| <= thickness/2 and |x| <= extent."""
+    inside_band = np.abs(points @ gamma - offset) <= thickness / 2
+    inside_ball = np.linalg.norm(points, axis=-1) <= extent
+    return inside_band & inside_ball
+
+
+def oracle_incidence(cfg, curve):
+    """Dense (ball, direction) relation from every ball against every slab."""
+    pts = cfg.ball_coordinates()
+    hit = np.zeros((len(cfg.balls), len(cfg.net)), dtype=bool)
+    for j, theta in enumerate(cfg.net.thetas):
+        fam = cfg.family_at(j)
+        gamma = curve.points(np.array([theta]))[0]
+        for c in fam.offsets:
+            hit[:, j] |= slab_contains(pts, gamma, c, fam.thickness, fam.extent)
+    return hit
+
+
+def dense(m: IncidenceMatrix, n_directions: int) -> np.ndarray:
+    out = np.zeros((m.n_balls, n_directions), dtype=bool)
+    out[m.balls, np.repeat(np.arange(n_directions), m.col_counts())] = True
+    return out
+
+
+@st.composite
+def small_configs(draw):
+    """Unit-mode configs at delta = 2^-2..2^-4: lattice balls in the unit ball
+    and per-direction lattice offsets on [-extent, extent], families possibly
+    empty."""
+    k = draw(st.integers(2, 4))
+    delta = 2.0**-k
+    n = 2**k
+    net = direction_net(CURVE, delta, draw(st.sampled_from([0.5, 1.0])), draw(st.integers(0, 9)))
+    cells = draw(
+        st.lists(st.tuples(*[st.integers(-n, n)] * 3), min_size=1, max_size=24, unique=True)
+    )
+    cells = [c for c in cells if sum(x * x for x in c) <= n * n] or [(0, 0, 0)]
+    extent = draw(st.sampled_from([0.5, 1.0]))
+    lim = round(extent * n)
+    fams = tuple(
+        make_family(
+            float(th),
+            np.array(draw(st.lists(st.integers(-lim, lim), max_size=12, unique=True))) * delta,
+            delta=delta,
+            s=0.5,
+            extent=extent,
+        )
+        for th in net.thetas
+    )
+    balls = PointSet(3, delta, np.array(cells), domain="ball", nominal_dim=0.0)
+    return IncidenceConfig(
+        delta=delta, mode="unit", s=0.5, t=net.t, net=net, families=fams, balls=balls
+    )
+
+
+@given(small_configs(), st.sampled_from(["unit", "rescaled"]))
+def test_incidence_count_matches_every_ball_against_every_slab(cfg, mode):
+    # the oracle works in the unit picture; rescaling by the power of two
+    # 1/delta must not change a single comparison
+    expected = oracle_incidence(cfg, CURVE)
+    m = incidence_count(cfg if mode == "unit" else rescale_config(cfg), CURVE)
+    assert m.n_balls == len(cfg.balls)
+    assert np.array_equal(dense(m, len(cfg.net)), expected)
+    # each direction's ball list is sorted and free of repeats
+    for j in range(len(cfg.net)):
+        assert np.all(np.diff(m.balls[m.ptr[j] : m.ptr[j + 1]]) > 0)
+    assert np.array_equal(m.row_counts(), expected.sum(axis=1))
+    assert np.array_equal(m.col_counts(), expected.sum(axis=0))
+    assert m.total == int(expected.sum())
 
 
 class TestHeavySubset:
@@ -212,7 +287,9 @@ class TestRescale:
         cfg = random_admissible_config(spec)
         m_unit = incidence_count(cfg, CURVE)
         m_resc = incidence_count(rescale_config(cfg), CURVE)
-        assert m_unit == m_resc
+        assert m_unit.n_balls == m_resc.n_balls
+        assert np.array_equal(m_unit.ptr, m_resc.ptr)
+        assert np.array_equal(m_unit.balls, m_resc.balls)
 
     def test_rescaled_fields(self):
         spec = IncidenceSpec(delta=2.0**-4, s=0.5, t=0.5, seed=2)
