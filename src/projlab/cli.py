@@ -2,11 +2,15 @@
 
 Usage: projlab <command> --config path.json [--set key=value]... [--out dir]
 
-Commands: gen, cover, sweep, incidence, decouple.  All outputs are
-byte-identical across reruns with the same resolved config and seed; the
-PROJLAB_THREADS environment variable caps worker threads without
-affecting the output bytes.  Exit codes: 0 ok, 2 invalid config,
-3 infeasible experiment.
+Commands: gen, cover, sweep, incidence, decouple.  Each runner builds its
+inputs, calls the library routine that does the job (`sweep` calls
+`projection.exceptional_sweep`) and writes a CSV, an SVG and a summary
+JSON.  All outputs are byte-identical across reruns with the same resolved
+config and seed.  The PROJLAB_THREADS environment variable sets the size
+of the one thread pool, which maps over the theta grid of `sweep` and the
+(delta, seed) cells of `incidence` and `decouple`; it never changes the
+output bytes.  Exit codes: 0 ok, 2 invalid config, 3 infeasible
+experiment.
 """
 
 from __future__ import annotations
@@ -32,21 +36,17 @@ from .svgplot import line_plot
 
 DEFAULTS = {
     "gen": {
-        "curve": "model",
         "generator": "cantor3d",
         "ratio": 1 / 3,
         "depth": 4,
-        "seed": 0,
     },
     "cover": {
-        "curve": "model",
         "generator": "cantor1d",
         "ratio": 1 / 3,
         "depth": 6,
         "s": 0.8,
         "epsilon": 1.0,
         "min_level": 0,
-        "seed": 0,
     },
     "sweep": {
         "curve": "model",
@@ -77,6 +77,13 @@ DEFAULTS = {
 
 COMMANDS = tuple(DEFAULTS)
 
+#: point-set generators of `gen` and `cover`: name -> builder(ratio, depth)
+GENERATORS = {
+    "cantor3d": lambda ratio, depth: product_set(*[cantor_1d(ratio, depth)] * 3),
+    "cantor1d": cantor_1d,
+    "grid1d": lambda ratio, depth: full_grid(depth),
+}
+
 #: integer-valued config keys and their smallest allowed value
 INTEGER_KEYS = {"depth": 1, "min_level": 0, "theta_grid": 2, "n_seeds": 1, "seed": 0}
 
@@ -105,8 +112,10 @@ def resolve_config(command: str, raw: dict) -> dict:
     cfg.update({k: v for k, v in raw.items() if k != "command"})
     cfg["command"] = command
     # shared validation; values are checked, never rewritten
-    if cfg["curve"] not in ("model", "helix", "greatcircle"):
+    if "curve" in cfg and cfg["curve"] not in ("model", "helix", "greatcircle"):
         raise ConfigError(f"unknown curve {cfg['curve']!r}")
+    if "generator" in cfg and cfg["generator"] not in tuple(GENERATORS):
+        raise ConfigError(f"unknown generator {cfg['generator']!r}")
     for key in REAL_KEYS:
         if key in cfg and not _is_real(cfg[key]):
             raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
@@ -143,16 +152,40 @@ def _summary_json(cfg: dict, results: dict) -> str:
 
 
 def _build_set(cfg: dict):
-    gen = cfg.get("generator", "cantor3d")
-    ratio, depth = float(cfg["ratio"]), int(cfg["depth"])
-    if gen == "cantor3d":
-        c = cantor_1d(ratio, depth)
-        return product_set(c, c, c)
-    if gen == "cantor1d":
-        return cantor_1d(ratio, depth)
-    if gen == "grid1d":
-        return full_grid(depth)
-    raise ConfigError(f"unknown generator {gen!r}")
+    gen = GENERATORS[cfg.get("generator", "cantor3d")]
+    return gen(float(cfg["ratio"]), int(cfg["depth"]))
+
+
+def _pool_map(fn, items) -> list:
+    """fn over items in a pool of PROJLAB_THREADS threads, results in order."""
+    with ThreadPoolExecutor(max_workers=threads()) as pool:
+        return list(pool.map(fn, items))
+
+
+def _per_cell(cfg: dict, one) -> list:
+    """[(delta, seed, one(delta, seed))] over the delta-major (delta, seed) grid."""
+    cells = [
+        (float(d), int(cfg["seed"]) + j)
+        for d in cfg["deltas"]
+        for j in range(int(cfg["n_seeds"]))
+    ]
+    reps = _pool_map(lambda cell: one(*cell), cells)
+    return [(delta, seed, rep) for (delta, seed), rep in zip(cells, reps)]
+
+
+def _scale_plot(path: Path, results: list, value, title: str, ylabel: str):
+    """Plot the per-delta means of value(rep) against log2(1/delta).
+
+    Returns (xs, means), deltas in increasing order.
+    """
+    per_delta = {}
+    for delta, _, rep in results:
+        per_delta.setdefault(delta, []).append(value(rep))
+    ds = sorted(per_delta)
+    xs = [math.log2(1 / d) for d in ds]
+    means = [float(np.mean(per_delta[d])) for d in ds]
+    _write(path, line_plot(xs, means, title, "log2(1/delta)", ylabel))
+    return xs, means
 
 
 def run_gen(cfg: dict, out: Path) -> dict:
@@ -198,39 +231,15 @@ def run_cover(cfg: dict, out: Path) -> dict:
 
 
 def run_sweep(cfg: dict, out: Path) -> dict:
-    pset = _build_set({**cfg, "generator": "cantor3d"})
-    curve = named_curve(cfg["curve"])
-    n = int(cfg["theta_grid"])
-    s, margin = float(cfg["s"]), float(cfg["margin"])
-    r_min, r_max = projection._auto_fit_range(pset.delta)
-
-    def one(i):
-        theta = i / n
-        fit = projection.box_dimension(
-            projection.project_line(pset, curve, theta), r_min, r_max
-        )
-        return projection.SweepRow(
-            theta=theta,
-            est_dim=fit.slope,
-            r2=fit.r2,
-            below_s=bool(fit.slope < s - margin),
-        )
-
-    with ThreadPoolExecutor(max_workers=threads()) as pool:
-        rows = list(pool.map(one, range(n)))
-
-    flagged = [r.theta for r in rows if r.below_s]
-    exc_fit = 0.0
-    if flagged:
-        k_theta = max(3, math.ceil(math.log2(n)))
-        idx = np.unique(np.round(np.array(flagged) * 2**k_theta).astype(np.int64))
-        from .fractal import PointSet
-
-        exc_set = PointSet(1, 2.0**-k_theta, idx[:, None], nominal_dim=1.0)
-        try:
-            exc_fit = projection.box_dimension(exc_set, 4 * exc_set.delta, 0.25).slope
-        except ProjLabError:
-            exc_fit = 0.0
+    s = float(cfg["s"])
+    rows, summary = projection.exceptional_sweep(
+        _build_set(cfg),
+        named_curve(cfg["curve"]),
+        s,
+        int(cfg["theta_grid"]),
+        float(cfg["margin"]),
+        map_fn=_pool_map,
+    )
     lines = ["theta,est_dim,r2,below_s"]
     for r in rows:
         lines.append(f"{r.theta!r},{r.est_dim!r},{r.r2!r},{str(r.below_s).lower()}")
@@ -246,35 +255,19 @@ def run_sweep(cfg: dict, out: Path) -> dict:
             flags=[r.below_s for r in rows],
         ),
     )
-    alpha = pset.nominal_dim
-    return {
-        "s": s,
-        "alpha": alpha,
-        "bound": projection.theorem_bound(s, alpha),
-        "exceptional_fraction": len(flagged) / n,
-        "exceptional_dim_fit": exc_fit,
-    }
+    return summary
 
 
 def run_incidence(cfg: dict, out: Path) -> dict:
     curve = named_curve(cfg["curve"])
     s, t, eps = float(cfg["s"]), float(cfg["t"]), float(cfg["epsilon"])
-    cells = [
-        (float(d), int(cfg["seed"]) + j)
-        for d in cfg["deltas"]
-        for j in range(int(cfg["n_seeds"]))
-    ]
 
-    def one(cell):
-        delta, seed = cell
+    def one(delta, seed):
         spec = incidence.IncidenceSpec(delta=delta, s=s, t=t, seed=seed, curve=cfg["curve"])
         c = incidence.random_admissible_config(spec)
-        rep = incidence.verify_incidence_bound(c, curve, epsilon=eps)
-        return delta, seed, rep
+        return incidence.verify_incidence_bound(c, curve, epsilon=eps)
 
-    with ThreadPoolExecutor(max_workers=threads()) as pool:
-        results = list(pool.map(one, cells))
-
+    results = _per_cell(cfg, one)
     lines = ["delta,seed,lhs,rhs,fitted_C,heavy_count,theta_count"]
     for delta, seed, rep in results:
         lines.append(
@@ -282,26 +275,18 @@ def run_incidence(cfg: dict, out: Path) -> dict:
             f"{rep.heavy_count},{rep.theta_count}"
         )
     _write(out / "incidence.csv", "\n".join(lines) + "\n")
-    per_delta = {}
-    for delta, _, rep in results:
-        per_delta.setdefault(delta, []).append(rep.fitted_c)
-    ds = sorted(per_delta)
-    means = [float(np.mean(per_delta[d])) for d in ds]
-    _write(
+    _, means = _scale_plot(
         out / "incidence.svg",
-        line_plot(
-            [math.log2(1 / d) for d in ds],
-            means,
-            f"fitted_C vs scale (s={s}, t={t})",
-            "log2(1/delta)",
-            "fitted_C",
-        ),
+        results,
+        lambda rep: rep.fitted_c,
+        f"fitted_C vs scale (s={s}, t={t})",
+        "fitted_C",
     )
     all_c = [rep.fitted_c for _, _, rep in results]
     return {
         "max_fitted_C": max(all_c),
         "min_fitted_C": min(all_c),
-        "cross_scale_ratio": max(means) / min(means) if means else 1.0,
+        "cross_scale_ratio": max(means) / min(means),
         "ceiling_ok": bool(max(all_c) <= incidence.FITTED_C_CEILING),
     }
 
@@ -309,51 +294,28 @@ def run_incidence(cfg: dict, out: Path) -> dict:
 def run_decouple(cfg: dict, out: Path) -> dict:
     curve = named_curve(cfg["curve"])
     t = float(cfg["t"])
-    cells = [
-        (float(d), int(cfg["seed"]) + j)
-        for d in cfg["deltas"]
-        for j in range(int(cfg["n_seeds"]))
-    ]
-    geos = {}
-    for d in sorted({c[0] for c in cells}):
-        geos[d] = fourier.build_geometry(curve, d)
+    deltas = sorted(set(map(float, cfg["deltas"])))
+    geos = {d: fourier.build_geometry(curve, d) for d in deltas}
 
-    def one(cell):
-        delta, seed = cell
+    def one(delta, seed):
         geo = geos[delta]
         caps = fourier.tspacing_subsample(geo, t, seed)
         g = fourier.random_cap_function(geo, caps, seed=seed + 10000)
-        rep = fourier.decoupling_ratio(g, caps, geo)
-        return delta, seed, rep
+        return fourier.decoupling_ratio(g, caps, geo)
 
-    with ThreadPoolExecutor(max_workers=threads()) as pool:
-        results = list(pool.map(one, cells))
-
+    results = _per_cell(cfg, one)
     lines = ["delta,t,seed,lhs,rhs,ratio"]
     for delta, seed, rep in results:
         lines.append(f"{delta!r},{t!r},{seed},{rep.lhs!r},{rep.rhs!r},{rep.ratio!r}")
     _write(out / "decouple.csv", "\n".join(lines) + "\n")
-    per_delta = {}
-    for delta, _, rep in results:
-        per_delta.setdefault(delta, []).append(rep.ratio)
-    ds = sorted(per_delta)
-    means = [float(np.mean(per_delta[d])) for d in ds]
-    if len(ds) >= 2:
-        slope = float(
-            np.polyfit([math.log2(1 / d) for d in ds], np.log2(means), 1)[0]
-        )
-    else:
-        slope = 0.0
-    _write(
+    xs, means = _scale_plot(
         out / "decouple.svg",
-        line_plot(
-            [math.log2(1 / d) for d in ds],
-            means,
-            f"decoupling ratio vs scale (t={t})",
-            "log2(1/delta)",
-            "mean ratio",
-        ),
+        results,
+        lambda rep: rep.ratio,
+        f"decoupling ratio vs scale (t={t})",
+        "mean ratio",
     )
+    slope = float(np.polyfit(xs, np.log2(means), 1)[0]) if len(xs) >= 2 else 0.0
     return {
         "max_ratio": max(r.ratio for _, _, r in results),
         "fitted_exponent": slope,

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dyadic import dyadic_level, spacing_scan
-from .errors import DomainError, InfeasibleError, NumericError
+from .errors import CapacityError, DomainError, InfeasibleError, NumericError
+from .fractal import CELL_CAP
 
 SQRT2 = math.sqrt(2.0)
 
@@ -238,11 +239,15 @@ def direction_net(curve: Curve, delta: float, t: float, seed: int) -> DirectionN
     visited in a seeded random order and accepted while every enclosing
     aligned dyadic window of length 2^-l keeps at most ceil((2^-l/delta)^t)
     accepted points.  The per-window caps form a laminar matroid, so the
-    achieved cardinality is the matroid rank regardless of seed.
+    achieved cardinality is the matroid rank regardless of seed.  The
+    window counts hold 2^(k+1) entries, so nets with 2^(k+1) > CELL_CAP
+    raise CapacityError before anything is allocated.
     """
     k = dyadic_level(delta)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"spacing exponent t must lie in [0, 1], got {t}")
+    if 2 ** (k + 1) > CELL_CAP:
+        raise CapacityError(f"a direction net at delta=2^-{k} exceeds the cell cap {CELL_CAP}")
     n = 2**k
     if t == 1.0:
         thetas = np.arange(n + 1, dtype=np.int64) * delta

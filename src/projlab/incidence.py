@@ -69,9 +69,12 @@ def _in_band(fam: SlabFamily, proj: np.ndarray) -> np.ndarray:
 
 
 def _rescaled(fam: SlabFamily, inv: float) -> SlabFamily:
-    """The family in the coordinates x -> inv * x, with thickness set to 1."""
+    """The family in the coordinates x -> inv * x; every length scales by inv."""
     return replace(
-        fam, offsets=fam.offsets * inv, thickness=1.0, extent=fam.extent * inv
+        fam,
+        offsets=fam.offsets * inv,
+        thickness=fam.thickness * inv,
+        extent=fam.extent * inv,
     )
 
 
@@ -147,7 +150,8 @@ def slabs_from_covering(
     thickness = scale * 2.0**-j
     fam = make_family(theta, offsets, delta=thickness, s=cov.s, thickness=thickness)
     if mode == "rescaled":
-        fam = _rescaled(fam, 1.0 / thickness)
+        # exactly 1: thickness * (1 / thickness) can round away from it
+        fam = replace(_rescaled(fam, 1.0 / thickness), thickness=1.0)
     elif mode != "unit":
         raise ConfigurationError(f"unknown mode {mode!r}")
     return fam
@@ -302,7 +306,7 @@ def verify_incidence_bound(
 
 
 def rescale_config(cfg: IncidenceConfig) -> IncidenceConfig:
-    """Switch to the rescaled picture x -> x/delta (unit balls, thickness 1)."""
+    """Switch to the rescaled picture x -> x/delta (unit balls, thickness/delta)."""
     if cfg.mode != "unit":
         raise ConfigurationError("config is already rescaled")
     return replace(cfg, mode="rescaled")

@@ -170,29 +170,31 @@ def exceptional_sweep(
     s: float,
     theta_grid: int = 256,
     margin: float = DEFAULT_MARGIN,
-    fit_range=None,
+    map_fn=map,
 ):
     """Estimate dim rho_theta(a) across a uniform theta grid.
 
     Returns (rows, summary): one SweepRow per theta = i/theta_grid, and a
     summary with the exceptional fraction, a box fit of the flagged theta
-    set, and the comparison bound max{0, 1 + (s - alpha)/2}.
+    set, and the comparison bound max{0, 1 + (s - alpha)/2}.  The per-theta
+    fits run through `map_fn` (any order-preserving `map`, such as a thread
+    pool's), so the result does not depend on it.
     """
     if theta_grid < 2:
         raise ConfigurationError("theta_grid must be at least 2")
-    r_min, r_max = fit_range if fit_range is not None else _auto_fit_range(a.delta)
-    rows = []
-    for i in range(theta_grid):
+    r_min, r_max = _auto_fit_range(a.delta)
+
+    def row(i: int) -> SweepRow:
         theta = i / theta_grid
         fit = box_dimension(project_line(a, curve, theta), r_min, r_max)
-        rows.append(
-            SweepRow(
-                theta=theta,
-                est_dim=fit.slope,
-                r2=fit.r2,
-                below_s=bool(fit.slope < s - margin),
-            )
+        return SweepRow(
+            theta=theta,
+            est_dim=fit.slope,
+            r2=fit.r2,
+            below_s=bool(fit.slope < s - margin),
         )
+
+    rows = list(map_fn(row, range(theta_grid)))
     flagged = [r.theta for r in rows if r.below_s]
     frac = len(flagged) / theta_grid
     exc_fit = 0.0

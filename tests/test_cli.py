@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from projlab.cli import main, resolve_config, run
+from projlab.cli import COMMANDS, DEFAULTS, main, resolve_config, run
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -130,6 +136,14 @@ class TestRun:
             ("incidence", {"seed": -1}),
             ("incidence", {"n_seeds": 1.5}),
             ("gen", {"depth": True}),
+            # generator names are checked in resolve_config
+            ("gen", {"generator": "foo"}),
+            ("cover", {"generator": 3}),
+            # a direction net at delta = 2^-40 is refused before allocation
+            ("incidence", {"deltas": [2.0**-40]}),
+            # gen and cover have no curve or seed
+            ("gen", {"curve": "model"}),
+            ("cover", {"seed": 0}),
         ],
     )
     def test_degenerate_deltas_or_seeds_exit_code(self, tmp_path, capsys, command, override):
@@ -137,6 +151,55 @@ class TestRun:
         assert code == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "config"
+
+
+#: small valid values per config key, so that a valid run takes milliseconds
+TINY = {
+    "curve": ["model", "helix", "greatcircle"],
+    "generator": ["cantor3d", "cantor1d", "grid1d"],
+    "ratio": [1 / 3, 0.25, 0.5],
+    "depth": [1, 2, 3, 4],
+    "s": [0.3, 0.5, 1.0],
+    "t": [0.3, 0.5, 1.0],
+    "epsilon": [0.1, 1.0],
+    "min_level": [0, 2],
+    "theta_grid": [2, 7, 16],
+    "margin": [0.0, 0.1],
+    "deltas": [[2.0**-2], [2.0**-3], [2.0**-4], [2.0**-4, 2.0**-2]],
+    "n_seeds": [1, 2],
+    "seed": [0, 3],
+}
+
+#: values no key accepts, or accepts only at its edge
+JUNK = [
+    None, "", "x", "foo", [], [0.5, "x"], {"a": 1}, True, False,
+    math.nan, math.inf, -math.inf, -1, -0.5, 2.5, 2.0**-40, [2.0**-40],
+]
+
+
+@st.composite
+def configs(draw, command):
+    """Every key of the command set from TINY, at most two of them from JUNK."""
+    keys = sorted(DEFAULTS[command])
+    bad = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    pools = {k: JUNK if k in bad else TINY[k] for k in keys}
+    return {k: draw(st.sampled_from(pools[k])) for k in keys}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@given(data=st.data())
+def test_every_config_exits_0_2_or_3_with_an_error_json(command, data):
+    raw = data.draw(configs(command))
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(stdout):
+        code = run(command, raw, out)
+        wrote_summary = (Path(out) / f"{command}_summary.json").exists()
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert wrote_summary
+    else:
+        kind = json.loads(stdout.getvalue())["error"]["kind"]
+        assert kind == {2: "config", 3: "infeasible"}[code]
 
 
 class TestCliProcess:

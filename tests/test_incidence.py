@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,8 +125,6 @@ class TestIncidenceCount:
         cfg = random_admissible_config(spec)
         m1 = incidence_count(cfg, CURVE)
         # adding a slab through every ball's projection can only add hits
-        from dataclasses import replace
-
         fam0 = cfg.families[0]
         new_offsets = np.sort(np.append(fam0.offsets, [0.0]))
         fam0b = replace(fam0, offsets=np.unique(new_offsets))
@@ -298,6 +297,23 @@ class TestRescale:
         assert fam.thickness == 1.0
         assert fam.extent == 2.0**4
         assert np.allclose(cfg.ball_coordinates(), cfg.balls.values * 2.0**4)
+
+    def test_thick_families_count_the_same_rescaled(self):
+        # slabs four times thicker than delta: rescaling scales the thickness
+        # with every other length instead of resetting it to 1
+        delta = 2.0**-4
+        cfg = random_admissible_config(IncidenceSpec(delta=delta, s=0.5, t=0.5, seed=0))
+        fams = tuple(
+            make_family(f.theta, f.offsets, delta=delta, s=0.5, thickness=4 * delta)
+            for f in cfg.families
+        )
+        thick = replace(cfg, families=fams)
+        m_unit = incidence_count(thick, CURVE)
+        m_resc = incidence_count(rescale_config(thick), CURVE)
+        assert rescale_config(thick).family_at(0).thickness == 4.0
+        assert m_unit.total > incidence_count(cfg, CURVE).total
+        assert np.array_equal(m_unit.ptr, m_resc.ptr)
+        assert np.array_equal(m_unit.balls, m_resc.balls)
 
 
 class TestSpecSerialization:

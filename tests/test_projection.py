@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -224,6 +225,10 @@ class TestSweep:
         c = cantor_1d(1 / 3, 4)
         a = product_set(c, c, c)
         rows, summary = exceptional_sweep(a, CURVE, s=1.0, theta_grid=32)
+        # a thread pool's map gives the serial rows and summary
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = exceptional_sweep(a, CURVE, s=1.0, theta_grid=32, map_fn=pool.map)
+        assert pooled == (rows, summary)
         assert len(rows) == 32
         assert set(summary) == {
             "s",
