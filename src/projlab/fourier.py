@@ -7,6 +7,15 @@ radius (frequency scale 1/2) so its full radial range fits the lattice
 box; every stated plank dimension is in the nominal units.  Frequency
 lattice points are assigned to unique caps, which makes all restriction
 and orthogonality identities exact.
+
+A cap's L4 norm needs no transform.  With g_cap(x) = sum_xi c(xi) e(xi.x)
+over the cap's lattice points, g_cap^2 has coefficients
+h(eta) = sum_{xi1 + xi2 = eta (mod 1)} c(xi1) c(xi2), so by Parseval
+
+    sum_x |g_cap(x)|^4 = M^3 sum_eta |h(eta)|^2,
+
+the additive energy of the cap's coefficients; `decoupling_ratio` sums it
+over the caps from the one forward transform of g.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .curve import Curve, direction_net, frame, nondegeneracy_margin
-from .dyadic import dyadic_level, spacing_scan
+from .dyadic import dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -80,6 +89,13 @@ class GridFunction:
 def l4_norm(g: GridFunction) -> float:
     """Integral of |g|^4 over the box with unit cell weight."""
     return float(np.sum(np.abs(g.samples) ** 4))
+
+
+def _leak(coeffs: np.ndarray, support: np.ndarray) -> float:
+    """Share of the coefficient energy off the boolean support (0 for a zero function)."""
+    energy = np.abs(coeffs) ** 2
+    total = float(np.sum(energy))
+    return float(np.sum(energy[~support])) / total if total > 0 else 0.0
 
 
 def frequency_lattice(M: int) -> np.ndarray:
@@ -338,11 +354,10 @@ def high_low_split(
     gamma, tan, nor = frame(geometry.curve, theta)
     coeffs = f_theta.coeffs().ravel()
     mask = tube_mask(M, gamma, tan, nor)
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    leak = float(np.sum(np.abs(coeffs[~mask]) ** 2))
-    if total > 0 and leak > 1e-10 * total:
+    leak = _leak(coeffs, mask)
+    if leak > 1e-10:
         raise PreconditionError(
-            f"frequency support leaks outside the tube: {leak / total:.3g} of the energy"
+            f"frequency support leaks outside the tube: {leak:.3g} of the energy"
         )
     u = np.abs(frequency_lattice(M) @ gamma)
     lo, hi = 0.5 / K, 1.0 / K
@@ -357,8 +372,28 @@ def high_low_split(
 # cap restriction, t-spacing, decoupling
 
 
+def _check_grid(g: GridFunction, geometry: ConeGeometry) -> None:
+    if g.M != geometry.M:
+        raise ConfigurationError(
+            f"function on a {g.M}^3 grid against a geometry on a {geometry.M}^3 grid"
+        )
+
+
+def _cap_l4(coeffs: np.ndarray, points: np.ndarray, M: int) -> float:
+    """l4_norm of the function with coefficients coeffs[points], by additive energy."""
+    idx = np.stack(np.unravel_index(points, (M, M, M)), axis=1)
+    eta = (idx[:, None, :] + idx[None, :, :]).reshape(-1, 3) % M
+    c = coeffs[points]
+    prods = np.outer(c, c).ravel()
+    _, group = group_rows(eta)
+    h_re = np.bincount(group, weights=prods.real)
+    h_im = np.bincount(group, weights=prods.imag)
+    return float(M**3 * np.sum(h_re**2 + h_im**2))
+
+
 def cap_restrict(g: GridFunction, cap_id: int, geometry: ConeGeometry) -> GridFunction:
     """Zero all coefficients not assigned to the cap; linear and idempotent."""
+    _check_grid(g, geometry)
     if not (0 <= cap_id < geometry.n_caps):
         raise ConfigurationError(f"cap {cap_id} outside 0..{geometry.n_caps - 1}")
     coeffs = g.coeffs().ravel()
@@ -422,7 +457,13 @@ def decoupling_ratio(
     Preconditions: the frequency support of g sits on the selected caps'
     lattice points, and the caps satisfy the t-spacing condition with
     constant at most max_constant (witness reported on violation).
+
+    Each integral |g_cap|^4 is the additive energy M^3 sum_eta |h(eta)|^2
+    with h(eta) = sum_{xi1 + xi2 = eta (mod 1)} c(xi1) c(xi2) over the cap's
+    lattice points (Parseval for g_cap^2), so the call does one forward
+    transform and no inverse one.
     """
+    _check_grid(g, geometry)
     worst, witness = check_tspacing(caps.directions, geometry.delta, caps.t)
     if worst > max_constant:
         raise PreconditionError(
@@ -431,16 +472,15 @@ def decoupling_ratio(
     cap_ids = [shell * geometry.n_directions + int(d) for d in caps.directions]
     coeffs = g.coeffs().ravel()
     allowed = np.isin(geometry.assignment, cap_ids)
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    leak = float(np.sum(np.abs(coeffs[~allowed]) ** 2))
-    if total > 0 and leak > 1e-10 * total:
-        raise PreconditionError(
-            f"support leaks off the selected caps: {leak / total:.3g} of the energy"
-        )
+    leak = _leak(coeffs, allowed)
+    if leak > 1e-10:
+        raise PreconditionError(f"support leaks off the selected caps: {leak:.3g} of the energy")
     lhs = l4_norm(g)
+    points = np.nonzero(allowed)[0]
+    owner = geometry.assignment[points]
     rhs_sum = 0.0
     for cid in cap_ids:
-        rhs_sum += l4_norm(cap_restrict(g, cid, geometry))
+        rhs_sum += _cap_l4(coeffs, points[owner == cid], geometry.M)
     rhs = geometry.delta ** (-caps.t) * rhs_sum
     ratio = 0.0 if rhs == 0 else lhs / rhs
     return DecouplingReport(
@@ -485,16 +525,16 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     boxes are sharp-indicator translates of U_{tau_s} (dimensions
     delta^-1 x delta^-1 s x delta^-1 s^2 along the plank frame), binned so
     one box is centred at the origin, and they partition the fundamental
-    domain exactly.
+    domain exactly.  Box codes are mixed-radix in the per-axis bins, so
+    np.bincount gives the box masses in lexicographic box order.
     """
+    _check_grid(f, geometry)
     M = geometry.M
     coeffs = f.coeffs().ravel()
-    on_cone = geometry.assignment >= 0
-    total_e = float(np.sum(np.abs(coeffs) ** 2))
-    leak = float(np.sum(np.abs(coeffs[~on_cone]) ** 2))
-    if total_e > 0 and leak > 1e-10 * total_e:
+    leak = _leak(coeffs, geometry.assignment >= 0)
+    if leak > 1e-10:
         raise PreconditionError(
-            f"support leaks off the cone neighbourhood: {leak / total_e:.3g} of the energy"
+            f"support leaks off the cone neighbourhood: {leak:.3g} of the energy"
         )
     sig_assign = geometry.sigma_assignment()
     n_sigma = geometry.n_sigma()
@@ -505,7 +545,7 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
         g = GridFunction.from_coeffs(c.reshape((M,) * 3))
         sigma_fields.append(np.abs(g.samples.ravel()) ** 2)
 
-    axes = np.indices((M, M, M)).reshape(3, -1).T.astype(float) - M / 2
+    axes = np.indices((M, M, M)).reshape(3, -1).astype(float) - M / 2
 
     per_s = {}
     total = 0.0
@@ -530,13 +570,15 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
             di = min(int(theta_c / geometry.delta), geometry.n_directions - 1)
             gam, tan, nor = geometry.frames[di]
             widths = (float(M), float(M * s), float(M * s * s))
-            bins = []
+            code = 0
             for e, w in zip((nor, tan, gam), widths):
-                u = axes @ e
-                bins.append(np.floor((u + w / 2) / w).astype(np.int64))
-            code = (bins[0] + 64) * 2**40 + (bins[1] + 2**19) * 2**20 + (bins[2] + 2**19)
-            _, inv = np.unique(code, return_inverse=True)
-            masses = np.bincount(inv, weights=field)
+                u = e @ axes
+                b = np.floor((u + w / 2) / w).astype(np.int64)
+                lo = b.min()
+                code = code * (b.max() - lo + 1) + (b - lo)
+            # unoccupied codes are dropped so the sum of squares runs over the
+            # same array, in the same order, as a sort-based grouping would
+            masses = np.bincount(code, weights=field)[np.bincount(code) > 0]
             value_s += float(np.sum(masses**2) / box_vol)
         per_s[s] = value_s
         total += value_s
@@ -552,6 +594,8 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
 def geometry_to_json(geometry: ConeGeometry) -> str:
     """Audit dump: cap corner coordinates and the plank frame tables."""
     delta = geometry.delta
+    on = geometry.assignment >= 0
+    n_points = np.bincount(geometry.assignment[on], minlength=geometry.n_caps)
     caps = []
     for cid in range(geometry.n_caps):
         di = cid % geometry.n_directions
@@ -571,7 +615,7 @@ def geometry_to_json(geometry: ConeGeometry) -> str:
                 "shell": shell,
                 "theta": (di + 0.5) * delta,
                 "corners": corners,
-                "points": int(np.sum(geometry.assignment == cid)),
+                "points": int(n_points[cid]),
             }
         )
     payload = {

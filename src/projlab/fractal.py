@@ -404,14 +404,19 @@ def rebase_unit_interval(p: PointSet):
 # ----------------------------------------------------------------------------
 # serialization
 
+CSV_HEADER = "dim,delta,domain,nominal_dim"
+
 
 def save_csv(p: PointSet, path) -> None:
-    """Write the `dim,delta` header block then one cell per row.
+    """Write the `dim,delta,domain,nominal_dim` header block then one cell per row.
 
     Rows are coordinates (and a trailing weight when present) in
     lexicographic lattice order, so output bytes are deterministic.
     """
-    lines = ["dim,delta", f"{p.ambient_dim},{p.delta!r}"]
+    lines = [
+        CSV_HEADER,
+        f"{p.ambient_dim},{p.delta!r},{p.domain},{float(p.nominal_dim)!r}",
+    ]
     vals = p.values
     for i in range(len(p)):
         fields = [repr(float(v)) for v in vals[i]]
@@ -423,16 +428,23 @@ def save_csv(p: PointSet, path) -> None:
 
 
 def load_csv(path) -> PointSet:
+    """Read a `save_csv` file.  Files with the older `dim,delta` header load
+    with the domain inferred from the index signs and no nominal dimension."""
     with open(path, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2 or lines[0] != "dim,delta":
+    header = lines[0].split(",") if lines else []
+    if len(lines) < 2 or header not in (["dim", "delta"], CSV_HEADER.split(",")):
         raise ConfigurationError("missing dim,delta header")
-    dim_s, delta_s = lines[1].split(",")
-    dim, delta = int(dim_s), float(delta_s)
+    values = lines[1].split(",")
+    if len(values) != len(header):
+        raise ConfigurationError(f"header line {lines[1]!r} does not match {lines[0]!r}")
+    meta = dict(zip(header, values))
+    dim, delta = int(meta["dim"]), float(meta["delta"])
     rows = [[float(v) for v in ln.split(",")] for ln in lines[2:]]
     has_w = bool(rows) and len(rows[0]) == dim + 1
     idx = np.array([[round(v / delta) for v in r[:dim]] for r in rows], dtype=np.int64)
     idx = idx.reshape(len(rows), dim)
     weights = np.array([r[dim] for r in rows]) if has_w else None
-    domain = "ball" if (len(idx) and idx.min() < 0) else "cube"
-    return PointSet(dim, delta, idx, weights=weights, domain=domain)
+    domain = meta.get("domain", "ball" if (len(idx) and idx.min() < 0) else "cube")
+    nominal_dim = float(meta.get("nominal_dim", "nan"))
+    return PointSet(dim, delta, idx, weights=weights, nominal_dim=nominal_dim, domain=domain)

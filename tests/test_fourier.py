@@ -1,7 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from projlab.curve import frame, great_circle, model_curve
 from projlab.errors import (
@@ -14,6 +17,7 @@ from projlab.errors import (
 from projlab.fourier import (
     CapSubset,
     GridFunction,
+    _cap_l4,
     build_geometry,
     cap_restrict,
     choose_K,
@@ -51,6 +55,66 @@ def direct_dft(coeffs_flat, M):
     xs = np.indices((M, M, M)).reshape(3, -1).T.astype(float)
     phases = np.exp(2j * np.pi * (xs @ xi.T))
     return (phases @ c).reshape((M,) * 3)
+
+
+@lru_cache(maxsize=None)
+def cached_geometry(M, radial_floor=0.5):
+    return build_geometry(CURVE, 1.0 / M, radial_floor=radial_floor)
+
+
+def random_on(points, M, seed):
+    """Random complex coefficients on the given flat lattice points, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(M**3, dtype=complex)
+    coeffs[points] = rng.normal(size=len(points)) + 1j * rng.normal(size=len(points))
+    return GridFunction.from_coeffs(coeffs.reshape((M,) * 3))
+
+
+def envelope_oracle(f, geometry):
+    """(per_s, total) of wave_envelope_rhs with boxes grouped by np.unique on packed codes."""
+    M = geometry.M
+    coeffs = f.coeffs().ravel()
+    sig_assign = geometry.sigma_assignment()
+    n_sigma = geometry.n_sigma()
+    sigma_fields = []
+    for si in range(n_sigma):
+        c = coeffs.copy()
+        c[sig_assign != si] = 0
+        g = GridFunction.from_coeffs(c.reshape((M,) * 3))
+        sigma_fields.append(np.abs(g.samples.ravel()) ** 2)
+    axes = np.indices((M, M, M)).reshape(3, -1).T.astype(float) - M / 2
+    per_s = {}
+    total = 0.0
+    for s in geometry.s_values:
+        n_tau = round(1.0 / s)
+        sig_per_tau = max(1, round(s / geometry.s_min))
+        box_vol = M**3 * s**3
+        value_s = 0.0
+        for ti in range(n_tau):
+            sis = range(ti * sig_per_tau, min((ti + 1) * sig_per_tau, n_sigma))
+            field = np.zeros(M**3)
+            for si in sis:
+                field += sigma_fields[si]
+            if not field.any():
+                continue
+            if s == 1.0:
+                value_s += float(field.sum() ** 2 / box_vol)
+                continue
+            theta_c = (ti + 0.5) * s
+            di = min(int(theta_c / geometry.delta), geometry.n_directions - 1)
+            gam, tan, nor = geometry.frames[di]
+            widths = (float(M), float(M * s), float(M * s * s))
+            bins = []
+            for e, w in zip((nor, tan, gam), widths):
+                u = axes @ e
+                bins.append(np.floor((u + w / 2) / w).astype(np.int64))
+            code = (bins[0] + 64) * 2**40 + (bins[1] + 2**19) * 2**20 + (bins[2] + 2**19)
+            _, inv = np.unique(code, return_inverse=True)
+            masses = np.bincount(inv, weights=field)
+            value_s += float(np.sum(masses**2) / box_vol)
+        per_s[s] = value_s
+        total += value_s
+    return per_s, total
 
 
 class TestGridFunction:
@@ -285,6 +349,93 @@ class TestCapRestrict:
         assert np.allclose(lhs.samples, rhs, atol=1e-9)
 
 
+@pytest.mark.parametrize("call", ["cap_restrict", "decoupling_ratio", "wave_envelope_rhs"])
+def test_grid_size_mismatch_names_both_sizes(geo32, call):
+    sub = CapSubset(t=0.5, directions=np.array([4]), worst_constant=1.0)
+    g = random_cap_function(cached_geometry(16), sub, seed=0)
+    run = {
+        "cap_restrict": lambda: cap_restrict(g, 4, geo32),
+        "decoupling_ratio": lambda: decoupling_ratio(g, sub, geo32),
+        "wave_envelope_rhs": lambda: wave_envelope_rhs(g, geo32),
+    }[call]
+    with pytest.raises(ConfigurationError, match=r"16\^3.*32\^3"):
+        run()
+
+
+@given(
+    st.sampled_from([(16, 0.5), (32, 0.5), (16, 0.25), (32, 0.25)]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_cap_energy_matches_fft_restriction(key, seed, data):
+    # the additive-energy helper and decoupling_ratio's rhs against the FFT
+    # route: restrict to each cap, transform back, sum |g_cap|^4
+    geo = cached_geometry(*key)
+    M = geo.M
+    shell = data.draw(st.integers(0, geo.n_shells - 1))
+    dirs = data.draw(
+        st.lists(st.integers(0, geo.n_directions - 1), max_size=8, unique=True).map(sorted)
+    )
+    cap_ids = [shell * geo.n_directions + d for d in dirs]
+    # some selected caps carry no coefficients; some own no lattice points at all
+    filled = [c for c in cap_ids if data.draw(st.booleans())]
+    points = np.flatnonzero(np.isin(geo.assignment, filled))
+    g = random_on(points, M, seed)
+    coeffs = g.coeffs().ravel()
+    oracle = []
+    for cid in cap_ids:
+        want = l4_norm(cap_restrict(g, cid, geo))
+        oracle.append(want)
+        got = _cap_l4(coeffs, geo.cap_points(cid), M)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    t = 0.5
+    sub = CapSubset(t=t, directions=np.array(dirs, dtype=np.int64), worst_constant=0.0)
+    rep = decoupling_ratio(g, sub, geo, shell=shell, max_constant=np.inf)
+    assert rep.lhs == l4_norm(g)
+    assert rep.rhs == pytest.approx(geo.delta**-t * sum(oracle), rel=1e-12, abs=0.0)
+
+
+@given(
+    st.sampled_from([16, 32]),
+    st.tuples(*[st.integers(0, 31)] * 3),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_cap_energy_on_any_support(M, corner, side, seed):
+    # the identity holds for any support, including boxes that wrap around
+    # the periodic lattice, which no cap of the model-curve geometries does
+    rng = np.random.default_rng(seed)
+    box = np.indices((side,) * 3).reshape(3, -1).T + np.array(corner)
+    idx = box[rng.random(len(box)) < 0.5] % M
+    points = np.ravel_multi_index(idx.T, (M, M, M))
+    g = random_on(points, M, seed)
+    got = _cap_l4(g.coeffs().ravel(), points, M)
+    assert got == pytest.approx(l4_norm(g), rel=1e-12, abs=0.0)
+
+
+def test_transform_counts(geo16, monkeypatch):
+    sub = tspacing_subsample(geo16, 0.5, seed=1)
+    g = random_cap_function(geo16, sub, seed=2)
+    calls = {"coeffs": 0, "from_coeffs": 0}
+    coeffs, from_coeffs = GridFunction.coeffs, GridFunction.from_coeffs
+
+    def counted_coeffs(self):
+        calls["coeffs"] += 1
+        return coeffs(self)
+
+    def counted_from_coeffs(c):
+        calls["from_coeffs"] += 1
+        return from_coeffs(c)
+
+    monkeypatch.setattr(GridFunction, "coeffs", counted_coeffs)
+    monkeypatch.setattr(GridFunction, "from_coeffs", staticmethod(counted_from_coeffs))
+    decoupling_ratio(g, sub, geo16)
+    assert calls == {"coeffs": 1, "from_coeffs": 0}
+    calls.update(coeffs=0, from_coeffs=0)
+    wave_envelope_rhs(g, geo16)
+    assert calls == {"coeffs": 1, "from_coeffs": geo16.n_sigma()}
+
+
 class TestTspacing:
     def test_t_one_all_caps(self, geo16):
         sub = tspacing_subsample(geo16, 1.0, seed=0)
@@ -443,3 +594,16 @@ class TestWaveEnvelope:
         coeffs[1, 1, 1] = 1.0
         with pytest.raises(PreconditionError):
             wave_envelope_rhs(GridFunction.from_coeffs(coeffs), geo16)
+
+    @pytest.mark.parametrize("M", [16, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_unique_binning(self, M, seed):
+        geo = cached_geometry(M)
+        on_cone = random_on(np.flatnonzero(geo.assignment >= 0), M, seed)
+        sub = tspacing_subsample(geo, 0.5, seed=seed)
+        on_caps = random_cap_function(geo, sub, seed=seed + 1)
+        for f in (on_cone, on_caps):
+            rep = wave_envelope_rhs(f, geo)
+            per_s, total = envelope_oracle(f, geo)
+            assert rep.per_s == per_s
+            assert rep.total == total

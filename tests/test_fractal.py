@@ -348,10 +348,37 @@ class TestSerialization:
         path = tmp_path / "grid.csv"
         save_csv(p, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "dim,delta"
-        assert lines[1] == "1,0.125"
+        assert lines[0] == "dim,delta,domain,nominal_dim"
+        assert lines[1] == "1,0.125,cube,1.0"
         vals = [float(ln) for ln in lines[2:]]
         assert vals == sorted(vals)
+
+    def test_roundtrip_keeps_nominal_dim(self, tmp_path):
+        p = product_set(cantor_1d(1 / 3, 3), cantor_1d(1 / 3, 3), cantor_1d(1 / 3, 3))
+        path = tmp_path / "set.csv"
+        save_csv(p, path)
+        assert load_csv(path).nominal_dim == p.nominal_dim == pytest.approx(1.8928, abs=1e-4)
+
+    def test_roundtrip_keeps_ball_domain_without_negative_indices(self, tmp_path):
+        p = PointSet(2, 0.25, np.array([[0, 1], [2, 3]]), nominal_dim=0.5, domain="ball")
+        path = tmp_path / "ball.csv"
+        save_csv(p, path)
+        q = load_csv(path)
+        assert q.domain == "ball"
+        assert np.array_equal(q.indices, p.indices)
+
+    def test_two_field_header_still_loads(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("dim,delta\n1,0.25\n-0.25\n0.5\n")
+        q = load_csv(path)
+        assert (q.domain, q.delta, q.indices.ravel().tolist()) == ("ball", 0.25, [-1, 2])
+        assert math.isnan(q.nominal_dim)
+
+    def test_header_field_count_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("dim,delta,domain,nominal_dim\n1,0.25\n0.5\n")
+        with pytest.raises(ConfigurationError, match="does not match"):
+            load_csv(path)
 
 
 class TestRebase:
