@@ -13,7 +13,6 @@ from projlab.incidence import (
     heavy_subset,
     incidence_count,
     random_admissible_config,
-    rescale_config,
     verify_incidence_bound,
 )
 
@@ -29,9 +28,6 @@ print(f"  incidences {m.total}: sum over balls {int(m.row_counts().sum())} "
 heavy = heavy_subset(m, cfg)
 print(f"  heavy balls {len(heavy)} (threshold #Theta/(log2 1/delta)^2 = "
       f"{len(cfg.net) / 25:.2f} slabs)")
-resc = rescale_config(cfg)
-m2 = incidence_count(resc, curve)
-print(f"  rescaled matrix identical: {m == m2}")
 
 print()
 print("= fitted constants across scales =")

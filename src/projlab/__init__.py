@@ -26,7 +26,6 @@ from .projection import (
     box_dimension,
     exceptional_sweep,
     project_line,
-    project_plane,
     select_scale,
     theorem_bound,
 )
@@ -35,7 +34,6 @@ from .incidence import (
     heavy_subset,
     incidence_count,
     random_admissible_config,
-    rescale_config,
     slabs_from_covering,
     verify_incidence_bound,
 )

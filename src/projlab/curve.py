@@ -8,7 +8,6 @@ measure everything downstream relies on.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -108,40 +107,6 @@ def helix_curve() -> Curve:
         return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
     return Curve("helix", ev)
-
-
-def curve_from_csv(path) -> Curve:
-    """Load a custom curve from a CSV table with rows theta,x,y,z.
-
-    The three coordinates are cubic-interpolated in theta and the result is
-    renormalized to the sphere at evaluation time.  Derivatives are taken by
-    finite differences.
-    """
-    from scipy.interpolate import CubicSpline
-
-    thetas, coords = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "theta":
-                continue
-            vals = [float(v) for v in row]
-            if len(vals) != 4:
-                raise DomainError(f"curve CSV rows need 4 columns, got {len(vals)}")
-            thetas.append(vals[0])
-            coords.append(vals[1:])
-    if len(thetas) < 4:
-        raise DomainError("curve CSV needs at least 4 sample rows")
-    order = np.argsort(thetas)
-    spline = CubicSpline(np.asarray(thetas)[order], np.asarray(coords)[order], axis=0)
-
-    def ev(t):
-        raw = spline(np.atleast_1d(t))
-        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-        if np.any(norms == 0):
-            raise NumericError("interpolated curve passes through the origin")
-        return raw / norms
-
-    return Curve("csv", ev)
 
 
 _NAMED = {

@@ -27,14 +27,6 @@ def dyadic_level(delta: float) -> int:
     return k
 
 
-def nearest_dyadic(x: float) -> float:
-    """The power of two 2**-k closest to x in log scale (x in (0, 1])."""
-    if not (0 < x <= 1):
-        raise DomainError(f"expected x in (0, 1], got {x}")
-    k = max(0, round(-math.log2(x)))
-    return 2.0 ** (-k)
-
-
 def max_window_count(indices: np.ndarray, length: int) -> tuple[int, int]:
     """Max number of sorted integer indices in a closed window of `length`.
 

@@ -140,9 +140,6 @@ class ConeGeometry:
     def cap_points(self, cap_id: int) -> np.ndarray:
         return np.nonzero(self.assignment == cap_id)[0]
 
-    def cap_direction(self, cap_id: int) -> int:
-        return cap_id % self.n_directions
-
     def n_sigma(self) -> int:
         return round(1.0 / self.s_min)
 
@@ -303,9 +300,7 @@ def synth_tube_function(
             f"family direction {th} has no tube in the geometry (delta={geometry.delta})"
         )
     gamma, tan, nor = frame(geometry.curve, th)
-    # offsets in physical grid units (rescale when the family is unit-scale)
-    scale = 1.0 if family.thickness == 1.0 else 1.0 / family.thickness
-    offsets = family.offsets * scale
+    offsets = family.offsets * (1.0 / family.thickness)  # in grid units
     flat, u = tube_axis_points(M, gamma)
     w = _radial_window(u)
     total = w.sum()
@@ -429,12 +424,6 @@ def tspacing_subsample(geometry: ConeGeometry, t: float, seed: int) -> CapSubset
     return CapSubset(t=t, directions=dirs, worst_constant=worst)
 
 
-def check_tspacing(directions: np.ndarray, delta: float, t: float):
-    """(worst, witness) of the angular window scan over cap directions."""
-    k = dyadic_level(delta)
-    return spacing_scan(np.sort(np.asarray(directions, dtype=np.int64)), k, t)
-
-
 @dataclass(frozen=True)
 class DecouplingReport:
     lhs: float
@@ -464,7 +453,8 @@ def decoupling_ratio(
     transform and no inverse one.
     """
     _check_grid(g, geometry)
-    worst, witness = check_tspacing(caps.directions, geometry.delta, caps.t)
+    dirs = np.sort(np.asarray(caps.directions, dtype=np.int64))
+    worst, witness = spacing_scan(dirs, dyadic_level(geometry.delta), caps.t)
     if worst > max_constant:
         raise PreconditionError(
             f"t-spacing violated: constant {worst:.3g} at angular window r={witness[0]}"

@@ -439,12 +439,18 @@ def load_csv(path) -> PointSet:
     if len(values) != len(header):
         raise ConfigurationError(f"header line {lines[1]!r} does not match {lines[0]!r}")
     meta = dict(zip(header, values))
-    dim, delta = int(meta["dim"]), float(meta["delta"])
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[2:]]
-    has_w = bool(rows) and len(rows[0]) == dim + 1
+    try:
+        dim, delta = int(meta["dim"]), float(meta["delta"])
+        nominal_dim = float(meta.get("nominal_dim", "nan"))
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[2:]]
+    except ValueError as exc:
+        raise ConfigurationError(f"non-numeric field: {exc}") from None
+    widths = {len(r) for r in rows}
+    if len(widths) > 1 or not widths <= {dim, dim + 1}:
+        raise ConfigurationError(f"every data row needs the same {dim} or {dim + 1} fields")
+    has_w = widths == {dim + 1}
     idx = np.array([[round(v / delta) for v in r[:dim]] for r in rows], dtype=np.int64)
     idx = idx.reshape(len(rows), dim)
     weights = np.array([r[dim] for r in rows]) if has_w else None
     domain = meta.get("domain", "ball" if (len(idx) and idx.min() < 0) else "cube")
-    nominal_dim = float(meta.get("nominal_dim", "nan"))
     return PointSet(dim, delta, idx, weights=weights, nominal_dim=nominal_dim, domain=domain)

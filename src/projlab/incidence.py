@@ -4,6 +4,11 @@ A configuration couples a direction net with one slab family per direction
 and a set of lattice balls.  Counting is exhaustive (every ball against
 every family via binary search over slab offsets) and yields the
 incidence matrix in CSR form, which everything layered on top reads.
+
+Everything lives in one picture, the unit one: balls are delta-lattice
+cells inside the unit ball and slabs keep their own thickness.  The
+paper's rescaling x -> x/delta multiplies every length by a power of two,
+which changes no comparison, so it would count the same matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .covering import Covering
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
 from .dyadic import dyadic_level, group_rows
-from .errors import ConfigurationError, InfeasibleError, PreconditionError
+from .errors import ConfigurationError, DomainError, InfeasibleError, PreconditionError
 from .fractal import PointSet, extract_delta_s_set, full_grid
 
 #: family validation flags compare recorded constants against this bound
@@ -66,16 +71,6 @@ def _in_band(fam: SlabFamily, proj: np.ndarray) -> np.ndarray:
     lo = np.searchsorted(fam.offsets, proj - fam.thickness / 2, side="left")
     hi = np.searchsorted(fam.offsets, proj + fam.thickness / 2, side="right")
     return hi > lo
-
-
-def _rescaled(fam: SlabFamily, inv: float) -> SlabFamily:
-    """The family in the coordinates x -> inv * x; every length scales by inv."""
-    return replace(
-        fam,
-        offsets=fam.offsets * inv,
-        thickness=fam.thickness * inv,
-        extent=fam.extent * inv,
-    )
 
 
 def scan_slab_family(
@@ -131,7 +126,6 @@ def make_family(
 def slabs_from_covering(
     cov: Covering,
     theta: float,
-    mode: str = "unit",
     axis=(1.0, 0.0),
 ) -> SlabFamily:
     """One slab per interval of a single-level 1-D covering.
@@ -148,23 +142,17 @@ def slabs_from_covering(
     centers = (cov.levels[j][:, 0].astype(float) + 0.5) * 2.0**-j
     offsets = scale * centers + shift
     thickness = scale * 2.0**-j
-    fam = make_family(theta, offsets, delta=thickness, s=cov.s, thickness=thickness)
-    if mode == "rescaled":
-        # exactly 1: thickness * (1 / thickness) can round away from it
-        fam = replace(_rescaled(fam, 1.0 / thickness), thickness=1.0)
-    elif mode != "unit":
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    return fam
+    return make_family(theta, offsets, delta=thickness, s=cov.s, thickness=thickness)
 
 
 @dataclass(frozen=True)
 class IncidenceConfig:
-    """Direction net + slab families + candidate balls at a common scale."""
+    """Direction net + slab families + candidate balls, in unit coordinates.
 
-    delta: float
-    mode: str
-    s: float
-    t: float
+    The scale delta and the net exponent t are the net's; the balls must
+    sit on the same delta-lattice and every family must share one s.
+    """
+
     net: DirectionNet
     families: tuple
     balls: PointSet
@@ -174,19 +162,24 @@ class IncidenceConfig:
             raise ConfigurationError("need exactly one slab family per direction")
         if self.balls.ambient_dim != 3:
             raise ConfigurationError("balls must be a 3-D point set")
-        if self.mode not in ("unit", "rescaled"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
+        if self.balls.delta != self.net.delta:
+            raise ConfigurationError(
+                f"balls at delta={self.balls.delta} do not match the net's {self.net.delta}"
+            )
+        if len({fam.s for fam in self.families}) > 1:
+            raise ConfigurationError("slab families disagree on s")
 
     @property
-    def scale_factor(self) -> float:
-        return 1.0 / self.delta if self.mode == "rescaled" else 1.0
+    def delta(self) -> float:
+        return self.net.delta
 
-    def ball_coordinates(self) -> np.ndarray:
-        return self.balls.values * self.scale_factor
+    @property
+    def t(self) -> float:
+        return self.net.t
 
-    def family_at(self, i: int) -> SlabFamily:
-        fam = self.families[i]
-        return fam if self.mode == "unit" else _rescaled(fam, 1.0 / self.delta)
+    @property
+    def s(self) -> float:
+        return self.families[0].s
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,15 +211,12 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     """Exact membership counting of every (ball, direction) pair.
 
     Per pair the slab lookup is a binary search over the family's sorted
-    offsets, so the full count is O(#H * #Theta * log #S).  Scaling both
-    sides by the exact power of two 1/delta leaves every comparison
-    unchanged, hence the matrix is invariant under rescaling.
+    offsets, so the full count is O(#H * #Theta * log #S).
     """
-    pts = cfg.ball_coordinates()
+    pts = cfg.balls.values
     norms = np.linalg.norm(pts, axis=1)
     cols = []
-    for j, theta in enumerate(cfg.net.thetas):
-        fam = cfg.family_at(j)
+    for fam, theta in zip(cfg.families, cfg.net.thetas):
         gamma = curve.points(np.array([theta]))[0]
         cols.append(np.nonzero(_in_band(fam, pts @ gamma) & (norms <= fam.extent))[0])
     ptr = np.zeros(len(cols) + 1, dtype=np.int64)
@@ -305,13 +295,6 @@ def verify_incidence_bound(
     )
 
 
-def rescale_config(cfg: IncidenceConfig) -> IncidenceConfig:
-    """Switch to the rescaled picture x -> x/delta (unit balls, thickness/delta)."""
-    if cfg.mode != "unit":
-        raise ConfigurationError("config is already rescaled")
-    return replace(cfg, mode="rescaled")
-
-
 # ----------------------------------------------------------------------------
 # seeded admissible-config generator
 
@@ -325,25 +308,23 @@ class IncidenceSpec:
     t: float
     seed: int
     curve: str = "model"
-    generator: str = "slab-sampled"
-    mode: str = "unit"
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "delta": self.delta,
-                "mode": self.mode,
                 "s": self.s,
                 "t": self.t,
                 "seed": self.seed,
                 "curve": self.curve,
-                "generator": self.generator,
             },
             sort_keys=True,
         )
 
     @staticmethod
     def from_json(text: str) -> "IncidenceSpec":
+        """Keys other than the five fields (such as `mode` and `generator`,
+        which older payloads carry) are ignored."""
         d = json.loads(text)
         return IncidenceSpec(
             delta=float(d["delta"]),
@@ -351,8 +332,6 @@ class IncidenceSpec:
             t=float(d["t"]),
             seed=int(d["seed"]),
             curve=d.get("curve", "model"),
-            generator=d.get("generator", "slab-sampled"),
-            mode=d.get("mode", "unit"),
         )
 
 
@@ -386,6 +365,8 @@ def random_admissible_config(
     """
     curve = named_curve(spec.curve)
     k = dyadic_level(spec.delta)
+    if k < 1:
+        raise DomainError(f"admissible configs need delta <= 1/2, got {spec.delta}")
     rng = np.random.default_rng(spec.seed)
     net = direction_net(curve, spec.delta, spec.t, spec.seed)
     families = tuple(
@@ -422,15 +403,7 @@ def random_admissible_config(
         raise InfeasibleError("failed to sample any admissible ball")
     cells = collected[:want]
     balls = PointSet(3, spec.delta, cells, domain="ball", nominal_dim=3.0)
-    cfg = IncidenceConfig(
-        delta=spec.delta,
-        mode="unit",
-        s=spec.s,
-        t=spec.t,
-        net=net,
-        families=families,
-        balls=balls,
-    )
+    cfg = IncidenceConfig(net=net, families=families, balls=balls)
     matrix = incidence_count(cfg, curve)
     heavy = heavy_subset(matrix, cfg)
     if len(heavy) == 0:

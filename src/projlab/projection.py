@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covering import Covering
-from .curve import Curve, frame
+from .curve import Curve
 from .dyadic import group_rows, rows_in
 from .errors import ConfigurationError, InconsistencyError, RangeError
 from .fractal import PointSet
@@ -40,13 +40,6 @@ class SweepRow:
     below_s: bool
 
 
-def _dedup(indices: np.ndarray, weights):
-    first, inv = group_rows(indices)
-    if weights is None:
-        return indices[first], None
-    return indices[first], np.bincount(inv, weights=weights, minlength=len(first))
-
-
 def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     """Orthogonal projection x -> x . gamma(theta), snapped to a's lattice.
 
@@ -58,28 +51,12 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     gamma = curve.points(np.array([theta]))[0]
     vals = a.values @ gamma
     idx = np.round(vals / a.delta).astype(np.int64)[:, None]
-    uniq, w = _dedup(idx, a.weights)
+    first, inv = group_rows(idx)
+    w = None
+    if a.weights is not None:
+        w = np.bincount(inv, weights=a.weights, minlength=len(first))
     return PointSet(
-        1, a.delta, uniq, weights=w, nominal_dim=min(1.0, a.nominal_dim),
-        domain="ball",
-    )
-
-
-def plane_coordinates(a: PointSet, curve: Curve, theta: float) -> np.ndarray:
-    """Exact coordinates of pi_theta(a) in the orthonormal basis of V_theta."""
-    g, t, n = frame(curve, theta)
-    return np.stack([a.values @ t, a.values @ n], axis=1)
-
-
-def project_plane(a: PointSet, curve: Curve, theta: float) -> PointSet:
-    """Projection onto the plane orthogonal to gamma(theta), lattice-snapped."""
-    if a.ambient_dim != 3:
-        raise ConfigurationError("project_plane expects a 3-D set")
-    coords = plane_coordinates(a, curve, theta)
-    idx = np.round(coords / a.delta).astype(np.int64)
-    uniq, w = _dedup(idx, a.weights)
-    return PointSet(
-        2, a.delta, uniq, weights=w, nominal_dim=min(2.0, a.nominal_dim),
+        1, a.delta, idx[first], weights=w, nominal_dim=min(1.0, a.nominal_dim),
         domain="ball",
     )
 

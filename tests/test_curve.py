@@ -5,7 +5,6 @@ import pytest
 
 from projlab.curve import (
     Curve,
-    curve_from_csv,
     direction_net,
     eval_curve,
     frame,
@@ -139,19 +138,6 @@ class TestDirectionNet:
 
 
 class TestCsvCurve:
-    def test_roundtrip_model_curve(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        thetas = np.linspace(-0.05, 1.05, 111)
-        pts = model_curve().points(thetas)
-        rows = ["theta,x,y,z"] + [
-            f"{t},{p[0]},{p[1]},{p[2]}" for t, p in zip(thetas, pts)
-        ]
-        path.write_text("\n".join(rows) + "\n")
-        curve = curve_from_csv(path)
-        for theta in (0.0, 0.25, 0.5, 0.99):
-            assert np.allclose(eval_curve(curve, theta), eval_curve(model_curve(), theta), atol=1e-6)
-        assert nondegeneracy_margin(curve, 256) == pytest.approx(2.0**-1.5, abs=1e-3)
-
     def test_named_curves(self):
         assert named_curve("model").label == "model"
         assert named_curve("helix").label == "helix"

@@ -380,6 +380,26 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="does not match"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        ["0.125,0.25\n0.5\n", "0.125,0.25,0.5\n0.5,0.5\n", "0.125\n0.5\n"],
+        ids=["short_row", "missing_weight", "too_few_fields"],
+    )
+    def test_ragged_rows_rejected(self, tmp_path, body):
+        # a malformed file is a ConfigurationError, not a bare numpy
+        # ValueError or IndexError
+        path = tmp_path / "ragged.csv"
+        path.write_text("dim,delta,domain,nominal_dim\n2,0.125,cube,1.0\n" + body)
+        with pytest.raises(ConfigurationError, match="every data row"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("text", ["1,0.25,cube,1.0\nabc\n", "one,0.25,cube,1.0\n0.5\n"])
+    def test_non_numeric_field_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text("dim,delta,domain,nominal_dim\n" + text)
+        with pytest.raises(ConfigurationError, match="non-numeric"):
+            load_csv(path)
+
 
 class TestRebase:
     def test_affine_map(self):

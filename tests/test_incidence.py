@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from projlab.covering import Covering, single_level_covering
 from projlab.curve import direction_net, model_curve
-from projlab.errors import ConfigurationError, PreconditionError
+from projlab.errors import ConfigurationError, DomainError, PreconditionError
 from projlab.fractal import PointSet, cantor_1d
 from projlab.incidence import (
     IncidenceConfig,
@@ -19,7 +19,6 @@ from projlab.incidence import (
     incidence_count,
     make_family,
     random_admissible_config,
-    rescale_config,
     scan_slab_family,
     slabs_from_covering,
     verify_incidence_bound,
@@ -40,10 +39,7 @@ def config_through_origin(delta, t=1.0, s=0.5):
     fams = tuple(
         make_family(float(th), [0.0], delta=delta, s=s) for th in net.thetas
     )
-    return IncidenceConfig(
-        delta=delta, mode="unit", s=s, t=t, net=net, families=fams,
-        balls=origin_ball(delta),
-    )
+    return IncidenceConfig(net=net, families=fams, balls=origin_ball(delta))
 
 
 class TestSlabFamilies:
@@ -86,14 +82,6 @@ class TestSlabFamilies:
         assert fam.thickness == pytest.approx(2.0**-4)
         assert fam.offsets[0] == pytest.approx(2 * (4.5 * 2.0**-5) - 1)
 
-    def test_rescaled_mode(self):
-        p = PointSet(1, 2.0**-5, np.array([[4], [20]]), nominal_dim=0.5)
-        cov = single_level_covering(p, s=0.5)
-        fam = slabs_from_covering(cov, theta=0.0, mode="rescaled")
-        assert fam.thickness == 1.0
-        assert fam.extent == 2.0**5
-        assert np.allclose(fam.offsets, [4.5, 20.5])
-
 
 class TestIncidenceCount:
     def test_origin_ball_meets_every_direction(self):
@@ -106,10 +94,7 @@ class TestIncidenceCount:
         fams = tuple(
             make_family(float(th), [], delta=2.0**-4, s=0.5) for th in net.thetas
         )
-        cfg = IncidenceConfig(
-            delta=2.0**-4, mode="unit", s=0.5, t=1.0, net=net, families=fams,
-            balls=origin_ball(2.0**-4),
-        )
+        cfg = IncidenceConfig(net=net, families=fams, balls=origin_ball(2.0**-4))
         m = incidence_count(cfg, CURVE)
         assert m.total == 0
 
@@ -142,10 +127,10 @@ def slab_contains(points, gamma, offset, thickness, extent):
 
 def oracle_incidence(cfg, curve):
     """Dense (ball, direction) relation from every ball against every slab."""
-    pts = cfg.ball_coordinates()
+    pts = cfg.balls.values
     hit = np.zeros((len(cfg.balls), len(cfg.net)), dtype=bool)
     for j, theta in enumerate(cfg.net.thetas):
-        fam = cfg.family_at(j)
+        fam = cfg.families[j]
         gamma = curve.points(np.array([theta]))[0]
         for c in fam.offsets:
             hit[:, j] |= slab_contains(pts, gamma, c, fam.thickness, fam.extent)
@@ -160,9 +145,9 @@ def dense(m: IncidenceMatrix, n_directions: int) -> np.ndarray:
 
 @st.composite
 def small_configs(draw):
-    """Unit-mode configs at delta = 2^-2..2^-4: lattice balls in the unit ball
-    and per-direction lattice offsets on [-extent, extent], families possibly
-    empty."""
+    """Configs at delta = 2^-2..2^-4: lattice balls in the unit ball and
+    per-direction lattice offsets on [-extent, extent], families possibly
+    empty, slabs delta or 4 delta thick."""
     k = draw(st.integers(2, 4))
     delta = 2.0**-k
     n = 2**k
@@ -173,6 +158,7 @@ def small_configs(draw):
     cells = [c for c in cells if sum(x * x for x in c) <= n * n] or [(0, 0, 0)]
     extent = draw(st.sampled_from([0.5, 1.0]))
     lim = round(extent * n)
+    thickness = draw(st.sampled_from([1, 4])) * delta
     fams = tuple(
         make_family(
             float(th),
@@ -180,21 +166,18 @@ def small_configs(draw):
             delta=delta,
             s=0.5,
             extent=extent,
+            thickness=thickness,
         )
         for th in net.thetas
     )
     balls = PointSet(3, delta, np.array(cells), domain="ball", nominal_dim=0.0)
-    return IncidenceConfig(
-        delta=delta, mode="unit", s=0.5, t=net.t, net=net, families=fams, balls=balls
-    )
+    return IncidenceConfig(net=net, families=fams, balls=balls)
 
 
-@given(small_configs(), st.sampled_from(["unit", "rescaled"]))
-def test_incidence_count_matches_every_ball_against_every_slab(cfg, mode):
-    # the oracle works in the unit picture; rescaling by the power of two
-    # 1/delta must not change a single comparison
+@given(small_configs())
+def test_incidence_count_matches_every_ball_against_every_slab(cfg):
     expected = oracle_incidence(cfg, CURVE)
-    m = incidence_count(cfg if mode == "unit" else rescale_config(cfg), CURVE)
+    m = incidence_count(cfg, CURVE)
     assert m.n_balls == len(cfg.balls)
     assert np.array_equal(dense(m, len(cfg.net)), expected)
     # each direction's ball list is sorted and free of repeats
@@ -218,10 +201,7 @@ class TestHeavySubset:
         fams = tuple(
             make_family(float(th), [], delta=2.0**-4, s=0.5) for th in net.thetas
         )
-        cfg = IncidenceConfig(
-            delta=2.0**-4, mode="unit", s=0.5, t=1.0, net=net, families=fams,
-            balls=origin_ball(2.0**-4),
-        )
+        cfg = IncidenceConfig(net=net, families=fams, balls=origin_ball(2.0**-4))
         heavy = heavy_subset(incidence_count(cfg, CURVE), cfg)
         assert len(heavy) == 0
 
@@ -272,48 +252,27 @@ class TestVerifyBound:
             for th in net.thetas
         )
         # the origin ball misses every slab at offset 0.5
-        cfg = IncidenceConfig(
-            delta=2.0**-5, mode="unit", s=0.5, t=0.5, net=net, families=fams,
-            balls=origin_ball(2.0**-5),
-        )
+        cfg = IncidenceConfig(net=net, families=fams, balls=origin_ball(2.0**-5))
         with pytest.raises(PreconditionError, match=r"ball at \(0.0, 0.0, 0.0\)"):
             verify_incidence_bound(cfg, CURVE)
 
 
-class TestRescale:
-    def test_matrix_invariant(self):
-        spec = IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=5)
-        cfg = random_admissible_config(spec)
-        m_unit = incidence_count(cfg, CURVE)
-        m_resc = incidence_count(rescale_config(cfg), CURVE)
-        assert m_unit.n_balls == m_resc.n_balls
-        assert np.array_equal(m_unit.ptr, m_resc.ptr)
-        assert np.array_equal(m_unit.balls, m_resc.balls)
+class TestConfigScale:
+    def test_ball_delta_must_match_the_net(self):
+        cfg = config_through_origin(2.0**-4)
+        with pytest.raises(ConfigurationError, match="delta"):
+            replace(cfg, balls=origin_ball(2.0**-6))
 
-    def test_rescaled_fields(self):
-        spec = IncidenceSpec(delta=2.0**-4, s=0.5, t=0.5, seed=2)
-        cfg = rescale_config(random_admissible_config(spec))
-        fam = cfg.family_at(0)
-        assert fam.thickness == 1.0
-        assert fam.extent == 2.0**4
-        assert np.allclose(cfg.ball_coordinates(), cfg.balls.values * 2.0**4)
+    def test_families_must_share_s(self):
+        cfg = config_through_origin(2.0**-4, s=0.5)
+        fam0 = replace(cfg.families[0], s=0.7)
+        with pytest.raises(ConfigurationError, match="disagree on s"):
+            replace(cfg, families=(fam0,) + cfg.families[1:])
 
-    def test_thick_families_count_the_same_rescaled(self):
-        # slabs four times thicker than delta: rescaling scales the thickness
-        # with every other length instead of resetting it to 1
-        delta = 2.0**-4
-        cfg = random_admissible_config(IncidenceSpec(delta=delta, s=0.5, t=0.5, seed=0))
-        fams = tuple(
-            make_family(f.theta, f.offsets, delta=delta, s=0.5, thickness=4 * delta)
-            for f in cfg.families
-        )
-        thick = replace(cfg, families=fams)
-        m_unit = incidence_count(thick, CURVE)
-        m_resc = incidence_count(rescale_config(thick), CURVE)
-        assert rescale_config(thick).family_at(0).thickness == 4.0
-        assert m_unit.total > incidence_count(cfg, CURVE).total
-        assert np.array_equal(m_unit.ptr, m_resc.ptr)
-        assert np.array_equal(m_unit.balls, m_resc.balls)
+    def test_generator_rejects_delta_one(self):
+        # log2(1/delta) = 0 there, and the heavy threshold divides by its square
+        with pytest.raises(DomainError, match="delta <= 1/2"):
+            random_admissible_config(IncidenceSpec(delta=1.0, s=0.5, t=0.5, seed=0))
 
 
 class TestSpecSerialization:
@@ -321,8 +280,11 @@ class TestSpecSerialization:
         spec = IncidenceSpec(delta=2.0**-5, s=0.3, t=0.7, seed=42)
         text = spec.to_json()
         payload = json.loads(text)
-        assert set(payload) == {"delta", "mode", "s", "t", "seed", "curve", "generator"}
+        assert set(payload) == {"delta", "s", "t", "seed", "curve"}
         assert IncidenceSpec.from_json(text) == spec
+        # extra keys such as `mode` and `generator` are ignored
+        old = json.dumps({**payload, "mode": "unit", "generator": "slab-sampled"})
+        assert IncidenceSpec.from_json(old) == spec
 
     def test_report_json_keys(self):
         spec = IncidenceSpec(delta=2.0**-4, s=0.5, t=0.5, seed=0)

@@ -12,9 +12,7 @@ from projlab.projection import (
     box_counts,
     box_dimension,
     exceptional_sweep,
-    plane_coordinates,
     project_line,
-    project_plane,
     select_scale,
     theorem_bound,
 )
@@ -78,35 +76,6 @@ class TestProjectLine:
             for m in range(0, a.level + 1):
                 # lattice surrogate of the Lipschitz covering bound
                 assert box_counts(p, m) <= 3 * box_counts(a, m)
-
-
-class TestProjectPlane:
-    def test_curve_point_hits_origin(self):
-        theta = 0.6
-        a = single_point_set(CURVE.points(np.array([theta]))[0])
-        p = project_plane(a, CURVE, theta)
-        assert len(p) == 1
-        assert np.max(np.abs(p.values)) <= 2 * a.delta
-
-    def test_line_subset_hits_origin(self):
-        theta = 0.8
-        g = CURVE.points(np.array([theta]))[0]
-        idx = np.unique(
-            np.round(np.outer(np.linspace(-0.9, 0.9, 12), g) / 2.0**-6).astype(np.int64),
-            axis=0,
-        )
-        a = PointSet(3, 2.0**-6, idx, nominal_dim=1.0, domain="ball")
-        p = project_plane(a, CURVE, theta)
-        assert np.max(np.abs(p.values)) <= 2 * a.delta
-
-    def test_pythagoras(self):
-        a = product_set(cantor_1d(1 / 3, 2), cantor_1d(1 / 3, 2), cantor_1d(1 / 3, 2))
-        theta = 0.33
-        gamma = CURVE.points(np.array([theta]))[0]
-        coords = plane_coordinates(a, CURVE, theta)
-        lhs = np.sum(coords**2, axis=1) + (a.values @ gamma) ** 2
-        rhs = np.sum(a.values**2, axis=1)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 class TestBoxDimension:
