@@ -14,6 +14,8 @@ which changes no comparison, so it would count the same matrix.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -23,7 +25,7 @@ from .covering import Covering
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
 from .dyadic import dyadic_level, group_rows
 from .errors import ConfigurationError, DomainError, InfeasibleError, PreconditionError
-from .fractal import PointSet, extract_delta_s_set, full_grid
+from .fractal import PointSet
 
 #: family validation flags compare recorded constants against this bound
 FAMILY_CONSTANT_OK = 8.0
@@ -149,8 +151,9 @@ def slabs_from_covering(
 class IncidenceConfig:
     """Direction net + slab families + candidate balls, in unit coordinates.
 
-    The scale delta and the net exponent t are the net's; the balls must
-    sit on the same delta-lattice and every family must share one s.
+    The scale delta and the net exponent t are the net's, and delta must be
+    at most 1/2 (the heavy threshold divides by log2(1/delta)^2); the balls
+    must sit on the same delta-lattice and every family must share one s.
     """
 
     net: DirectionNet
@@ -158,6 +161,8 @@ class IncidenceConfig:
     balls: PointSet
 
     def __post_init__(self):
+        if self.net.delta > 0.5:
+            raise DomainError(f"incidence configs need delta <= 1/2, got {self.net.delta}")
         if len(self.families) != len(self.net):
             raise ConfigurationError("need exactly one slab family per direction")
         if self.balls.ambient_dim != 3:
@@ -216,8 +221,7 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     pts = cfg.balls.values
     norms = np.linalg.norm(pts, axis=1)
     cols = []
-    for fam, theta in zip(cfg.families, cfg.net.thetas):
-        gamma = curve.points(np.array([theta]))[0]
+    for fam, gamma in zip(cfg.families, curve.points(cfg.net.thetas)):
         cols.append(np.nonzero(_in_band(fam, pts @ gamma) & (norms <= fam.extent))[0])
     ptr = np.zeros(len(cols) + 1, dtype=np.int64)
     ptr[1:] = np.cumsum([c.size for c in cols])
@@ -336,16 +340,46 @@ class IncidenceSpec:
 
 
 def _offset_delta_s_set(k: int, s: float, rng) -> np.ndarray:
-    """A (delta, s)-set of slab offsets on [-1, 1] via greedy extraction.
+    """A (delta, s)-set of slab offsets on [-1, 1] by greedy dyadic extraction.
 
-    Works on the full level-(k+1) grid of [0,1] mapped by u -> 2u - 1, which
-    lands every offset on the delta-lattice exactly; seeded weights vary the
-    selection across seeds without touching the spacing guarantees.
+    The selection is `extract_delta_s_set` of the full level-K grid of
+    [0, 1] (K = k + 1) under seeded weights w / w.sum(), mapped by
+    u -> 2u - 1, which lands every offset on the delta-lattice exactly; the
+    weights vary the selection across seeds without touching the spacing
+    guarantees.  It is computed bit for bit on the grid's implicit tree:
+
+    - leaf i's level-l ancestor is i >> (K - l), and every inner node has
+      two children, so all nodes of one level share the rank
+      rank_l = min(cap_l, 2 rank_{l+1}), rank_K = 1, cap_l =
+      ceil((2^(K-l))^s);
+    - node weights are bincounts over i >> (K - l), which add the leaves
+      in the same order as the general routine's bincount over its
+      grouping, so every heavier-child comparison sees the same bits;
+    - within a parent of budget b the heavier child (ties go to the lower
+      index) takes min(r, b) and the other min(2r, b) - min(r, b), the
+      general routine's clamped cumulative sum of the children's ranks.
+
+    The general routine's InfeasibleError cannot fire here: for
+    0 <= s <= 1, cap_l <= 2^s cap_{l+1} rounded up <= 2 cap_{l+1}, so
+    rank_l = cap_l, and cap_0 = ceil(2^(Ks)) >= max(1, 2^(Ks)/64).
     """
-    grid = full_grid(k + 1)
-    w = rng.random(len(grid))
-    extracted = extract_delta_s_set(grid.with_weights(w / w.sum()), s, 1.0)
-    return np.sort(extracted.indices[:, 0] * extracted.delta * 2.0 - 1.0)
+    if not (0.0 <= s <= 1.0):
+        raise DomainError(f"need 0 <= s <= ambient_dim, got s={s}")
+    K = k + 1
+    leaves = np.arange(2**K)
+    w = rng.random(leaves.size)
+    w = w / w.sum()
+    rank = [1] * (K + 1)
+    for l in range(K - 1, -1, -1):
+        rank[l] = min(math.ceil((2 ** (K - l)) ** s), 2 * rank[l + 1])
+    budgets = np.array([rank[0]], dtype=np.int64)
+    for l in range(1, K + 1):
+        weight = np.bincount(leaves >> (K - l), weights=w)
+        left_heavy = weight[0::2] >= weight[1::2]
+        heavy = np.minimum(rank[l], budgets)
+        split = np.stack([heavy, np.minimum(2 * rank[l], budgets) - heavy], axis=1)
+        budgets = np.where(left_heavy[:, None], split, split[:, ::-1]).ravel()
+    return np.flatnonzero(budgets >= 1) * 2.0**-K * 2.0 - 1.0
 
 
 def ball_target(delta: float, s: float, t: float, scale: float = 2.0**-4) -> int:
@@ -361,12 +395,16 @@ def random_admissible_config(
     Slab offsets per direction come from a (delta, s)-set on [-1, 1]
     (hypothesis (2) holds by construction); candidate balls are sampled
     directly on slab planes so each meets at least one slab, then filtered
-    through heavy_subset so the verify precondition holds.
+    through heavy_subset so the verify precondition holds.  A delta above
+    1/2 or a seed that is not an integer >= 0 raises DomainError.
     """
     curve = named_curve(spec.curve)
     k = dyadic_level(spec.delta)
     if k < 1:
         raise DomainError(f"admissible configs need delta <= 1/2, got {spec.delta}")
+    seed = spec.seed
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(spec.seed)
     net = direction_net(curve, spec.delta, spec.t, spec.seed)
     families = tuple(

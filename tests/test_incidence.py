@@ -1,17 +1,19 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projlab.covering import Covering, single_level_covering
 from projlab.curve import direction_net, model_curve
 from projlab.errors import ConfigurationError, DomainError, PreconditionError
-from projlab.fractal import PointSet, cantor_1d
+from projlab.fractal import PointSet, cantor_1d, extract_delta_s_set, full_grid
 from projlab.incidence import (
     IncidenceConfig,
+    _offset_delta_s_set,
     IncidenceMatrix,
     IncidenceSpec,
     ball_target,
@@ -274,6 +276,17 @@ class TestConfigScale:
         with pytest.raises(DomainError, match="delta <= 1/2"):
             random_admissible_config(IncidenceSpec(delta=1.0, s=0.5, t=0.5, seed=0))
 
+    def test_config_rejects_delta_one(self):
+        net = direction_net(CURVE, 1.0, 1.0, 0)
+        fams = tuple(make_family(float(th), [0.0], delta=1.0, s=0.5) for th in net.thetas)
+        with pytest.raises(DomainError, match="delta <= 1/2"):
+            IncidenceConfig(net=net, families=fams, balls=origin_ball(1.0))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_generator_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            random_admissible_config(IncidenceSpec(delta=2.0**-4, s=0.5, t=0.5, seed=seed))
+
 
 class TestSpecSerialization:
     def test_spec_roundtrip(self):
@@ -301,6 +314,91 @@ class TestSpecSerialization:
             np.array_equal(fa.offsets, fb.offsets)
             for fa, fb in zip(a.families, b.families)
         )
+
+
+def oracle_offset_delta_s_set(k, s, rng):
+    """The generator's offsets by general extraction on an explicit full grid."""
+    grid = full_grid(k + 1)
+    w = rng.random(len(grid))
+    extracted = extract_delta_s_set(grid.with_weights(w / w.sum()), s, 1.0)
+    return np.sort(extracted.indices[:, 0] * extracted.delta * 2.0 - 1.0)
+
+
+@given(
+    st.integers(1, 9),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 0.0, 0)
+@example(9, 1.0, 0)
+def test_offsets_match_general_extraction(k, s, seed):
+    fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _offset_delta_s_set(k, s, fast_rng)
+    want = oracle_offset_delta_s_set(k, s, oracle_rng)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert fast_rng.random() == oracle_rng.random()
+
+
+class FixedDraw:
+    """Stands in for a Generator whose `random(n)` returns given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n):
+        assert n == self.values.size
+        return self.values.copy()
+
+
+@st.composite
+def tie_heavy_draws(draw):
+    """Leaf weights from a few decimals whose right half permutes the left,
+    so the root's children (and often deeper siblings) weigh the same in
+    exact arithmetic and only the summation order decides between them."""
+    k = draw(st.integers(1, 6))
+    half = 2**k
+    left = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7]), min_size=half, max_size=half))
+    return k, left + draw(st.permutations(left))
+
+
+@given(tie_heavy_draws(), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_offsets_match_general_extraction_on_near_ties(draw, s):
+    k, values = draw
+    got = _offset_delta_s_set(k, s, FixedDraw(values))
+    want = oracle_offset_delta_s_set(k, s, FixedDraw(values))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("s", [-0.1, 1.5, float("nan")])
+def test_offsets_reject_s_like_general_extraction(s):
+    for fn in (_offset_delta_s_set, oracle_offset_delta_s_set):
+        with pytest.raises(DomainError, match=r"need 0 <= s <= ambient_dim, got s="):
+            fn(4, s, np.random.default_rng(0))
+
+
+#: sha256 of net indices, ball indices and concatenated slab offsets per spec
+PINNED_DIGESTS = [
+    (0.3, 0.3, 4, 3, "af7652879c1754305674edf7495fbec5aee2127265024822de1bb39996066342"),
+    (0.3, 0.3, 7, 11, "ff3d04250d16b035a8935f312a66220a859a4fa818b197b4259194940fb799e2"),
+    (0.3, 0.7, 4, 3, "0d059fbe5d4f8e5e4a58cb4979f7c5dc3dce08f35f3fdcc8fc2ffd6131bbfcb5"),
+    (0.3, 0.7, 7, 11, "0e8b74e83703435271e3a18e62a07632aaba2decc05c31bd64d8d65667e58a42"),
+    (0.7, 0.3, 4, 3, "99271548cd1411b3ad990e5d688d4856567068d1e9c286dc90bf1a93ecc54678"),
+    (0.7, 0.3, 7, 11, "5383e398f17907753e8f35eeb253de830a513d9bd8b2d74ab051ca7beb82735b"),
+    (0.7, 0.7, 4, 3, "4c509c65e15fd4bc80e0418fa54f45a45a309619bc0c334cc25c03b23db2367a"),
+    (0.7, 0.7, 7, 11, "aa67b8bd197c95aa3777bfa97de62f2db8634fe8b6a05a7f783603d7f8ce0db3"),
+    (0.5, 0.5, 5, 9, "ae29e4fd185b0b09ba85a576f2638429c865e25f43e6c7eb428406d7e604cd1e"),
+]
+
+
+def test_generator_pinned_digests():
+    for s, t, k, seed, want in PINNED_DIGESTS:
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-k, s=s, t=t, seed=seed))
+        h = hashlib.sha256()
+        h.update(cfg.net.indices.tobytes())
+        h.update(cfg.balls.indices.tobytes())
+        h.update(np.concatenate([fam.offsets for fam in cfg.families]).tobytes())
+        assert h.hexdigest() == want, (s, t, k, seed)
 
 
 class TestBallTarget:
