@@ -287,7 +287,7 @@ def run_incidence(cfg: dict, out: Path) -> dict:
         "max_fitted_C": max(all_c),
         "min_fitted_C": min(all_c),
         "cross_scale_ratio": max(means) / min(means),
-        "ceiling_ok": bool(max(all_c) <= incidence.FITTED_C_CEILING),
+        "ceiling_ok": all(rep.ceiling_ok for _, _, rep in results),
     }
 
 

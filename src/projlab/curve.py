@@ -9,7 +9,7 @@ measure everything downstream relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -164,17 +164,16 @@ def nondegeneracy_margin(curve: Curve, n_samples: int) -> float:
 
 @dataclass(frozen=True)
 class DirectionNet:
-    """A delta-separated set of parameters satisfying a (delta, t) spacing law.
+    """A delta-separated set of parameters meant to satisfy a (delta, t) law.
 
-    `c_net` is the constant achieved in the counting condition
-    #(net points in a window of length r) <= c_net * (r/delta)^t, recorded
-    from an exhaustive scan at construction time.
+    The spacing constant C in #(net points in a window of length r) <=
+    C (r/delta)^t is not stored: `validate_direction_net` scans for it on
+    request.
     """
 
     delta: float
     t: float
     thetas: np.ndarray
-    c_net: float = field(default=float("nan"), compare=False)
 
     def __len__(self) -> int:
         return int(self.thetas.size)
@@ -206,7 +205,8 @@ def direction_net(curve: Curve, delta: float, t: float, seed: int) -> DirectionN
     accepted points.  The per-window caps form a laminar matroid, so the
     achieved cardinality is the matroid rank regardless of seed.  The
     window counts hold 2^(k+1) entries, so nets with 2^(k+1) > CELL_CAP
-    raise CapacityError before anything is allocated.
+    raise CapacityError before anything is allocated, and a net below the
+    target cardinality raises InfeasibleError.  No spacing scan runs here.
     """
     k = dyadic_level(delta)
     if not (0.0 <= t <= 1.0):
@@ -239,6 +239,4 @@ def direction_net(curve: Curve, delta: float, t: float, seed: int) -> DirectionN
             f"net of {thetas.size} points misses the target cardinality "
             f"{needed:.3g} at delta=2^-{k}, t={t}"
         )
-    net = DirectionNet(delta=delta, t=t, thetas=thetas)
-    _, worst, _ = validate_direction_net(net)
-    return DirectionNet(delta=delta, t=t, thetas=thetas, c_net=worst)
+    return DirectionNet(delta=delta, t=t, thetas=thetas)

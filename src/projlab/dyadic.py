@@ -27,12 +27,13 @@ def dyadic_level(delta: float) -> int:
     return k
 
 
-def max_window_count(indices: np.ndarray, length: int) -> tuple[int, int]:
-    """Max number of sorted integer indices in a closed window of `length`.
+def max_window_count(indices: np.ndarray, length: float) -> tuple[int, int]:
+    """Max number of sorted values in a closed window of `length`.
 
-    Returns (count, window_start_index).  Sliding any real window until its
+    Returns (count, window_start_value).  Sliding any real window until its
     left edge hits a point never decreases the count, so anchoring windows
-    at the points themselves is an exhaustive scan over lattice positions.
+    at the points themselves is an exhaustive scan over lattice positions
+    (integer indices) or over all real positions (float values).
     """
     if indices.size == 0:
         return 0, 0

@@ -43,6 +43,9 @@ GRID_SIZES = (16, 32, 64, 128)
 #: cone embedding scale: nominal radius 1 sits at frequency 1/2
 FREQ_SCALE = 0.5
 
+#: the cone is {r gamma(theta) : RADIAL_FLOOR <= r <= 1} in nominal units
+RADIAL_FLOOR = 0.5
+
 #: fine direction samples per cap for the nearest-direction assignment
 FINE_PER_CAP = 4
 
@@ -109,17 +112,16 @@ def frequency_lattice(M: int) -> np.ndarray:
 class ConeGeometry:
     """Cap/plank hierarchy over the scaled cone plus the lattice assignment.
 
-    assignment[i] = cap id of lattice point i (FFT order), -1 off the cone;
-    cap id = shell * n_directions + direction index.  sigma planks are the
-    finest tau_s family (angular width s_min); nesting tables map each cap
-    to its sigma and each sigma to its tau_s per dyadic s.
+    The cone has the one radial range [RADIAL_FLOOR, 1], so there is one cap
+    per direction: assignment[i] = direction index of lattice point i (FFT
+    order), -1 off the cone.  sigma planks are the finest tau_s family
+    (angular width s_min); nesting tables map each cap to its sigma and
+    each sigma to its tau_s per dyadic s.
     """
 
     curve: Curve = field(compare=False)
     delta: float
-    radial_floor: float
     n_directions: int
-    n_shells: int
     assignment: np.ndarray = field(compare=False)
     overlap_max: int
     s_values: tuple  # dyadic s from s_min up to 1
@@ -131,7 +133,7 @@ class ConeGeometry:
 
     @property
     def n_caps(self) -> int:
-        return self.n_directions * self.n_shells
+        return self.n_directions
 
     @property
     def s_min(self) -> float:
@@ -147,22 +149,20 @@ class ConeGeometry:
         """Lattice point -> sigma id (or -1), derived from the cap map."""
         out = np.full(self.assignment.shape, -1, dtype=np.int32)
         on = self.assignment >= 0
-        di = self.assignment[on] % self.n_directions
-        out[on] = (di * self.delta / self.s_min).astype(np.int32)
+        out[on] = (self.assignment[on] * self.delta / self.s_min).astype(np.int32)
         return out
 
 
-def build_geometry(
-    curve: Curve, delta: float, radial_floor: float = 0.5
-) -> ConeGeometry:
+def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     """Assign every frequency lattice point near the cone to a unique cap.
 
     For each lattice point the closest direction parameter is found on a
     fine grid (FINE_PER_CAP samples per cap, ties to the lower index); the
     point joins the cone neighbourhood when its distance to the radial
-    segment [radial_floor, 1] (in nominal units, embedded at FREQ_SCALE)
-    is at most delta.  Geometric cap overlap before assignment is recorded
-    and stays small; the assignment itself is a partition by construction.
+    segment [RADIAL_FLOOR, 1] (in nominal units, embedded at FREQ_SCALE)
+    is at most delta, and its cap is the direction holding that parameter.
+    Geometric cap overlap before assignment is recorded and stays small;
+    the assignment itself is a partition by construction.
     """
     k = dyadic_level(delta)
     M = 2**k
@@ -172,9 +172,6 @@ def build_geometry(
         raise GeometryError(
             f"curve {curve.label!r} is degenerate; plank frames need gamma' x gamma != 0"
         )
-    if not (0 < radial_floor <= 0.5) or 2 ** round(math.log2(radial_floor)) != radial_floor:
-        raise DomainError("radial_floor must be a power of two in (0, 1/2]")
-    n_shells = max(1, round(-math.log2(radial_floor)))
     n_dir = M
     lattice = frequency_lattice(M)
     norms2 = np.sum(lattice**2, axis=1)
@@ -185,37 +182,22 @@ def build_geometry(
 
     best = np.full(len(lattice), np.inf)
     best_theta = np.zeros(len(lattice))
-    best_r = np.zeros(len(lattice))
-    lo, hi = FREQ_SCALE * radial_floor, FREQ_SCALE
+    lo, hi = FREQ_SCALE * RADIAL_FLOOR, FREQ_SCALE
     for theta, gamma in zip(thetas, gammas):
         p = lattice @ gamma
-        r_star = np.clip(p, lo, hi)
-        dist2 = norms2 - p * p + (p - r_star) ** 2
-        better = dist2 < best
-        best_theta = np.where(better, theta, best_theta)
-        best_r = np.where(better, r_star, best_r)
+        dist2 = norms2 - p * p + (p - np.clip(p, lo, hi)) ** 2
+        best_theta = np.where(dist2 < best, theta, best_theta)
         best = np.minimum(best, dist2)
 
     on_cone = best <= delta**2
     di = np.minimum((best_theta / delta).astype(np.int64), n_dir - 1)
-    rho = np.clip(best_r / FREQ_SCALE, radial_floor, 1.0)
-    shell = np.minimum(
-        np.floor(-np.log2(np.maximum(rho, 1e-300)) - 1e-9).astype(np.int64),
-        n_shells - 1,
-    )
-    shell = np.maximum(shell, 0)
-    assignment = np.where(on_cone, shell * n_dir + di, -1).astype(np.int32)
+    assignment = np.where(on_cone, di, -1).astype(np.int32)
 
     # geometric box overlap before assignment: closed cap ranges share their
-    # angular boundaries (and shells their radial ones), so a point counts
-    # double per boundary it sits on
+    # angular boundaries, so a point on a boundary counts double
     frac_t = best_theta[on_cone] / delta
     on_t_edge = np.abs(frac_t - np.round(frac_t)) < 1e-12
-    log_r = -np.log2(np.maximum(rho[on_cone], 1e-300))
-    on_r_edge = (np.abs(log_r - np.round(log_r)) < 1e-12) & (n_shells > 1)
-    overlap = 0
-    if on_cone.any():
-        overlap = int(((1 + on_t_edge) * (1 + on_r_edge)).max())
+    overlap = int((1 + on_t_edge).max()) if on_cone.any() else 0
     s_vals = tuple(2.0**-m for m in range(k // 2, -1, -1))
 
     dir_thetas = (np.arange(n_dir) + 0.5) * delta
@@ -227,9 +209,7 @@ def build_geometry(
     return ConeGeometry(
         curve=curve,
         delta=delta,
-        radial_floor=radial_floor,
         n_directions=n_dir,
-        n_shells=n_shells,
         assignment=assignment,
         overlap_max=overlap,
         s_values=s_vals,
@@ -438,7 +418,6 @@ def decoupling_ratio(
     g: GridFunction,
     caps: CapSubset,
     geometry: ConeGeometry,
-    shell: int = 0,
     max_constant: float = 64.0,
 ) -> DecouplingReport:
     """Measure integral |g|^4 against delta^-t sum_caps integral |g_cap|^4.
@@ -459,9 +438,8 @@ def decoupling_ratio(
         raise PreconditionError(
             f"t-spacing violated: constant {worst:.3g} at angular window r={witness[0]}"
         )
-    cap_ids = [shell * geometry.n_directions + int(d) for d in caps.directions]
     coeffs = g.coeffs().ravel()
-    allowed = np.isin(geometry.assignment, cap_ids)
+    allowed = np.isin(geometry.assignment, caps.directions)
     leak = _leak(coeffs, allowed)
     if leak > 1e-10:
         raise PreconditionError(f"support leaks off the selected caps: {leak:.3g} of the energy")
@@ -469,7 +447,7 @@ def decoupling_ratio(
     points = np.nonzero(allowed)[0]
     owner = geometry.assignment[points]
     rhs_sum = 0.0
-    for cid in cap_ids:
+    for cid in caps.directions:
         rhs_sum += _cap_l4(coeffs, points[owner == cid], geometry.M)
     rhs = geometry.delta ** (-caps.t) * rhs_sum
     ratio = 0.0 if rhs == 0 else lhs / rhs
@@ -479,19 +457,16 @@ def decoupling_ratio(
         ratio=ratio,
         t=caps.t,
         delta=geometry.delta,
-        n_caps=len(cap_ids),
+        n_caps=len(caps),
     )
 
 
-def random_cap_function(
-    geometry: ConeGeometry, caps: CapSubset, seed: int, shell: int = 0
-) -> GridFunction:
+def random_cap_function(geometry: ConeGeometry, caps: CapSubset, seed: int) -> GridFunction:
     """Unit-amplitude random-phase coefficients on the selected caps."""
     rng = np.random.default_rng(seed)
-    cap_ids = [shell * geometry.n_directions + int(d) for d in caps.directions]
     M = geometry.M
     coeffs = np.zeros(M**3, dtype=complex)
-    sel = np.isin(geometry.assignment, cap_ids)
+    sel = np.isin(geometry.assignment, caps.directions)
     coeffs[sel] = np.exp(2j * np.pi * rng.random(int(sel.sum())))
     return GridFunction.from_coeffs(coeffs.reshape((M,) * 3))
 
@@ -588,29 +563,24 @@ def geometry_to_json(geometry: ConeGeometry) -> str:
     n_points = np.bincount(geometry.assignment[on], minlength=geometry.n_caps)
     caps = []
     for cid in range(geometry.n_caps):
-        di = cid % geometry.n_directions
-        shell = cid // geometry.n_directions
-        g, t, n = geometry.frames[di]
-        r_hi = FREQ_SCALE * 2.0**-shell
-        r_lo = FREQ_SCALE * max(geometry.radial_floor, 2.0 ** -(shell + 1))
+        g, t, n = geometry.frames[cid]
         corners = []
-        for a in (r_lo, r_hi):
+        for a in (FREQ_SCALE * RADIAL_FLOOR, FREQ_SCALE):
             for b in (-delta / 2, delta / 2):
                 for c in (-delta / 2, delta / 2):
                     corners.append((a * g + b * t + c * n).tolist())
         caps.append(
             {
                 "cap": cid,
-                "direction": di,
-                "shell": shell,
-                "theta": (di + 0.5) * delta,
+                "direction": cid,
+                "theta": (cid + 0.5) * delta,
                 "corners": corners,
                 "points": int(n_points[cid]),
             }
         )
     payload = {
         "delta": delta,
-        "radial_floor": geometry.radial_floor,
+        "radial_floor": RADIAL_FLOOR,
         "freq_scale": FREQ_SCALE,
         "overlap_max": geometry.overlap_max,
         "s_values": list(geometry.s_values),

@@ -131,8 +131,9 @@ def full_grid(k: int, dim: int = 1) -> PointSet:
 def cantor_1d(ratio: float, depth: int) -> PointSet:
     """Left endpoints of the depth-stage Cantor construction with the given ratio.
 
-    delta is the power of two nearest (in log scale) to ratio**depth;
-    nominal_dim = log 2 / log(1/ratio).
+    delta = 2^-k is the power of two nearest (in log scale) to
+    ratio**depth; nominal_dim = log 2 / log(1/ratio).  A level k >= 63,
+    whose cell indices overflow int64, raises CapacityError.
     """
     if not (0.0 < ratio <= 0.5):
         raise DomainError(f"ratio must lie in (0, 1/2], got {ratio}")
@@ -140,7 +141,10 @@ def cantor_1d(ratio: float, depth: int) -> PointSet:
         raise DomainError("depth must be >= 1")
     if 2**depth > CELL_CAP:
         raise CapacityError(f"2^{depth} cells exceed the cap {CELL_CAP}")
-    k = max(0, round(depth * math.log2(1.0 / ratio)))
+    level = depth * math.log2(1.0 / ratio)  # inf once 1/ratio overflows
+    if level > 62.5:  # k >= 63: the cell indices 0..2^k - 1 overflow int64
+        raise CapacityError(f"cantor_1d needs level k={level:.0f}, but 2^k cells overflow int64")
+    k = max(0, round(level))
     delta = 2.0**-k
     endpoints = np.zeros(1)
     length = 1.0

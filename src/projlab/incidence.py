@@ -16,19 +16,22 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .covering import Covering
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
-from .dyadic import dyadic_level, group_rows
-from .errors import ConfigurationError, DomainError, InfeasibleError, PreconditionError
+from .dyadic import dyadic_level, group_rows, max_window_count
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    InfeasibleError,
+    NumericError,
+    PreconditionError,
+)
 from .fractal import PointSet
-
-#: family validation flags compare recorded constants against this bound
-FAMILY_CONSTANT_OK = 8.0
 
 #: fitted-constant ceiling for bound-violation flags
 FITTED_C_CEILING = 2.0**16
@@ -36,39 +39,27 @@ FITTED_C_CEILING = 2.0**16
 
 @dataclass(frozen=True)
 class SlabFamily:
-    """All slabs of one direction, with recorded spacing constants.
+    """All delta-slabs of one direction, cut off by the unit ball.
 
     A point x lies in the slab at offset c iff |x . gamma(theta) - c| <=
-    thickness/2 and |x| <= extent.  count_constant = #slabs * delta^s;
-    ball_condition_worst comes from an exhaustive scan over dyadic radii of
-    how many slabs a ball can meet.
+    thickness/2 and |x| <= 1.  The spacing hypotheses on the offsets are
+    not stored: `scan_slab_family` measures the ball condition on request.
     """
 
     theta: float
     s: float
     offsets: np.ndarray  # sorted central-plane positions along gamma(theta)
     thickness: float
-    extent: float
-    count_constant: float = field(default=float("nan"), compare=False)
-    ball_condition_worst: float = field(default=float("nan"), compare=False)
 
     def __len__(self) -> int:
         return int(self.offsets.size)
-
-    @property
-    def count_ok(self) -> bool:
-        return self.count_constant <= FAMILY_CONSTANT_OK
-
-    @property
-    def ball_ok(self) -> bool:
-        return self.ball_condition_worst <= FAMILY_CONSTANT_OK
 
 
 def _in_band(fam: SlabFamily, proj: np.ndarray) -> np.ndarray:
     """Mask of projections within thickness/2 of some offset of the family.
 
-    Binary search over the sorted offsets; the ball condition |x| <= extent
-    is left to the caller.
+    Binary search over the sorted offsets; the ball condition |x| <= 1 is
+    left to the caller.
     """
     lo = np.searchsorted(fam.offsets, proj - fam.thickness / 2, side="left")
     hi = np.searchsorted(fam.offsets, proj + fam.thickness / 2, side="right")
@@ -81,48 +72,33 @@ def scan_slab_family(
     """Exhaustive ball-intersection scan of a slab family.
 
     A ball B(p, r) meets the slab at offset c iff |p.gamma - c| <= r + th/2,
-    so for each dyadic r the scan slides a window of length 2r + thickness
-    across the sorted offsets.  Returns (worst_ratio, witness_r).
+    so for each dyadic r = 2^-m (delta <= r <= 1) the scan slides a closed
+    window of length 2r + thickness across the sorted offsets and compares
+    the most slabs it holds with (r/delta)^s.  Returns (worst_ratio,
+    witness_r); an empty family gives (0.0, 1.0).
     """
-    if offsets.size == 0:
-        return 0.0, 1.0
     k = dyadic_level(delta)
     worst, wit = 0.0, 1.0
     for m in range(k + 1):
         r = 2.0**-m
-        width = 2 * r + thickness
-        counts = np.searchsorted(offsets, offsets + width, side="right") - np.arange(
-            offsets.size
-        )
-        ratio = counts.max() / (r / delta) ** s
+        count, _ = max_window_count(offsets, 2 * r + thickness)
+        ratio = count / (r / delta) ** s
         if ratio > worst:
             worst, wit = float(ratio), r
     return worst, wit
 
 
-def make_family(
-    theta: float,
-    offsets,
-    delta: float,
-    s: float,
-    extent: float = 1.0,
-    thickness: Optional[float] = None,
-) -> SlabFamily:
-    """Build and validate a slab family (thickness defaults to delta)."""
-    th = delta if thickness is None else thickness
+def make_family(theta: float, offsets, delta: float, s: float) -> SlabFamily:
+    """The family of delta-slabs at the given offsets, sorted.
+
+    Offsets must satisfy |offset| <= 1 and delta must be a power of two;
+    the family's thickness is delta.  No spacing scan runs here.
+    """
+    dyadic_level(delta)
     offs = np.sort(np.asarray(offsets, dtype=float))
-    if offs.size and np.max(np.abs(offs)) > extent:
-        raise ConfigurationError("slab offsets must satisfy |offset| <= extent")
-    worst, _ = scan_slab_family(offs, th, delta, s)
-    return SlabFamily(
-        theta=theta,
-        s=s,
-        offsets=offs,
-        thickness=th,
-        extent=extent,
-        count_constant=offs.size * delta**s,
-        ball_condition_worst=worst,
-    )
+    if offs.size and np.max(np.abs(offs)) > 1.0:
+        raise ConfigurationError("slab offsets must satisfy |offset| <= 1")
+    return SlabFamily(theta=theta, s=s, offsets=offs, thickness=delta)
 
 
 def slabs_from_covering(
@@ -134,8 +110,8 @@ def slabs_from_covering(
 
     `axis` = (scale, shift) maps covering coordinates u to physical values
     scale*u + shift (identity by default); offsets are interval centers and
-    the thickness is the interval length.  A multi-level covering is
-    rejected.
+    the interval length is the family's delta, hence its thickness.  A
+    multi-level covering is rejected.
     """
     if cov.ambient_dim != 1:
         raise ConfigurationError("slab families come from 1-D coverings")
@@ -143,8 +119,7 @@ def slabs_from_covering(
     scale, shift = axis
     centers = (cov.levels[j][:, 0].astype(float) + 0.5) * 2.0**-j
     offsets = scale * centers + shift
-    thickness = scale * 2.0**-j
-    return make_family(theta, offsets, delta=thickness, s=cov.s, thickness=thickness)
+    return make_family(theta, offsets, delta=scale * 2.0**-j, s=cov.s)
 
 
 @dataclass(frozen=True)
@@ -222,7 +197,7 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     norms = np.linalg.norm(pts, axis=1)
     cols = []
     for fam, gamma in zip(cfg.families, curve.points(cfg.net.thetas)):
-        cols.append(np.nonzero(_in_band(fam, pts @ gamma) & (norms <= fam.extent))[0])
+        cols.append(np.nonzero(_in_band(fam, pts @ gamma) & (norms <= 1.0))[0])
     ptr = np.zeros(len(cols) + 1, dtype=np.int64)
     ptr[1:] = np.cumsum([c.size for c in cols])
     balls = np.concatenate([np.zeros(0, dtype=np.int64), *cols])
@@ -248,7 +223,6 @@ class IncidenceReport:
     fitted_c: float
     heavy_count: int
     theta_count: int
-    epsilon: float
     ceiling_ok: bool
 
     def to_json(self) -> str:
@@ -272,7 +246,8 @@ def verify_incidence_bound(
     Every ball must already satisfy the heavy hypothesis (apply
     heavy_subset first); a violating ball raises PreconditionError naming
     its coordinates.  fitted_c = lhs * delta^(2t+s+2+eps) is flagged
-    against the 2^16 ceiling.
+    against the 2^16 ceiling; an epsilon that drives delta^-(2t+s+2+eps)
+    to overflow or to zero raises NumericError.
     """
     m = incidence_count(cfg, curve)
     thr = heavy_threshold(cfg)
@@ -286,7 +261,14 @@ def verify_incidence_bound(
         )
     lhs = float(len(cfg.net)) ** 4 * len(cfg.balls)
     exponent = 2 * cfg.t + cfg.s + 2 + epsilon
-    rhs = cfg.delta ** (-exponent)
+    try:
+        rhs = cfg.delta ** (-exponent)
+    except OverflowError:
+        rhs = math.inf
+    if not (math.isfinite(rhs) and rhs > 0):
+        raise NumericError(
+            f"delta^-(2t+s+2+eps) = {cfg.delta}^-{exponent} is not a finite positive float"
+        )
     fitted = lhs / rhs
     return IncidenceReport(
         lhs=lhs,
@@ -294,7 +276,6 @@ def verify_incidence_bound(
         fitted_c=fitted,
         heavy_count=len(cfg.balls),
         theta_count=len(cfg.net),
-        epsilon=epsilon,
         ceiling_ok=bool(fitted <= FITTED_C_CEILING),
     )
 

@@ -144,6 +144,12 @@ class TestRun:
             # gen and cover have no curve or seed
             ("gen", {"curve": "model"}),
             ("cover", {"seed": 0}),
+            # delta^-(2t+s+2+eps) overflows, or underflows to 0
+            ("incidence", {"epsilon": 1000}),
+            ("incidence", {"epsilon": -2000}),
+            # the Cantor level k = round(depth log2(1/ratio)) overflows int64
+            ("gen", {"ratio": 1e-5, "depth": 4}),
+            ("gen", {"ratio": 1e-310}),
         ],
     )
     def test_degenerate_deltas_or_seeds_exit_code(self, tmp_path, capsys, command, override):
@@ -152,6 +158,10 @@ class TestRun:
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "config"
 
+    def test_cantor_level_overflow_names_k(self, tmp_path, capsys):
+        assert run("gen", {"ratio": 1e-5, "depth": 4}, tmp_path) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert "level k=66" in err["error"]["message"]
 
 #: small valid values per config key, so that a valid run takes milliseconds
 TINY = {

@@ -58,8 +58,8 @@ def direct_dft(coeffs_flat, M):
 
 
 @lru_cache(maxsize=None)
-def cached_geometry(M, radial_floor=0.5):
-    return build_geometry(CURVE, 1.0 / M, radial_floor=radial_floor)
+def cached_geometry(M):
+    return build_geometry(CURVE, 1.0 / M)
 
 
 def random_on(points, M, seed):
@@ -182,12 +182,6 @@ class TestGeometry:
     def test_overlap_bound(self, geo16, geo32):
         assert geo16.overlap_max <= 4
         assert geo32.overlap_max <= 4
-
-    def test_radial_floor_variant(self):
-        geo = build_geometry(CURVE, 2.0**-4, radial_floor=0.25)
-        assert geo.n_shells == 2
-        assert geo.n_directions == 16  # 16 caps per radial shell grouping
-        assert geo.n_caps == 32
 
     def test_degenerate_curve_rejected(self):
         with pytest.raises(GeometryError):
@@ -363,21 +357,18 @@ def test_grid_size_mismatch_names_both_sizes(geo32, call):
 
 
 @given(
-    st.sampled_from([(16, 0.5), (32, 0.5), (16, 0.25), (32, 0.25)]),
+    st.sampled_from([16, 32]),
     st.integers(0, 2**32 - 1),
     st.data(),
 )
-def test_cap_energy_matches_fft_restriction(key, seed, data):
+def test_cap_energy_matches_fft_restriction(M, seed, data):
     # the additive-energy helper and decoupling_ratio's rhs against the FFT
     # route: restrict to each cap, transform back, sum |g_cap|^4
-    geo = cached_geometry(*key)
-    M = geo.M
-    shell = data.draw(st.integers(0, geo.n_shells - 1))
-    dirs = data.draw(
+    geo = cached_geometry(M)
+    cap_ids = data.draw(
         st.lists(st.integers(0, geo.n_directions - 1), max_size=8, unique=True).map(sorted)
     )
-    cap_ids = [shell * geo.n_directions + d for d in dirs]
-    # some selected caps carry no coefficients; some own no lattice points at all
+    # some selected caps carry no coefficients
     filled = [c for c in cap_ids if data.draw(st.booleans())]
     points = np.flatnonzero(np.isin(geo.assignment, filled))
     g = random_on(points, M, seed)
@@ -389,8 +380,8 @@ def test_cap_energy_matches_fft_restriction(key, seed, data):
         got = _cap_l4(coeffs, geo.cap_points(cid), M)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     t = 0.5
-    sub = CapSubset(t=t, directions=np.array(dirs, dtype=np.int64), worst_constant=0.0)
-    rep = decoupling_ratio(g, sub, geo, shell=shell, max_constant=np.inf)
+    sub = CapSubset(t=t, directions=np.array(cap_ids, dtype=np.int64), worst_constant=0.0)
+    rep = decoupling_ratio(g, sub, geo, max_constant=np.inf)
     assert rep.lhs == l4_norm(g)
     assert rep.rhs == pytest.approx(geo.delta**-t * sum(oracle), rel=1e-12, abs=0.0)
 

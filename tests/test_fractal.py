@@ -78,6 +78,17 @@ class TestCantor:
         with pytest.raises(CapacityError):
             cantor_1d(0.5, 25)
 
+    @pytest.mark.parametrize(
+        "ratio, depth, k",
+        [(1e-5, 4, "66"), (1e-300, 1, "997"), (1e-310, 1, "inf"), (2.0**-63, 1, "63")],
+    )
+    def test_level_beyond_int64_names_k(self, ratio, depth, k):
+        with pytest.raises(CapacityError, match=f"level k={k},"):
+            cantor_1d(ratio, depth)
+
+    def test_level_62_still_fits(self):
+        assert cantor_1d(2.0**-62, 1).delta == 2.0**-62
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             cantor_1d(0.6, 3)

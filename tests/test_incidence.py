@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from projlab.covering import Covering, single_level_covering
 from projlab.curve import direction_net, model_curve
-from projlab.errors import ConfigurationError, DomainError, PreconditionError
+from projlab.errors import ConfigurationError, DomainError, NumericError, PreconditionError
 from projlab.fractal import PointSet, cantor_1d, extract_delta_s_set, full_grid
 from projlab.incidence import (
     IncidenceConfig,
@@ -58,17 +58,30 @@ class TestSlabFamilies:
         cov = single_level_covering(p, s=0.7)
         fam = slabs_from_covering(cov, theta=0.1)
         assert len(fam) == 16
-        assert fam.count_ok and fam.ball_ok
+        assert len(fam) * fam.thickness**fam.s <= 8.0
+        worst, _ = scan_slab_family(fam.offsets, fam.thickness, fam.thickness, fam.s)
+        assert worst <= 8.0
 
     def test_injected_violation_fails_with_witness(self):
         # a full grid of offsets is 1-dimensional, not 0.5-dimensional
         offsets = np.arange(64) * 2.0**-6
         fam = make_family(0.2, offsets, delta=2.0**-6, s=0.5)
-        assert not fam.ball_ok
         worst, witness_r = scan_slab_family(fam.offsets, fam.thickness, 2.0**-6, 0.5)
-        assert worst == pytest.approx(fam.ball_condition_worst)
         assert worst > 8.0
         assert 2.0**-6 <= witness_r <= 1.0
+
+    def test_family_is_delta_slabs_in_the_unit_ball(self):
+        fam = make_family(0.2, [0.5, -0.25, 1.0], delta=2.0**-3, s=0.5)
+        assert fam.offsets.tolist() == [-0.25, 0.5, 1.0]
+        assert fam.thickness == 2.0**-3
+        with pytest.raises(ConfigurationError, match=r"\|offset\| <= 1"):
+            make_family(0.2, [1.125], delta=2.0**-3, s=0.5)
+
+    @pytest.mark.parametrize("offsets", [[], [0.0]])
+    def test_family_delta_must_be_dyadic(self, offsets):
+        # the scan used to be the only check, and it skipped empty families
+        with pytest.raises(DomainError, match="delta"):
+            make_family(0.2, offsets, delta=0.3, s=0.5)
 
     def test_multi_level_covering_rejected(self):
         cov = Covering(
@@ -120,10 +133,46 @@ class TestIncidenceCount:
         assert np.all(m2.row_counts() >= m1.row_counts())
 
 
-def slab_contains(points, gamma, offset, thickness, extent):
-    """Membership in one slab: |x . gamma - offset| <= thickness/2 and |x| <= extent."""
+def oracle_scan_slab_family(cells, width, k, s):
+    """scan_slab_family of the offsets cells * delta and thickness width * delta
+    by brute force: every dyadic r, every window start on the delta-lattice."""
+    delta = 2.0**-k
+    cells = np.asarray(cells, dtype=np.int64)
+    worst, witness_r = 0.0, 1.0
+    for m in range(k + 1):
+        r = 2.0**-m
+        length = 2 * 2 ** (k - m) + width  # the window 2r + thickness, in cells
+        most = 0
+        for start in range(-(2**k) - length, 2**k + 1):
+            most = max(most, int(np.sum((cells >= start) & (cells <= start + length))))
+        ratio = most / (r / delta) ** s
+        if ratio > worst:
+            worst, witness_r = float(ratio), r
+    return worst, witness_r
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(-(2**k), 2**k), max_size=2 ** (k + 1) + 1, unique=True),
+        )
+    ),
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+)
+def test_scan_slab_family_matches_brute_force_windows(k_cells, width, s):
+    k, cells = k_cells
+    delta = 2.0**-k
+    offsets = np.sort(np.array(cells, dtype=np.int64)) * delta
+    got = scan_slab_family(offsets, width * delta, delta, s)
+    assert got == oracle_scan_slab_family(cells, width, k, s)
+
+
+def slab_contains(points, gamma, offset, thickness):
+    """Membership in one slab: |x . gamma - offset| <= thickness/2 and |x| <= 1."""
     inside_band = np.abs(points @ gamma - offset) <= thickness / 2
-    inside_ball = np.linalg.norm(points, axis=-1) <= extent
+    inside_ball = np.linalg.norm(points, axis=-1) <= 1.0
     return inside_band & inside_ball
 
 
@@ -135,7 +184,7 @@ def oracle_incidence(cfg, curve):
         fam = cfg.families[j]
         gamma = curve.points(np.array([theta]))[0]
         for c in fam.offsets:
-            hit[:, j] |= slab_contains(pts, gamma, c, fam.thickness, fam.extent)
+            hit[:, j] |= slab_contains(pts, gamma, c, fam.thickness)
     return hit
 
 
@@ -148,8 +197,8 @@ def dense(m: IncidenceMatrix, n_directions: int) -> np.ndarray:
 @st.composite
 def small_configs(draw):
     """Configs at delta = 2^-2..2^-4: lattice balls in the unit ball and
-    per-direction lattice offsets on [-extent, extent], families possibly
-    empty, slabs delta or 4 delta thick."""
+    per-direction lattice offsets on [-1, 1], families possibly empty,
+    slabs delta or 4 delta thick."""
     k = draw(st.integers(2, 4))
     delta = 2.0**-k
     n = 2**k
@@ -158,17 +207,13 @@ def small_configs(draw):
         st.lists(st.tuples(*[st.integers(-n, n)] * 3), min_size=1, max_size=24, unique=True)
     )
     cells = [c for c in cells if sum(x * x for x in c) <= n * n] or [(0, 0, 0)]
-    extent = draw(st.sampled_from([0.5, 1.0]))
-    lim = round(extent * n)
     thickness = draw(st.sampled_from([1, 4])) * delta
     fams = tuple(
         make_family(
             float(th),
-            np.array(draw(st.lists(st.integers(-lim, lim), max_size=12, unique=True))) * delta,
-            delta=delta,
+            np.array(draw(st.lists(st.integers(-n, n), max_size=12, unique=True))) * delta,
+            delta=thickness,
             s=0.5,
-            extent=extent,
-            thickness=thickness,
         )
         for th in net.thetas
     )
@@ -246,6 +291,13 @@ class TestVerifyBound:
                 )
                 cs.append(rep.fitted_c)
             assert max(cs) / min(cs) <= 10.0
+
+    @pytest.mark.parametrize("eps", [1000.0, -2000.0, float("nan")])
+    def test_unrepresentable_rhs_raises_numeric_error(self, eps):
+        # delta^-(2t+s+2+eps) overflows (1000), underflows to 0 (-2000) or is nan
+        cfg = config_through_origin(2.0**-4)
+        with pytest.raises(NumericError, match="not a finite positive float"):
+            verify_incidence_bound(cfg, CURVE, epsilon=eps)
 
     def test_precondition_error_names_ball(self):
         net = direction_net(CURVE, 2.0**-5, 0.5, seed=0)
