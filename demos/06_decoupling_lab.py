@@ -31,17 +31,17 @@ for k in (4, 5, 6):
     on = int((geo.assignment >= 0).sum())
     print(
         f"  delta=2^-{k}: {geo.n_caps} caps over {on} lattice points, "
-        f"sigma planks {geo.n_sigma()}, overlap {geo.overlap_max}"
+        f"sigma planks {geo.n_sigma()}"
     )
 
 print()
 print("= tube function and the high/low split (delta=2^-5, s=0.5) =")
 geo = build_geometry(curve, 2.0**-5)
-kc = choose_K(2.0**-5, 0.5)
-print(f"  K = {kc.K} (raw {kc.raw:.1f}, clamped={kc.clamped})")
+K = choose_K(2.0**-5, 0.5)
+print(f"  K = {K}")
 fam = make_family(0.2, [-0.5, 0.0, 0.25], delta=2.0**-5, s=0.5)
 f = synth_tube_function(fam, geo)
-fh, fl = high_low_split(f, 0.2, kc.K, geo)
+fh, fl = high_low_split(f, 0.2, K, geo)
 rec = np.max(np.abs(f.samples - fh.samples - fl.samples)) / np.max(np.abs(f.samples))
 print(f"  peak |f| = {np.max(np.abs(f.samples)):.3f}, reconstruction error {rec:.2e}")
 print(f"  energy split: high {fh.physical_energy():.1f} / low {fl.physical_energy():.1f}")

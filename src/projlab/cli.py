@@ -30,7 +30,7 @@ from . import covering as covering_mod
 from . import fourier, incidence, projection
 from .curve import named_curve
 from .dyadic import dyadic_level
-from .errors import InfeasibleError, ProjLabError
+from .errors import DomainError, InfeasibleError, ProjLabError
 from .fractal import cantor_1d, full_grid, product_set, save_csv
 from .svgplot import line_plot
 
@@ -112,8 +112,11 @@ def resolve_config(command: str, raw: dict) -> dict:
     cfg.update({k: v for k, v in raw.items() if k != "command"})
     cfg["command"] = command
     # shared validation; values are checked, never rewritten
-    if "curve" in cfg and cfg["curve"] not in ("model", "helix", "greatcircle"):
-        raise ConfigError(f"unknown curve {cfg['curve']!r}")
+    if "curve" in cfg:
+        try:
+            named_curve(cfg["curve"])
+        except DomainError:
+            raise ConfigError(f"unknown curve {cfg['curve']!r}") from None
     if "generator" in cfg and cfg["generator"] not in tuple(GENERATORS):
         raise ConfigError(f"unknown generator {cfg['generator']!r}")
     for key in REAL_KEYS:

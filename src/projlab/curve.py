@@ -118,9 +118,10 @@ _NAMED = {
 
 def named_curve(name: str) -> Curve:
     try:
-        return _NAMED[name]()
-    except KeyError:
+        make = _NAMED[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DomainError(f"unknown curve {name!r}; choose from {sorted(_NAMED)}") from None
+    return make()
 
 
 def eval_curve(curve: Curve, theta: float) -> np.ndarray:

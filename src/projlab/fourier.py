@@ -20,10 +20,8 @@ over the caps from the one forward transform of g.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -115,16 +113,14 @@ class ConeGeometry:
     The cone has the one radial range [RADIAL_FLOOR, 1], so there is one cap
     per direction: assignment[i] = direction index of lattice point i (FFT
     order), -1 off the cone.  sigma planks are the finest tau_s family
-    (angular width s_min); nesting tables map each cap to its sigma and
-    each sigma to its tau_s per dyadic s.
+    (angular width s_min); `sigma_assignment` derives each point's sigma
+    from its cap, and consecutive sigmas nest into each tau_s.  The grid
+    side, the direction count and the dyadic s values follow from delta.
     """
 
     curve: Curve = field(compare=False)
     delta: float
-    n_directions: int
     assignment: np.ndarray = field(compare=False)
-    overlap_max: int
-    s_values: tuple  # dyadic s from s_min up to 1
     frames: np.ndarray = field(compare=False)  # (n_directions, 3, 3): gamma, t, n rows
 
     @property
@@ -132,15 +128,22 @@ class ConeGeometry:
         return round(1.0 / self.delta)
 
     @property
+    def n_directions(self) -> int:
+        return self.M
+
+    @property
     def n_caps(self) -> int:
         return self.n_directions
 
     @property
+    def s_values(self) -> tuple:
+        """Dyadic s from s_min = 2^-(k//2) up to 1, with delta = 2^-k."""
+        k = dyadic_level(self.delta)
+        return tuple(2.0**-m for m in range(k // 2, -1, -1))
+
+    @property
     def s_min(self) -> float:
         return self.s_values[0]
-
-    def cap_points(self, cap_id: int) -> np.ndarray:
-        return np.nonzero(self.assignment == cap_id)[0]
 
     def n_sigma(self) -> int:
         return round(1.0 / self.s_min)
@@ -160,9 +163,8 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     fine grid (FINE_PER_CAP samples per cap, ties to the lower index); the
     point joins the cone neighbourhood when its distance to the radial
     segment [RADIAL_FLOOR, 1] (in nominal units, embedded at FREQ_SCALE)
-    is at most delta, and its cap is the direction holding that parameter.
-    Geometric cap overlap before assignment is recorded and stays small;
-    the assignment itself is a partition by construction.
+    is at most delta, and its cap is the direction holding that parameter,
+    so the assignment is a partition by construction.
     """
     k = dyadic_level(delta)
     M = 2**k
@@ -172,7 +174,6 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
         raise GeometryError(
             f"curve {curve.label!r} is degenerate; plank frames need gamma' x gamma != 0"
         )
-    n_dir = M
     lattice = frequency_lattice(M)
     norms2 = np.sum(lattice**2, axis=1)
 
@@ -190,31 +191,16 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
         best = np.minimum(best, dist2)
 
     on_cone = best <= delta**2
-    di = np.minimum((best_theta / delta).astype(np.int64), n_dir - 1)
+    di = np.minimum((best_theta / delta).astype(np.int64), M - 1)
     assignment = np.where(on_cone, di, -1).astype(np.int32)
 
-    # geometric box overlap before assignment: closed cap ranges share their
-    # angular boundaries, so a point on a boundary counts double
-    frac_t = best_theta[on_cone] / delta
-    on_t_edge = np.abs(frac_t - np.round(frac_t)) < 1e-12
-    overlap = int((1 + on_t_edge).max()) if on_cone.any() else 0
-    s_vals = tuple(2.0**-m for m in range(k // 2, -1, -1))
-
-    dir_thetas = (np.arange(n_dir) + 0.5) * delta
-    frames = np.zeros((n_dir, 3, 3))
+    dir_thetas = (np.arange(M) + 0.5) * delta
+    frames = np.zeros((M, 3, 3))
     for i, th in enumerate(dir_thetas):
         g, t, n = frame(curve, float(min(th, 1.0)))
         frames[i] = np.stack([g, t, n])
 
-    return ConeGeometry(
-        curve=curve,
-        delta=delta,
-        n_directions=n_dir,
-        assignment=assignment,
-        overlap_max=overlap,
-        s_values=s_vals,
-        frames=frames,
-    )
+    return ConeGeometry(curve=curve, delta=delta, assignment=assignment, frames=frames)
 
 
 # ----------------------------------------------------------------------------
@@ -263,9 +249,7 @@ def tube_axis_points(M: int, gamma: np.ndarray):
     return flat, u
 
 
-def synth_tube_function(
-    family: SlabFamily, geometry: ConeGeometry, theta: Optional[float] = None
-) -> GridFunction:
+def synth_tube_function(family: SlabFamily, geometry: ConeGeometry) -> GridFunction:
     """Sum of slab bumps with frequency support on the direction's tube.
 
     The coefficient at xi is omega(xi.gamma)/W * sum_S exp(-2 pi i c_S xi.gamma)
@@ -274,7 +258,7 @@ def synth_tube_function(
     direction must match one of the geometry's cap directions.
     """
     M = geometry.M
-    th = family.theta if theta is None else theta
+    th = family.theta
     if not (0.0 <= th <= 1.0) or int(th / geometry.delta) >= geometry.n_directions + 1:
         raise ConfigurationError(
             f"family direction {th} has no tube in the geometry (delta={geometry.delta})"
@@ -293,17 +277,7 @@ def synth_tube_function(
     return GridFunction.from_coeffs(coeffs.reshape((M,) * 3))
 
 
-@dataclass(frozen=True)
-class KChoice:
-    K: int
-    raw: float
-    clamped: bool
-
-    def __int__(self) -> int:
-        return self.K
-
-
-def choose_K(delta: float, s: float) -> KChoice:
+def choose_K(delta: float, s: float) -> int:
     """Power of two nearest (log2 delta^-1)^(2/(1-s)), clamped to [2, delta^-1/2]."""
     if not (0.0 < s < 1.0):
         raise DomainError(f"the exponent 2/(1-s) needs 0 < s < 1, got s={s}")
@@ -311,8 +285,7 @@ def choose_K(delta: float, s: float) -> KChoice:
     raw = float(k) ** (2.0 / (1.0 - s))
     power = round(math.log2(raw))
     hi = 2 ** (k // 2)
-    K = int(min(max(2, 2**power), hi))
-    return KChoice(K=K, raw=raw, clamped=(K != 2**power))
+    return int(min(max(2, 2**power), hi))
 
 
 def high_low_split(
@@ -379,11 +352,13 @@ def cap_restrict(g: GridFunction, cap_id: int, geometry: ConeGeometry) -> GridFu
 
 @dataclass(frozen=True)
 class CapSubset:
-    """Direction indices of selected caps plus the recorded spacing constant."""
+    """Direction indices of selected caps, meant to form a (delta, t)-set.
+
+    The spacing constant is not stored: `decoupling_ratio` scans for it.
+    """
 
     t: float
     directions: np.ndarray
-    worst_constant: float
 
     def __len__(self) -> int:
         return int(self.directions.size)
@@ -392,16 +367,16 @@ class CapSubset:
 def tspacing_subsample(geometry: ConeGeometry, t: float, seed: int) -> CapSubset:
     """Select cap directions forming a (delta, t)-set at every angular scale.
 
-    Reuses the direction-net construction, so the spacing condition holds
-    with constant <= 64 and is re-validated exhaustively here.
+    Reuses the direction-net construction, which keeps at most
+    ceil((r/delta)^t) <= 2 (r/delta)^t points in every aligned dyadic window
+    of length r (the full grid at t = 1 does too).  A closed window of
+    length r meets at most two aligned ones, so the spacing constant is at
+    most 4 and no scan runs here; `decoupling_ratio` checks the condition
+    on whatever subset it is given.
     """
     net = direction_net(geometry.curve, geometry.delta, t, seed)
     dirs = np.unique(np.minimum(net.indices, geometry.n_directions - 1))
-    k = dyadic_level(geometry.delta)
-    worst, _ = spacing_scan(dirs, k, t)
-    if worst > 64:
-        raise GeometryError(f"cap subsample violates the spacing condition: {worst}")
-    return CapSubset(t=t, directions=dirs, worst_constant=worst)
+    return CapSubset(t=t, directions=dirs)
 
 
 @dataclass(frozen=True)
@@ -550,40 +525,3 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     l4 = l4_norm(f)
     quotient = 0.0 if total == 0 else l4 / total
     return WaveEnvelopeReport(per_s=per_s, total=total, l4=l4, quotient=quotient)
-
-
-# ----------------------------------------------------------------------------
-# geometry audit dump
-
-
-def geometry_to_json(geometry: ConeGeometry) -> str:
-    """Audit dump: cap corner coordinates and the plank frame tables."""
-    delta = geometry.delta
-    on = geometry.assignment >= 0
-    n_points = np.bincount(geometry.assignment[on], minlength=geometry.n_caps)
-    caps = []
-    for cid in range(geometry.n_caps):
-        g, t, n = geometry.frames[cid]
-        corners = []
-        for a in (FREQ_SCALE * RADIAL_FLOOR, FREQ_SCALE):
-            for b in (-delta / 2, delta / 2):
-                for c in (-delta / 2, delta / 2):
-                    corners.append((a * g + b * t + c * n).tolist())
-        caps.append(
-            {
-                "cap": cid,
-                "direction": cid,
-                "theta": (cid + 0.5) * delta,
-                "corners": corners,
-                "points": int(n_points[cid]),
-            }
-        )
-    payload = {
-        "delta": delta,
-        "radial_floor": RADIAL_FLOOR,
-        "freq_scale": FREQ_SCALE,
-        "overlap_max": geometry.overlap_max,
-        "s_values": list(geometry.s_values),
-        "caps": caps,
-    }
-    return json.dumps(payload, sort_keys=True)

@@ -151,7 +151,10 @@ def cantor_1d(ratio: float, depth: int) -> PointSet:
     for _ in range(depth):
         endpoints = np.concatenate([endpoints, endpoints + (1.0 - ratio) * length])
         length *= ratio
-    idx = np.unique(np.floor(endpoints / delta).astype(np.int64))[:, None]
+    # every endpoint is < 1 exactly, but from k = 54 on the last one rounds
+    # to 1.0 and would floor to the cell 2^k outside [0, 1)
+    cells = np.minimum(np.floor(endpoints / delta).astype(np.int64), 2**k - 1)
+    idx = np.unique(cells)[:, None]
     dim = math.log(2.0) / math.log(1.0 / ratio)
     return PointSet(1, delta, idx, nominal_dim=dim)
 

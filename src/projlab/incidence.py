@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -363,14 +362,12 @@ def _offset_delta_s_set(k: int, s: float, rng) -> np.ndarray:
     return np.flatnonzero(budgets >= 1) * 2.0**-K * 2.0 - 1.0
 
 
-def ball_target(delta: float, s: float, t: float, scale: float = 2.0**-4) -> int:
-    """Ball count making (#Theta)^4 #H track delta^-(2t+s+2): delta^-(2+s-2t)."""
-    return max(1, round(scale * delta ** -(2 + s - 2 * t)))
+def ball_target(delta: float, s: float, t: float) -> int:
+    """Ball count making (#Theta)^4 #H track delta^-(2t+s+2): delta^-(2+s-2t)/16."""
+    return max(1, round(2.0**-4 * delta ** -(2 + s - 2 * t)))
 
 
-def random_admissible_config(
-    spec: IncidenceSpec, target: Optional[int] = None
-) -> IncidenceConfig:
+def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     """Generate a seeded admissible configuration with heavy balls.
 
     Slab offsets per direction come from a (delta, s)-set on [-1, 1]
@@ -397,7 +394,7 @@ def random_admissible_config(
         )
         for theta in net.thetas
     )
-    want = ball_target(spec.delta, spec.s, spec.t) if target is None else target
+    want = ball_target(spec.delta, spec.s, spec.t)
     collected = np.zeros((0, 3), dtype=np.int64)  # distinct, lexicographic order
     for _attempt in range(64):
         if len(collected) >= want:

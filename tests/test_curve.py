@@ -143,6 +143,8 @@ class TestCsvCurve:
         assert named_curve("helix").label == "helix"
         with pytest.raises(DomainError):
             named_curve("parabola")
+        with pytest.raises(DomainError, match="unknown curve"):
+            named_curve(["x"])
 
 
 class TestFrame:

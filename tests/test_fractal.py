@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -88,6 +89,26 @@ class TestCantor:
 
     def test_level_62_still_fits(self):
         assert cantor_1d(2.0**-62, 1).delta == 2.0**-62
+
+    @pytest.mark.parametrize("k", [54, 60, 62])
+    def test_last_endpoint_stays_in_the_unit_interval(self, k):
+        # the endpoint 1 - 2^-k rounds to 1.0 in float from k = 54 on, but
+        # its cell is 2^k - 1 in exact arithmetic
+        p = cantor_1d(2.0**-k, 1)
+        assert p.indices[:, 0].tolist() == [0, 2**k - 1]
+
+    @pytest.mark.parametrize(
+        "ratio, depth, level, digest",
+        [
+            (1 / 3, 4, 6, "27619a16be26bfe1d45f0be494242532309878857958de7d70965a375b8cf371"),
+            (1 / 3, 6, 10, "7b57b38a3ebe0a5fbd8cc9029a4fa00d47c688a6f3443c81482dd9ce54463000"),
+            (0.25, 4, 8, "6cbe08a24328c3045b6627b59182d292eec418b589a221abd1499ee27d14e571"),
+        ],
+    )
+    def test_pinned_indices(self, ratio, depth, level, digest):
+        p = cantor_1d(ratio, depth)
+        assert p.level == level and p.indices.dtype == np.int64
+        assert hashlib.sha256(p.indices.tobytes()).hexdigest() == digest
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -351,6 +351,11 @@ class TestSpecSerialization:
         old = json.dumps({**payload, "mode": "unit", "generator": "slab-sampled"})
         assert IncidenceSpec.from_json(old) == spec
 
+    def test_unhashable_curve_name_is_a_domain_error(self):
+        text = json.dumps({"delta": 2.0**-4, "s": 0.5, "t": 0.5, "seed": 0, "curve": [1]})
+        with pytest.raises(DomainError, match="unknown curve"):
+            random_admissible_config(IncidenceSpec.from_json(text))
+
     def test_report_json_keys(self):
         spec = IncidenceSpec(delta=2.0**-4, s=0.5, t=0.5, seed=0)
         rep = verify_incidence_bound(random_admissible_config(spec), CURVE)
