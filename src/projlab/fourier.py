@@ -259,7 +259,7 @@ def synth_tube_function(family: SlabFamily, geometry: ConeGeometry) -> GridFunct
     """
     M = geometry.M
     th = family.theta
-    if not (0.0 <= th <= 1.0) or int(th / geometry.delta) >= geometry.n_directions + 1:
+    if not (0.0 <= th <= 1.0):
         raise ConfigurationError(
             f"family direction {th} has no tube in the geometry (delta={geometry.delta})"
         )
@@ -352,13 +352,18 @@ def cap_restrict(g: GridFunction, cap_id: int, geometry: ConeGeometry) -> GridFu
 
 @dataclass(frozen=True)
 class CapSubset:
-    """Direction indices of selected caps, meant to form a (delta, t)-set.
+    """Distinct direction indices of selected caps, meant to form a (delta, t)-set.
 
     The spacing constant is not stored: `decoupling_ratio` scans for it.
     """
 
     t: float
     directions: np.ndarray
+
+    def __post_init__(self):
+        d = np.asarray(self.directions)
+        if d.ndim != 1 or np.unique(d).size != d.size:
+            raise ConfigurationError("cap directions must be a 1-D array of distinct indices")
 
     def __len__(self) -> int:
         return int(self.directions.size)

@@ -184,8 +184,9 @@ def product_set(sx: PointSet, sy: PointSet, sz: PointSet) -> PointSet:
     mesh = np.meshgrid(ax, ay, az, indexing="ij")
     idx = np.stack([m.ravel() for m in mesh], axis=1) - half
     dim = sx.nominal_dim + sy.nominal_dim + sz.nominal_dim
-    out = PointSet(3, sx.delta, idx, nominal_dim=dim, domain="ball")
-    return out.with_uniform_weights()
+    return PointSet(
+        3, sx.delta, idx, weights=np.full(n, 1.0 / n), nominal_dim=dim, domain="ball"
+    )
 
 
 @dataclass(frozen=True)

@@ -234,9 +234,10 @@ class TestSynth:
         assert np.all(f.samples == 0)
 
     def test_unknown_direction_rejected(self, geo16):
-        fam = make_family(1.7, [0.0], delta=2.0**-4, s=0.5)
-        with pytest.raises(ConfigurationError):
-            synth_tube_function(fam, geo16)
+        for theta in (-0.1, 1.1, 1.7):
+            fam = make_family(theta, [0.0], delta=2.0**-4, s=0.5)
+            with pytest.raises(ConfigurationError):
+                synth_tube_function(fam, geo16)
 
 
 class TestChooseK:
@@ -510,6 +511,12 @@ class TestDecoupling:
         g = random_cap_function(geo16, sub, seed=1)
         with pytest.raises(PreconditionError, match="t-spacing"):
             decoupling_ratio(g, sub, geo16, max_constant=1.5)
+
+    @pytest.mark.parametrize("directions", [[4, 4], [3, 9, 3], [[4], [5]], 4])
+    def test_cap_directions_distinct_and_flat(self, directions):
+        # a repeated direction would count as two caps and double rhs
+        with pytest.raises(ConfigurationError, match="distinct"):
+            CapSubset(t=0.5, directions=np.array(directions))
 
     def test_support_precondition(self, geo16):
         sub = CapSubset(t=0.5, directions=np.array([4]))

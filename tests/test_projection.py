@@ -3,10 +3,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from projlab import projection
 from projlab.covering import Covering, greedy_cover
-from projlab.curve import frame, model_curve
-from projlab.errors import InconsistencyError, RangeError
+from projlab.curve import frame, model_curve, named_curve
+from projlab.dyadic import group_rows
+from projlab.errors import DomainError, InconsistencyError, RangeError
 from projlab.fractal import PointSet, cantor_1d, full_grid, product_set
 from projlab.projection import (
     box_counts,
@@ -18,6 +22,32 @@ from projlab.projection import (
 )
 
 CURVE = model_curve()
+
+
+def oracle_project_line(a, curve, theta):
+    """The sort-based projection: every duplicate merge goes through group_rows."""
+    gamma = curve.points(np.array([theta]))[0]
+    vals = a.values @ gamma
+    idx = np.round(vals / a.delta).astype(np.int64)[:, None]
+    first, inv = group_rows(idx)
+    w = None
+    if a.weights is not None:
+        w = np.bincount(inv, weights=a.weights, minlength=len(first))
+    return PointSet(
+        1, a.delta, idx[first], weights=w, nominal_dim=min(1.0, a.nominal_dim),
+        domain="ball",
+    )
+
+
+def assert_same_projection(got, want):
+    assert got.indices.dtype == want.indices.dtype
+    assert got.indices.shape == want.indices.shape
+    assert got.indices.tobytes() == want.indices.tobytes()
+    if want.weights is None:
+        assert got.weights is None
+    else:
+        assert got.weights.tobytes() == want.weights.tobytes()
+    assert (got.nominal_dim, got.domain) == (want.nominal_dim, want.domain)
 
 
 def single_point_set(value, delta=2.0**-6):
@@ -76,6 +106,75 @@ class TestProjectLine:
             for m in range(0, a.level + 1):
                 # lattice surrogate of the Lipschitz covering bound
                 assert box_counts(p, m) <= 3 * box_counts(a, m)
+
+
+@given(
+    k=st.integers(1, 20),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    name=st.sampled_from(["model", "helix", "greatcircle"]),
+    theta=st.floats(0.0, 1.0),
+)
+def test_project_line_matches_sort_oracle(k, n, seed, zero_share, name, theta):
+    # small k fills the index range (dense count), large k leaves it sparse
+    # (group_rows); weights of exactly 0 must keep their cells
+    rng = np.random.default_rng(seed)
+    delta = 2.0**-k
+    rows = rng.integers(-(2**k), 2**k + 1, size=(n, 3))
+    rows = np.unique(rows[np.linalg.norm(rows * delta, axis=1) <= 1.0], axis=0)
+    a = PointSet(3, delta, rows, nominal_dim=rng.uniform(0.0, 3.0), domain="ball")
+    curve = named_curve(name)
+    assert_same_projection(project_line(a, curve, theta), oracle_project_line(a, curve, theta))
+    w = rng.random(len(a)) * (rng.random(len(a)) >= zero_share)
+    if w.sum() > 0:
+        weighted = a.with_weights(w / w.sum())
+        assert_same_projection(
+            project_line(weighted, curve, theta), oracle_project_line(weighted, curve, theta)
+        )
+
+
+class TestProjectLineRoutes:
+    def test_empty_set(self):
+        a = PointSet(3, 2.0**-5, np.zeros((0, 3), dtype=np.int64), domain="ball")
+        for theta in (0.0, 0.5):
+            p = project_line(a, CURVE, theta)
+            assert len(p) == 0
+            assert_same_projection(p, oracle_project_line(a, CURVE, theta))
+
+    def test_route_depends_on_index_range(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return group_rows(rows)
+
+        monkeypatch.setattr(projection, "group_rows", counted)
+        c = cantor_1d(1 / 3, 3)
+        dense = product_set(c, c, c)
+        thin = cantor_1d(0.001, 3)
+        sparse = product_set(thin, thin, thin)
+        # 512 cells at k = 30: a dense count would need 2^31 bins
+        assert (len(sparse), sparse.level) == (512, 30)
+        for theta in (0.0, 0.3, 0.77, 1.0):
+            assert_same_projection(
+                project_line(dense, CURVE, theta), oracle_project_line(dense, CURVE, theta)
+            )
+            assert calls == []  # the dense count sorts nothing
+            assert_same_projection(
+                project_line(sparse, CURVE, theta), oracle_project_line(sparse, CURVE, theta)
+            )
+            assert calls == [len(sparse)]
+            calls.clear()
+
+    # two cells leave the index range sparse; the whole cube [0, 1]^3 fills it
+    @pytest.mark.parametrize(
+        "rows", [[[16, 16, 16], [0, 0, 0]], np.argwhere(np.ones((17, 17, 17)))]
+    )
+    def test_cube_set_outside_the_ball_raises(self, rows):
+        a = PointSet(3, 2.0**-4, rows)
+        with pytest.raises(DomainError):
+            project_line(a, CURVE, 0.3)
 
 
 class TestBoxDimension:
