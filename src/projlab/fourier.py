@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     GeometryError,
+    NumericError,
     PreconditionError,
 )
 from .incidence import SlabFamily
@@ -71,8 +73,21 @@ class GridFunction:
 
     @staticmethod
     def from_coeffs(coeffs: np.ndarray) -> "GridFunction":
+        """The samples np.fft.ifftn(coeffs) * M^3, transforming only nonzero lines.
+
+        ifftn runs axis 2, then 1, then 0, one line at a time, and the
+        transform of a zero line is exactly 0; so transforming only the
+        nonzero (i, j) lines on axis 2 and the nonzero i slabs on axis 1
+        gives the same bytes.
+        """
         M = coeffs.shape[0]
-        return GridFunction(M, np.fft.ifftn(coeffs) * M**3)
+        lines = coeffs.any(axis=2)
+        inner = np.fft.ifft(coeffs[lines], axis=1)
+        a = np.zeros(coeffs.shape, dtype=inner.dtype)
+        a[lines] = inner
+        slabs = lines.any(axis=1)
+        a[slabs] = np.fft.ifft(a[slabs], axis=1)
+        return GridFunction(M, np.fft.ifft(a, axis=0) * M**3)
 
     def physical_energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2))
@@ -96,6 +111,8 @@ def _leak(coeffs: np.ndarray, support: np.ndarray) -> float:
     """Share of the coefficient energy off the boolean support (0 for a zero function)."""
     energy = np.abs(coeffs) ** 2
     total = float(np.sum(energy))
+    if not math.isfinite(total):
+        raise NumericError(f"coefficient energy is {total}; the function has non-finite values")
     return float(np.sum(energy[~support])) / total if total > 0 else 0.0
 
 
@@ -154,6 +171,40 @@ class ConeGeometry:
         on = self.assignment >= 0
         out[on] = (self.assignment[on] * self.delta / self.s_min).astype(np.int32)
         return out
+
+    @cached_property
+    def envelope_boxes(self) -> dict:
+        """(s, tau index) -> box id of every lattice point, for s < 1.
+
+        The boxes are sharp-indicator translates of U_tau (dimensions
+        delta^-1 x delta^-1 s x delta^-1 s^2 along the plank frame at the
+        tau's central direction), binned so one box is centred at the
+        origin; they partition the fundamental domain exactly.  Box codes
+        are mixed-radix in the per-axis bins, and an id is its code's rank
+        among the occupied codes, so ids run densely from 0 in lexicographic
+        box order.  Built on first use and kept as the rows of one
+        (n_tau, M^3) uint16 array (at most 1,470 boxes per tau up to
+        M = 128): 7.3 MB at M = 64 and 59 MB at M = 128.  The block is made
+        before the build's temporaries, so the free space they leave is one
+        run; rows made between them would split it, and a process's peak
+        RSS would then depend on what ran before the first build.
+        """
+        M = self.M
+        taus = [(s, ti) for s in self.s_values[:-1] for ti in range(round(1.0 / s))]
+        ids = np.empty((len(taus), M**3), dtype=np.uint16)
+        axes = np.indices((M, M, M)).reshape(3, -1).astype(float) - M / 2
+        for row, (s, ti) in zip(ids, taus):
+            widths = (float(M), float(M * s), float(M * s * s))
+            di = min(int((ti + 0.5) * s / self.delta), self.n_directions - 1)
+            gam, tan, nor = self.frames[di]
+            code = 0
+            for e, w in zip((nor, tan, gam), widths):
+                b = np.floor((e @ axes + w / 2) / w).astype(np.int64)
+                lo = b.min()
+                code = code * (b.max() - lo + 1) + (b - lo)
+            rank = np.cumsum(np.bincount(code) > 0) - 1
+            row[:] = rank[code]
+        return dict(zip(taus, ids))
 
 
 def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
@@ -339,11 +390,18 @@ def _cap_l4(coeffs: np.ndarray, points: np.ndarray, M: int) -> float:
     return float(M**3 * np.sum(h_re**2 + h_im**2))
 
 
+def _check_caps(cap_ids, geometry: ConeGeometry) -> None:
+    """Raise ConfigurationError on a cap id outside 0..n_caps - 1."""
+    ids = np.asarray(cap_ids)
+    bad = ids[(ids < 0) | (ids >= geometry.n_caps)]
+    if bad.size:
+        raise ConfigurationError(f"cap {bad[0]} outside 0..{geometry.n_caps - 1}")
+
+
 def cap_restrict(g: GridFunction, cap_id: int, geometry: ConeGeometry) -> GridFunction:
     """Zero all coefficients not assigned to the cap; linear and idempotent."""
     _check_grid(g, geometry)
-    if not (0 <= cap_id < geometry.n_caps):
-        raise ConfigurationError(f"cap {cap_id} outside 0..{geometry.n_caps - 1}")
+    _check_caps(cap_id, geometry)
     coeffs = g.coeffs().ravel()
     keep = geometry.assignment == cap_id
     coeffs[~keep] = 0
@@ -364,6 +422,8 @@ class CapSubset:
         d = np.asarray(self.directions)
         if d.ndim != 1 or np.unique(d).size != d.size:
             raise ConfigurationError("cap directions must be a 1-D array of distinct indices")
+        if not np.issubdtype(d.dtype, np.integer):
+            raise ConfigurationError(f"cap directions must be integers, got dtype {d.dtype}")
 
     def __len__(self) -> int:
         return int(self.directions.size)
@@ -412,6 +472,7 @@ def decoupling_ratio(
     transform and no inverse one.
     """
     _check_grid(g, geometry)
+    _check_caps(caps.directions, geometry)
     dirs = np.sort(np.asarray(caps.directions, dtype=np.int64))
     worst, witness = spacing_scan(dirs, dyadic_level(geometry.delta), caps.t)
     if worst > max_constant:
@@ -443,6 +504,7 @@ def decoupling_ratio(
 
 def random_cap_function(geometry: ConeGeometry, caps: CapSubset, seed: int) -> GridFunction:
     """Unit-amplitude random-phase coefficients on the selected caps."""
+    _check_caps(caps.directions, geometry)
     rng = np.random.default_rng(seed)
     M = geometry.M
     coeffs = np.zeros(M**3, dtype=complex)
@@ -467,11 +529,10 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     """Sum over s, tau_s and envelope boxes U of |U|^-1 ||S_U f||_2^4.
 
     S_U f collects sum_{sigma in tau_s} |f_sigma|^2 over the box U; the
-    boxes are sharp-indicator translates of U_{tau_s} (dimensions
-    delta^-1 x delta^-1 s x delta^-1 s^2 along the plank frame), binned so
-    one box is centred at the origin, and they partition the fundamental
-    domain exactly.  Box codes are mixed-radix in the per-axis bins, so
-    np.bincount gives the box masses in lexicographic box order.
+    boxes are `ConeGeometry.envelope_boxes` (at s = 1 the one box is the
+    whole periodic domain), so a call bins each tau's field with one
+    np.bincount over dense ids: the box masses come out as one array in
+    lexicographic box order, as a sort-based grouping gives them.
     """
     _check_grid(f, geometry)
     M = geometry.M
@@ -481,17 +542,22 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
         raise PreconditionError(
             f"support leaks off the cone neighbourhood: {leak:.3g} of the energy"
         )
+    boxes = geometry.envelope_boxes  # built before the sigma fields hold memory
     sig_assign = geometry.sigma_assignment()
     n_sigma = geometry.n_sigma()
-    sigma_fields = []
-    for si in range(n_sigma):
-        c = coeffs.copy()
-        c[sig_assign != si] = 0
+    # the fields and one coefficient buffer are made before the transforms'
+    # temporaries, which then come and go in the same free space; a field made
+    # after each transform would leave a hole per sigma and grow the heap
+    sigma_fields = np.empty((n_sigma, M**3))
+    c = np.zeros_like(coeffs)
+    for si, out in enumerate(sigma_fields):
+        points = np.flatnonzero(sig_assign == si)
+        c[points] = coeffs[points]
         g = GridFunction.from_coeffs(c.reshape((M,) * 3))
-        sigma_fields.append(np.abs(g.samples.ravel()) ** 2)
+        c[points] = 0
+        np.square(np.abs(g.samples.ravel(), out=out), out=out)
 
-    axes = np.indices((M, M, M)).reshape(3, -1).astype(float) - M / 2
-
+    field = np.empty(M**3)
     per_s = {}
     total = 0.0
     for s in geometry.s_values:
@@ -501,7 +567,7 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
         value_s = 0.0
         for ti in range(n_tau):
             sis = range(ti * sig_per_tau, min((ti + 1) * sig_per_tau, n_sigma))
-            field = np.zeros(M**3)
+            field.fill(0.0)
             for si in sis:
                 field += sigma_fields[si]
             if not field.any():
@@ -510,20 +576,7 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
                 # U_{tau_1} is the full periodic box: one sharp box, exactly
                 value_s += float(field.sum() ** 2 / box_vol)
                 continue
-            # plank frame at the tau's central direction
-            theta_c = (ti + 0.5) * s
-            di = min(int(theta_c / geometry.delta), geometry.n_directions - 1)
-            gam, tan, nor = geometry.frames[di]
-            widths = (float(M), float(M * s), float(M * s * s))
-            code = 0
-            for e, w in zip((nor, tan, gam), widths):
-                u = e @ axes
-                b = np.floor((u + w / 2) / w).astype(np.int64)
-                lo = b.min()
-                code = code * (b.max() - lo + 1) + (b - lo)
-            # unoccupied codes are dropped so the sum of squares runs over the
-            # same array, in the same order, as a sort-based grouping would
-            masses = np.bincount(code, weights=field)[np.bincount(code) > 0]
+            masses = np.bincount(boxes[s, ti], weights=field)
             value_s += float(np.sum(masses**2) / box_vol)
         per_s[s] = value_s
         total += value_s

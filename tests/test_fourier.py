@@ -14,10 +14,12 @@ from projlab.errors import (
     ConfigurationError,
     DomainError,
     GeometryError,
+    NumericError,
     PreconditionError,
 )
 from projlab.fourier import (
     CapSubset,
+    ConeGeometry,
     GridFunction,
     _cap_l4,
     build_geometry,
@@ -148,6 +150,44 @@ class TestGridFunction:
         assert l4_norm(GridFunction.from_coeffs(coeffs)) == pytest.approx(M**3)
 
 
+SUPPORTS = (
+    "empty", "point", "line0", "line1", "line2", "plane0", "plane1", "plane2", "random", "dense",
+)
+
+
+@pytest.mark.parametrize("kind", SUPPORTS)
+@given(st.sampled_from([16, 32]), st.integers(0, 2**32 - 1), st.floats(0.001, 1.0))
+def test_from_coeffs_bytes_match_ifftn(kind, M, seed, density):
+    # from_coeffs skips zero lines on axes 2 and 1; the full ifftn is the oracle
+    rng = np.random.default_rng(seed)
+    i, j, k = rng.integers(0, M, size=3)
+    mask = np.zeros((M,) * 3, dtype=bool)
+    if kind == "point":
+        mask[i, j, k] = True
+    elif kind == "line0":
+        mask[:, j, k] = True
+    elif kind == "line1":
+        mask[i, :, k] = True
+    elif kind == "line2":
+        mask[i, j, :] = True
+    elif kind == "plane0":
+        mask[i] = True
+    elif kind == "plane1":
+        mask[:, j] = True
+    elif kind == "plane2":
+        mask[:, :, k] = True
+    elif kind == "random":
+        mask = rng.random((M,) * 3) < density
+    elif kind == "dense":
+        mask[...] = True
+    values = rng.normal(size=(M,) * 3) + 1j * rng.normal(size=(M,) * 3)
+    coeffs = np.where(mask, values, 0)
+    got = GridFunction.from_coeffs(coeffs).samples
+    want = np.fft.ifftn(coeffs) * M**3
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestGeometry:
     def test_counts_at_2_pow_4(self, geo16):
         assert geo16.n_caps == 16
@@ -183,6 +223,25 @@ class TestGeometry:
     def test_degenerate_curve_rejected(self):
         with pytest.raises(GeometryError):
             build_geometry(great_circle(), 2.0**-4)
+
+    def test_equality_ignores_the_box_cache(self):
+        a, b = build_geometry(CURVE, 2.0**-4), build_geometry(CURVE, 2.0**-4)
+        assert "envelope_boxes" not in vars(a)
+        a.envelope_boxes
+        assert "envelope_boxes" in vars(a)
+        assert a == b and hash(a) == hash(b)
+        assert a != build_geometry(CURVE, 2.0**-5)
+
+    def test_envelope_box_ids(self, geo16):
+        # dense ids 0..n-1 over every lattice point, rows of one uint16 block
+        assert sorted(geo16.envelope_boxes) == [(0.25, i) for i in range(4)] + [(0.5, 0), (0.5, 1)]
+        block = None
+        for ids in geo16.envelope_boxes.values():
+            n = int(ids.max()) + 1
+            assert ids.shape == (16**3,) and ids.dtype == np.uint16
+            assert np.array_equal(np.unique(ids), np.arange(n))
+            assert ids.base is not None and (block is None or ids.base is block)
+            block = ids.base
 
 
 class TestSynth:
@@ -440,10 +499,51 @@ class TestTspacing:
         assert len(tspacing_subsample(geo16, 0.0, seed=3)) == 1
 
     def test_half_exponent_count(self):
-        geo = build_geometry(CURVE, 2.0**-6)
+        geo = cached_geometry(64)
         sub = tspacing_subsample(geo, 0.5, seed=1)
         assert len(sub) == 8  # laminar rank at delta = 2^-6, t = 1/2
         assert spacing_scan(sub.directions, 6, 0.5)[0] <= 64
+
+
+class TestCapRange:
+    @pytest.mark.parametrize("directions", [[-1, 3], [3, 99], [16]])
+    def test_directions_outside_geometry_rejected(self, geo16, directions):
+        # -1 is the off-cone sentinel of the assignment: it used to put random
+        # coefficients on every off-cone point; 99 used to count as an empty cap
+        sub = CapSubset(t=0.5, directions=np.array(directions))
+        with pytest.raises(ConfigurationError, match=r"outside 0\.\.15"):
+            random_cap_function(geo16, sub, seed=0)
+        g = random_cap_function(geo16, CapSubset(t=0.5, directions=np.array([3])), seed=0)
+        with pytest.raises(ConfigurationError, match=r"outside 0\.\.15"):
+            decoupling_ratio(g, sub, geo16)
+        bad = [d for d in directions if not 0 <= d < 16][0]
+        with pytest.raises(ConfigurationError, match=rf"cap {bad} outside 0\.\.15"):
+            cap_restrict(g, bad, geo16)
+
+    @pytest.mark.parametrize("directions", [[3.5], [1.0, 2.0], [True]])
+    def test_non_integer_directions_rejected(self, directions):
+        with pytest.raises(ConfigurationError, match="integers"):
+            CapSubset(t=0.5, directions=np.array(directions))
+
+
+@pytest.mark.parametrize("call", ["decoupling_ratio", "wave_envelope_rhs"])
+@pytest.mark.parametrize("where", ["everywhere", "one sample"])
+def test_non_finite_function_rejected(geo16, call, where):
+    # a NaN energy used to read as a zero leak and pass the support check
+    samples = np.zeros((16,) * 3, dtype=complex)
+    if where == "everywhere":
+        samples[...] = np.nan
+    else:
+        samples[3, 4, 5] = np.nan
+    g = GridFunction(16, samples)
+    run = {
+        "decoupling_ratio": lambda: decoupling_ratio(
+            g, CapSubset(t=0.5, directions=np.array([3])), geo16
+        ),
+        "wave_envelope_rhs": lambda: wave_envelope_rhs(g, geo16),
+    }[call]
+    with pytest.raises(NumericError, match="non-finite"):
+        run()
 
 
 class TestDecoupling:
@@ -596,9 +696,8 @@ class TestWaveEnvelope:
         with pytest.raises(PreconditionError):
             wave_envelope_rhs(GridFunction.from_coeffs(coeffs), geo16)
 
-    @pytest.mark.parametrize("M", [16, 32])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bit_identical_to_unique_binning(self, M, seed):
+    @staticmethod
+    def assert_matches_oracle(M, seed):
         geo = cached_geometry(M)
         on_cone = random_on(np.flatnonzero(geo.assignment >= 0), M, seed)
         sub = tspacing_subsample(geo, 0.5, seed=seed)
@@ -608,3 +707,33 @@ class TestWaveEnvelope:
             per_s, total = envelope_oracle(f, geo)
             assert rep.per_s == per_s
             assert rep.total == total
+            assert rep.l4 == l4_norm(f)
+
+    @pytest.mark.parametrize("M", [16, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_unique_binning(self, M, seed):
+        self.assert_matches_oracle(M, seed)
+
+    def test_bit_identical_to_unique_binning_at_bench_size(self):
+        # the bench's largest grid: 1,280 to 1,425 boxes per tau at s = 1/8
+        self.assert_matches_oracle(64, 0)
+
+    def test_box_ids_built_once_per_geometry(self, monkeypatch):
+        geo = build_geometry(CURVE, 2.0**-4)
+        sub = tspacing_subsample(geo, 0.5, seed=1)
+        g = random_cap_function(geo, sub, seed=2)
+        decoupling_ratio(g, sub, geo)
+        assert "envelope_boxes" not in vars(geo)  # set-up and ratios never pay for them
+        builds = []
+        prop = vars(ConeGeometry)["envelope_boxes"]
+        build = prop.func
+
+        def counted(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(prop, "func", counted)
+        first = wave_envelope_rhs(g, geo)
+        second = wave_envelope_rhs(g, geo)
+        assert len(builds) == 1
+        assert first == second
