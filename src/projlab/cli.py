@@ -1,16 +1,17 @@
-"""Batch front door: config-driven experiments with CSV/JSON/SVG outputs.
+"""Batch front door: config-driven experiments with CSV and JSON outputs.
 
 Usage: projlab <command> --config path.json [--set key=value]... [--out dir]
 
 Commands: gen, cover, sweep, incidence, decouple.  Each runner builds its
 inputs, calls the library routine that does the job (`sweep` calls
-`projection.exceptional_sweep`) and writes a CSV, an SVG and a summary
-JSON.  All outputs are byte-identical across reruns with the same resolved
-config and seed.  The PROJLAB_THREADS environment variable sets the size
-of the one thread pool, which maps over the theta grid of `sweep` and the
-(delta, seed) cells of `incidence` and `decouple`; it never changes the
-output bytes.  Exit codes: 0 ok, 2 invalid config, 3 infeasible
-experiment.
+`projection.exceptional_sweep`) and writes numbers only: `<command>.csv`
+and `<command>_summary.json` (`cover` also writes the covering itself as
+`cover.json`).  There are no plots.  All outputs are byte-identical across
+reruns with the same resolved config and seed.  The PROJLAB_THREADS
+environment variable sets the size of the one thread pool, which maps over
+the theta grid of `sweep` and the (delta, seed) cells of `incidence` and
+`decouple`; it never changes the output bytes.  Exit codes: 0 ok, 2
+invalid config, 3 infeasible experiment.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from . import covering as covering_mod
 from . import fourier, incidence, projection
 from .curve import named_curve
 from .dyadic import dyadic_level
-from .errors import DomainError, InfeasibleError, ProjLabError
+from .errors import ConfigurationError, DomainError, InfeasibleError, ProjLabError
 from .fractal import cantor_1d, full_grid, product_set, save_csv
-from .svgplot import line_plot
 
 DEFAULTS = {
     "gen": {
@@ -55,7 +55,6 @@ DEFAULTS = {
         "s": 1.0,
         "theta_grid": 256,
         "margin": 0.1,
-        "seed": 0,
     },
     "incidence": {
         "curve": "model",
@@ -91,10 +90,6 @@ INTEGER_KEYS = {"depth": 1, "min_level": 0, "theta_grid": 2, "n_seeds": 1, "seed
 REAL_KEYS = ("s", "t", "margin", "ratio", "epsilon")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def threads() -> int:
     try:
         return max(1, int(os.environ.get("PROJLAB_THREADS", "1")))
@@ -104,11 +99,11 @@ def threads() -> int:
 
 def resolve_config(command: str, raw: dict) -> dict:
     if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
+        raise ConfigurationError(f"unknown command {command!r}; choose from {COMMANDS}")
     cfg = dict(DEFAULTS[command])
     unknown = set(raw) - set(cfg) - {"command"}
     if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown config keys for {command}: {sorted(unknown)}")
     cfg.update({k: v for k, v in raw.items() if k != "command"})
     cfg["command"] = command
     # shared validation; values are checked, never rewritten
@@ -116,26 +111,28 @@ def resolve_config(command: str, raw: dict) -> dict:
         try:
             named_curve(cfg["curve"])
         except DomainError:
-            raise ConfigError(f"unknown curve {cfg['curve']!r}") from None
+            raise ConfigurationError(f"unknown curve {cfg['curve']!r}") from None
     if "generator" in cfg and cfg["generator"] not in tuple(GENERATORS):
-        raise ConfigError(f"unknown generator {cfg['generator']!r}")
+        raise ConfigurationError(f"unknown generator {cfg['generator']!r}")
     for key in REAL_KEYS:
         if key in cfg and not _is_real(cfg[key]):
-            raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
+            raise ConfigurationError(f"{key} must be a finite number, got {cfg[key]!r}")
     for key, lowest in INTEGER_KEYS.items():
         v = cfg.get(key)
         if key in cfg and not (_is_real(v) and v == int(v) and v >= lowest):
-            raise ConfigError(f"{key} must be an integer >= {lowest}, got {v!r}")
+            raise ConfigurationError(f"{key} must be an integer >= {lowest}, got {v!r}")
     for key in ("s", "t"):
         if key in cfg and not (0.0 < cfg[key] <= 1.0):
-            raise ConfigError(f"{key} must lie in (0, 1], got {cfg[key]}")
+            raise ConfigurationError(f"{key} must lie in (0, 1], got {cfg[key]}")
     if "deltas" in cfg:
         try:
             levels = [dyadic_level(float(d)) for d in cfg["deltas"]]
         except ProjLabError as exc:
-            raise ConfigError(f"bad deltas: {exc}") from exc
+            raise ConfigurationError(f"bad deltas: {exc}") from exc
         if not levels or min(levels) < 1:
-            raise ConfigError(f"deltas must be a nonempty list below 1, got {cfg['deltas']}")
+            raise ConfigurationError(
+                f"deltas must be a nonempty list below 1, got {cfg['deltas']}"
+            )
     return cfg
 
 
@@ -176,33 +173,18 @@ def _per_cell(cfg: dict, one) -> list:
     return [(delta, seed, rep) for (delta, seed), rep in zip(cells, reps)]
 
 
-def _scale_plot(path: Path, results: list, value, title: str, ylabel: str):
-    """Plot the per-delta means of value(rep) against log2(1/delta).
-
-    Returns (xs, means), deltas in increasing order.
-    """
+def _per_delta_means(results: list, value):
+    """(xs, means): log2(1/delta) and the mean of value(rep), deltas increasing."""
     per_delta = {}
     for delta, _, rep in results:
         per_delta.setdefault(delta, []).append(value(rep))
     ds = sorted(per_delta)
-    xs = [math.log2(1 / d) for d in ds]
-    means = [float(np.mean(per_delta[d])) for d in ds]
-    _write(path, line_plot(xs, means, title, "log2(1/delta)", ylabel))
-    return xs, means
+    return [math.log2(1 / d) for d in ds], [float(np.mean(per_delta[d])) for d in ds]
 
 
 def run_gen(cfg: dict, out: Path) -> dict:
     pset = _build_set(cfg)
     save_csv(pset, out / "gen.csv")
-    vals = pset.values
-    svg = line_plot(
-        vals[:, 0][:4096],
-        vals[:, 1][:4096] if pset.ambient_dim > 1 else np.zeros(min(len(pset), 4096)),
-        title=f"{cfg['generator']} cells (first two coordinates)",
-        xlabel="x",
-        ylabel="y",
-    ).replace('stroke="#1f77b4" stroke-width="1.5"', 'stroke="none"')
-    _write(out / "gen.svg", svg)
     return {
         "cells": len(pset),
         "delta": pset.delta,
@@ -217,14 +199,8 @@ def run_cover(cfg: dict, out: Path) -> dict:
     )
     rep = covering_mod.validate_covering(cov)
     _write(out / "cover.json", covering_mod.covering_to_json(cov) + "\n")
-    levels = sorted(cov.levels)
-    counts = [len(cov.levels[k]) for k in levels]
-    rows = ["level,cubes"] + [f"{k},{c}" for k, c in zip(levels, counts)]
+    rows = ["level,cubes"] + [f"{k},{len(cov.levels[k])}" for k in sorted(cov.levels)]
     _write(out / "cover.csv", "\n".join(rows) + "\n")
-    _write(
-        out / "cover.svg",
-        line_plot(levels, counts, "covering cubes per level", "level k", "#cubes"),
-    )
     return {
         "budget_value": rep.budget_value,
         "worst_condition3_ratio": rep.worst_condition3_ratio,
@@ -234,11 +210,10 @@ def run_cover(cfg: dict, out: Path) -> dict:
 
 
 def run_sweep(cfg: dict, out: Path) -> dict:
-    s = float(cfg["s"])
     rows, summary = projection.exceptional_sweep(
         _build_set(cfg),
         named_curve(cfg["curve"]),
-        s,
+        float(cfg["s"]),
         int(cfg["theta_grid"]),
         float(cfg["margin"]),
         map_fn=_pool_map,
@@ -247,17 +222,6 @@ def run_sweep(cfg: dict, out: Path) -> dict:
     for r in rows:
         lines.append(f"{r.theta!r},{r.est_dim!r},{r.r2!r},{str(r.below_s).lower()}")
     _write(out / "sweep.csv", "\n".join(lines) + "\n")
-    _write(
-        out / "sweep.svg",
-        line_plot(
-            [r.theta for r in rows],
-            [r.est_dim for r in rows],
-            f"projected dimension vs theta (s={s})",
-            "theta",
-            "est_dim",
-            flags=[r.below_s for r in rows],
-        ),
-    )
     return summary
 
 
@@ -278,13 +242,7 @@ def run_incidence(cfg: dict, out: Path) -> dict:
             f"{rep.heavy_count},{rep.theta_count}"
         )
     _write(out / "incidence.csv", "\n".join(lines) + "\n")
-    _, means = _scale_plot(
-        out / "incidence.svg",
-        results,
-        lambda rep: rep.fitted_c,
-        f"fitted_C vs scale (s={s}, t={t})",
-        "fitted_C",
-    )
+    _, means = _per_delta_means(results, lambda rep: rep.fitted_c)
     all_c = [rep.fitted_c for _, _, rep in results]
     return {
         "max_fitted_C": max(all_c),
@@ -311,13 +269,7 @@ def run_decouple(cfg: dict, out: Path) -> dict:
     for delta, seed, rep in results:
         lines.append(f"{delta!r},{t!r},{seed},{rep.lhs!r},{rep.rhs!r},{rep.ratio!r}")
     _write(out / "decouple.csv", "\n".join(lines) + "\n")
-    xs, means = _scale_plot(
-        out / "decouple.svg",
-        results,
-        lambda rep: rep.ratio,
-        f"decoupling ratio vs scale (t={t})",
-        "mean ratio",
-    )
+    xs, means = _per_delta_means(results, lambda rep: rep.ratio)
     slope = float(np.polyfit(xs, np.log2(means), 1)[0]) if len(xs) >= 2 else 0.0
     return {
         "max_ratio": max(r.ratio for _, _, r in results),
@@ -334,23 +286,26 @@ RUNNERS = {
 }
 
 
+def _error(exc: Exception) -> int:
+    """Print the error JSON; returns the exit code, 3 if infeasible, else 2."""
+    infeasible = isinstance(exc, InfeasibleError)
+    kind = "infeasible" if infeasible else "config"
+    print(json.dumps({"error": {"kind": kind, "message": str(exc)}}))
+    return 3 if infeasible else 2
+
+
 def run(command: str, raw_config: dict, out_dir) -> int:
     """Execute one command; returns the process exit code."""
     try:
         cfg = resolve_config(command, raw_config)
-    except (ConfigError, ProjLabError, ValueError, TypeError) as exc:
-        print(json.dumps({"error": {"kind": "config", "message": str(exc)}}))
-        return 2
+    except (ProjLabError, ValueError, TypeError) as exc:
+        return _error(exc)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         results = RUNNERS[command](cfg, out)
-    except InfeasibleError as exc:
-        print(json.dumps({"error": {"kind": "infeasible", "message": str(exc)}}))
-        return 3
     except ProjLabError as exc:
-        print(json.dumps({"error": {"kind": "config", "message": str(exc)}}))
-        return 2
+        return _error(exc)
     _write(out / f"{command}_summary.json", _summary_json(cfg, results))
     return 0
 
@@ -359,7 +314,7 @@ def _parse_set(pairs):
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
+            raise ConfigurationError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         try:
             out[key] = json.loads(value)
@@ -381,17 +336,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="projlab-out", help="output directory")
     args = parser.parse_args(argv)
     raw = {}
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(json.dumps({"error": {"kind": "config", "message": str(exc)}}))
-            return 2
     try:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        if args.config:
+            raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ConfigurationError(
+                f"config file must hold a JSON object, got {type(raw).__name__}"
+            )
         raw.update(_parse_set(args.set))
-    except ConfigError as exc:
-        print(json.dumps({"error": {"kind": "config", "message": str(exc)}}))
-        return 2
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     return run(args.command, raw, args.out)
 
 

@@ -391,8 +391,10 @@ def _cap_l4(coeffs: np.ndarray, points: np.ndarray, M: int) -> float:
 
 
 def _check_caps(cap_ids, geometry: ConeGeometry) -> None:
-    """Raise ConfigurationError on a cap id outside 0..n_caps - 1."""
+    """Raise ConfigurationError on a cap id that is not an integer in 0..n_caps - 1."""
     ids = np.asarray(cap_ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ConfigurationError(f"cap ids must be integers, got dtype {ids.dtype}")
     bad = ids[(ids < 0) | (ids >= geometry.n_caps)]
     if bad.size:
         raise ConfigurationError(f"cap {bad[0]} outside 0..{geometry.n_caps - 1}")

@@ -284,7 +284,7 @@ def test_criterion_8_wave_envelope_nonviolation():
 
 def test_criterion_9_cli_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"depth": 4, "theta_grid": 64, "seed": 3}))
+    cfg.write_text(json.dumps({"depth": 4, "theta_grid": 64}))
     hashes = []
     for n in ("1", "4", "8"):
         out = tmp_path / f"threads{n}"

@@ -100,7 +100,6 @@ class TestRun:
             "margin",
             "ratio",
             "s",
-            "seed",
             "theta_grid",
         }
 
@@ -150,6 +149,8 @@ class TestRun:
             # the Cantor level k = round(depth log2(1/ratio)) overflows int64
             ("gen", {"ratio": 1e-5, "depth": 4}),
             ("gen", {"ratio": 1e-310}),
+            # sweep has no seed either
+            ("sweep", {"seed": 0}),
         ],
     )
     def test_degenerate_deltas_or_seeds_exit_code(self, tmp_path, capsys, command, override):
@@ -162,6 +163,25 @@ class TestRun:
         assert run("gen", {"ratio": 1e-5, "depth": 4}, tmp_path) == 2
         err = json.loads(capsys.readouterr().out)
         assert "level k=66" in err["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, raw, files",
+        [
+            ("gen", {"depth": 2}, {"gen.csv", "gen_summary.json"}),
+            ("cover", {"depth": 3}, {"cover.csv", "cover.json", "cover_summary.json"}),
+            ("sweep", {"depth": 2, "theta_grid": 8}, {"sweep.csv", "sweep_summary.json"}),
+            ("incidence", {"deltas": [2.0**-3]}, {"incidence.csv", "incidence_summary.json"}),
+            (
+                "decouple",
+                {"deltas": [2.0**-4], "n_seeds": 1},
+                {"decouple.csv", "decouple_summary.json"},
+            ),
+        ],
+    )
+    def test_outputs_are_numbers_only(self, tmp_path, command, raw, files):
+        assert run(command, raw, tmp_path) == 0
+        assert {p.name for p in tmp_path.iterdir()} == files
+
 
 #: small valid values per config key, so that a valid run takes milliseconds
 TINY = {
@@ -217,16 +237,16 @@ class TestCliProcess:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"depth": 3, "theta_grid": 24}))
         a = run_cli(
-            ["sweep", "--config", str(cfg), "--set", "seed=1", "--out", str(tmp_path / "a")]
+            ["sweep", "--config", str(cfg), "--set", "margin=0.2", "--out", str(tmp_path / "a")]
         )
         assert a.returncode == 0, a.stderr
         b = run_cli(
-            ["sweep", "--config", str(cfg), "--set", "seed=1", "--out", str(tmp_path / "b")]
+            ["sweep", "--config", str(cfg), "--set", "margin=0.2", "--out", str(tmp_path / "b")]
         )
         assert b.returncode == 0
         assert hash_dir(tmp_path / "a") == hash_dir(tmp_path / "b")
         summary = json.loads((tmp_path / "a" / "sweep_summary.json").read_text())
-        assert summary["config"]["seed"] == 1
+        assert summary["config"]["margin"] == 0.2
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -245,6 +265,17 @@ class TestCliProcess:
         r = run_cli(["sweep", "--config", str(tmp_path / "nope.json")])
         assert r.returncode == 2
         assert json.loads(r.stdout)["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize(
+        "content", [b"[1, 2]", b"3", b'"depth"', b"null", b"\xff\xfe{}"]
+    )
+    def test_config_file_not_a_json_object(self, tmp_path, capsys, content):
+        # anything but a JSON object in UTF-8 is a config error, never a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "config"
+        assert not (tmp_path / "o").exists()
 
     def test_main_entrypoint_direct(self, tmp_path, capsys):
         code = main(["gen", "--set", "depth=3", "--out", str(tmp_path)])

@@ -521,9 +521,13 @@ class TestCapRange:
             cap_restrict(g, bad, geo16)
 
     @pytest.mark.parametrize("directions", [[3.5], [1.0, 2.0], [True]])
-    def test_non_integer_directions_rejected(self, directions):
+    def test_non_integer_directions_rejected(self, geo16, directions):
         with pytest.raises(ConfigurationError, match="integers"):
             CapSubset(t=0.5, directions=np.array(directions))
+        # cap_restrict takes a bare id; 3.5 matches no cap and would give zero
+        g = random_cap_function(geo16, CapSubset(t=0.5, directions=np.array([3])), seed=0)
+        with pytest.raises(ConfigurationError, match="integers"):
+            cap_restrict(g, directions[0], geo16)
 
 
 @pytest.mark.parametrize("call", ["decoupling_ratio", "wave_envelope_rhs"])
