@@ -26,7 +26,6 @@ from .projection import (
     box_dimension,
     exceptional_sweep,
     project_line,
-    select_scale,
     theorem_bound,
 )
 from .incidence import (
@@ -34,7 +33,6 @@ from .incidence import (
     heavy_subset,
     incidence_count,
     random_admissible_config,
-    slabs_from_covering,
     verify_incidence_bound,
 )
 from .fourier import (

@@ -46,12 +46,6 @@ class Covering:
     def cube_count(self) -> int:
         return int(sum(len(idx) for idx in self.levels.values()))
 
-    def single_level(self) -> int:
-        ks = [k for k, idx in self.levels.items() if len(idx)]
-        if len(ks) != 1:
-            raise ConfigurationError(f"covering spans levels {sorted(ks)}, need one")
-        return ks[0]
-
 
 @dataclass(frozen=True)
 class CoveringReport:
@@ -81,6 +75,8 @@ def greedy_cover(
     inside the permitted range.
     """
     k_max = x.level
+    if min_level < 0:
+        raise RangeError(f"min_level must be >= 0, got {min_level}")
     if min_level >= k_max:
         raise RangeError(f"min_level {min_level} >= finest level {k_max}")
     if len(x) == 0:
@@ -132,17 +128,6 @@ def greedy_cover(
             f"{min_level}: witness {report.witness}"
         )
     return cov
-
-
-def single_level_covering(x: PointSet, s: float, level: Optional[int] = None) -> Covering:
-    """The trivial covering of x by its own cubes at one level (default finest)."""
-    k = x.level if level is None else level
-    if level is not None and level > x.level:
-        raise RangeError("covering level cannot be finer than the lattice")
-    anc = x.indices >> (x.level - k)
-    cubes = anc[group_rows(anc)[0]]
-    budget = len(cubes) * (2.0**-k) ** s
-    return Covering(x.ambient_dim, s, budget, {k: cubes}, target=x)
 
 
 def validate_covering(c: Covering) -> CoveringReport:
@@ -250,11 +235,18 @@ def covering_to_json(c: Covering) -> str:
 
 
 def covering_from_json(text: str, ambient_dim: int) -> Covering:
-    payload = json.loads(text)
-    levels = {
-        int(entry["k"]): np.asarray(entry["cubes"], dtype=np.int64).reshape(
-            len(entry["cubes"]), ambient_dim
-        )
-        for entry in payload["levels"]
-    }
-    return Covering(ambient_dim, float(payload["s"]), float(payload["epsilon"]), levels)
+    """Read a `covering_to_json` payload; a malformed one raises ConfigurationError."""
+    try:
+        payload = json.loads(text)
+        s, epsilon = float(payload["s"]), float(payload["epsilon"])
+        levels = {}
+        for entry in payload["levels"]:
+            k, cubes = entry["k"], entry["cubes"]
+            rows = np.asarray(cubes) if len(cubes) else np.empty((0, ambient_dim), np.int64)
+            integer_rows = rows.dtype.kind == "i" and rows.shape == (len(cubes), ambient_dim)
+            if type(k) is not int or k < 0 or not integer_rows:
+                raise ValueError(f"level {k!r} needs k >= 0 and rows of {ambient_dim} integers")
+            levels[k] = rows.astype(np.int64, copy=False)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise ConfigurationError(f"malformed covering JSON: {exc!r}") from None
+    return Covering(ambient_dim, s, epsilon, levels)

@@ -30,14 +30,13 @@ class Curve:
 
     `eval_fn` maps an array of parameters to unit vectors, shape (n, 3).
     When `d1`/`d2` are None, derivatives fall back to central finite
-    differences with step `h`.  Instances are immutable and safe to share.
+    differences with step `FD_STEP`.  Instances are immutable and safe to share.
     """
 
     label: str
     eval_fn: Callable[[np.ndarray], np.ndarray]
     d1: Optional[Callable[[np.ndarray], np.ndarray]] = None
     d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    h: float = FD_STEP
 
     def points(self, thetas: np.ndarray) -> np.ndarray:
         return self.eval_fn(np.asarray(thetas, dtype=float))
@@ -46,7 +45,7 @@ class Curve:
         thetas = np.asarray(thetas, dtype=float)
         if self.d1 is not None:
             return self.d1(thetas)
-        return (self.eval_fn(thetas + self.h) - self.eval_fn(thetas - self.h)) / (2 * self.h)
+        return (self.eval_fn(thetas + FD_STEP) - self.eval_fn(thetas - FD_STEP)) / (2 * FD_STEP)
 
     def deriv2(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -54,7 +53,7 @@ class Curve:
             return self.d2(thetas)
         # second differences divide by h^2, so the step widens to sqrt(h)
         # to keep round-off at the same level as the first derivative
-        h2 = math.sqrt(self.h)
+        h2 = math.sqrt(FD_STEP)
         return (
             self.eval_fn(thetas + h2)
             - 2 * self.eval_fn(thetas)
@@ -192,8 +191,8 @@ def validate_direction_net(net: DirectionNet):
     k = dyadic_level(net.delta)
     idx = np.sort(net.indices)
     separated = bool(idx.size < 2 or np.min(np.diff(idx)) >= 1)
-    worst, witness = spacing_scan(idx, k, net.t)
-    return separated, worst, witness
+    worst, (r, corner) = spacing_scan(idx[:, None], k, net.t)
+    return separated, worst, (r, corner[0])
 
 
 def direction_net(curve: Curve, delta: float, t: float, seed: int) -> DirectionNet:

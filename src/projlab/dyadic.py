@@ -6,7 +6,9 @@ The level-l ancestor of a level-k cell is `indices >> (k - l)` (a floor, so
 negative ball-domain indices need no shift), and every grouping of cells
 by equality or by ancestor goes through `group_rows`, which numbers the
 groups in lexicographic row order (`projection.project_line` counts a dense
-1-D index range with `np.bincount` instead).
+1-D index range with `np.bincount` instead).  Every (delta, s) spacing
+check, of point sets, direction nets and cap subsets alike, is one
+`spacing_scan` over lattice rows.
 """
 
 from __future__ import annotations
@@ -44,25 +46,58 @@ def max_window_count(indices: np.ndarray, length: float) -> tuple[int, int]:
     return int(counts[best]), int(indices[best])
 
 
-def spacing_scan(indices: np.ndarray, k: int, exponent: float):
-    """Exhaustive (delta, s)-condition scan of a sorted 1-D index set.
+def max_cube_count(rows: np.ndarray, length: int) -> tuple[int, tuple]:
+    """Max number of lattice rows in a closed axis-aligned cube of side `length`.
+
+    `rows` has shape (n, d) and is in lexicographic order.  Returns (count,
+    corner) with corner the cube's lower lattice corner.  Corner candidates
+    are taken from the point coordinates per axis: sliding an optimal window
+    until each lower face touches a point never decreases the count, so
+    this equals the max over all lattice anchor positions.  In 1-D this is
+    `max_window_count`.
+    """
+    n, d = rows.shape
+    if n == 0:
+        return 0, (0,) * d
+    if d == 1:
+        c, start = max_window_count(rows[:, 0], length)
+        return c, (start,)
+    best, bwit = 0, (0,) * d
+    xs = np.unique(rows[:, 0])
+    order = np.argsort(rows[:, 0], kind="stable")
+    sorted_rows = rows[order]
+    col0 = sorted_rows[:, 0]
+    for x in xs:
+        lo = np.searchsorted(col0, x, side="left")
+        hi = np.searchsorted(col0, x + length, side="right")
+        sub = np.array(sorted(map(tuple, sorted_rows[lo:hi, 1:])), dtype=np.int64)
+        c, wit = max_cube_count(sub, length)
+        if c > best:
+            best, bwit = c, (int(x),) + wit
+    return best, bwit
+
+
+def spacing_scan(rows: np.ndarray, k: int, exponent: float):
+    """Exhaustive (delta, s)-condition scan of lattice rows, shape (n, d).
 
     For every dyadic r = 2**-m (0 <= m <= k, i.e. delta <= r <= 1) and every
-    window position on the delta-lattice, compares the point count in the
-    closed length-r window against (r/delta)**exponent.
+    position on the delta-lattice, compares the point count in the closed
+    axis-aligned cube of side r against (r/delta)**exponent.  Rows must be
+    in lexicographic order.
 
-    Returns (worst_ratio, witness) with witness = (r, window_start_value).
+    Returns (worst_ratio, witness) with witness = (r, corner), corner the
+    lower corner's coordinates (index * delta) of the first worst cube.
     """
     worst = 0.0
-    witness = (1.0, 0.0)
     delta = 2.0 ** (-k)
+    witness = (1.0, (0.0,) * rows.shape[1])
     for m in range(k + 1):
         length = 2 ** (k - m)
-        count, start = max_window_count(indices, length)
+        count, corner = max_cube_count(rows, length)
         ratio = count / float(length) ** exponent
         if ratio > worst:
             worst = ratio
-            witness = (2.0 ** (-m), start * delta)
+            witness = (2.0 ** (-m), tuple(c * delta for c in corner))
     return worst, witness
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import dyadic_level, group_rows, max_window_count
+from .dyadic import dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -67,7 +67,7 @@ class PointSet:
             w = np.asarray(w, dtype=float)
             if w.shape != (idx.shape[0],):
                 raise ConfigurationError("need one weight per cell")
-            if np.any(w < 0):
+            if not np.all(w >= 0):  # also catches NaN
                 raise ConfigurationError("weights must be nonnegative")
             if abs(w.sum() - 1.0) > 1e-10:
                 raise ConfigurationError("weights must sum to 1")
@@ -259,34 +259,6 @@ class DeltaSetReport:
     threshold: float
 
 
-def _window_max(points: np.ndarray, length: int) -> tuple[int, tuple]:
-    """Exact max count of points in a closed axis-aligned cube of side length.
-
-    Corner candidates are taken from the point coordinates per axis: sliding
-    an optimal window until each lower face touches a point never decreases
-    the count, so this equals the max over all lattice anchor positions.
-    """
-    n, d = points.shape
-    if n == 0:
-        return 0, (0,) * d
-    if d == 1:
-        c, start = max_window_count(points[:, 0], length)
-        return c, (start,)
-    best, bwit = 0, (0,) * d
-    xs = np.unique(points[:, 0])
-    order = np.argsort(points[:, 0], kind="stable")
-    sorted_pts = points[order]
-    col0 = sorted_pts[:, 0]
-    for x in xs:
-        lo = np.searchsorted(col0, x, side="left")
-        hi = np.searchsorted(col0, x + length, side="right")
-        sub = np.array(sorted(map(tuple, sorted_pts[lo:hi, 1:])), dtype=np.int64)
-        c, wit = _window_max(sub, length)
-        if c > best:
-            best, bwit = c, (int(x),) + wit
-    return best, bwit
-
-
 def validate_delta_s_set(p: PointSet, s: float) -> DeltaSetReport:
     """Exhaustive Definition-style scan of the (delta, s) spacing condition.
 
@@ -296,22 +268,13 @@ def validate_delta_s_set(p: PointSet, s: float) -> DeltaSetReport:
     count / (r/delta)^s; the verdict threshold is 4^ambient_dim, i.e. 64
     for sets in R^3.
     """
-    k = p.level
     threshold = 4.0**p.ambient_dim
-    worst, wit_r, wit_corner = 0.0, 1.0, (0,) * p.ambient_dim
-    for m in range(k + 1):
-        length = 2 ** (k - m)
-        count, corner = _window_max(p.indices, length)
-        ratio = count / float(length) ** s
-        if ratio > worst:
-            worst = ratio
-            wit_r = 2.0**-m
-            wit_corner = corner
+    worst, (r, corner) = spacing_scan(p.indices, p.level, s)
     return DeltaSetReport(
         valid=bool(worst <= threshold),
         worst_constant=worst,
-        witness_r=wit_r,
-        witness_corner=tuple(c * p.delta for c in wit_corner),
+        witness_r=r,
+        witness_corner=corner,
         threshold=threshold,
     )
 
@@ -387,28 +350,6 @@ def extract_delta_s_set(p: PointSet, s: float, content_estimate: float) -> Point
     )
 
 
-def rebase_unit_interval(p: PointSet):
-    """Map a 1-D ball-domain set on [-1,1] affinely onto [0,1].
-
-    Returns (rebased cube-domain PointSet at delta/2, (scale, shift)) with
-    physical value = scale * rebased value + shift.  The map v -> (v+1)/2
-    keeps cells on the (halved) lattice exactly.
-    """
-    if p.ambient_dim != 1 or p.domain != "ball":
-        raise ConfigurationError("rebase_unit_interval expects a 1-D ball-domain set")
-    k = p.level
-    idx = p.indices + 2**k
-    out = PointSet(
-        1,
-        p.delta / 2,
-        idx,
-        weights=p.weights,
-        nominal_dim=p.nominal_dim,
-        domain="cube",
-    )
-    return out, (2.0, -1.0)
-
-
 # ----------------------------------------------------------------------------
 # serialization
 
@@ -453,12 +394,19 @@ def load_csv(path) -> PointSet:
         rows = [[float(v) for v in ln.split(",")] for ln in lines[2:]]
     except ValueError as exc:
         raise ConfigurationError(f"non-numeric field: {exc}") from None
+    if dim < 1:
+        raise ConfigurationError(f"dim must be at least 1, got {dim}")
+    dyadic_level(delta)
     widths = {len(r) for r in rows}
     if len(widths) > 1 or not widths <= {dim, dim + 1}:
         raise ConfigurationError(f"every data row needs the same {dim} or {dim + 1} fields")
     has_w = widths == {dim + 1}
-    idx = np.array([[round(v / delta) for v in r[:dim]] for r in rows], dtype=np.int64)
-    idx = idx.reshape(len(rows), dim)
-    weights = np.array([r[dim] for r in rows]) if has_w else None
+    fields = np.array(rows, dtype=float).reshape(len(rows), dim + has_w)
+    coords = fields[:, :dim]
+    # int64 holds every index below 2^62; NaN fails the comparison too
+    if not np.all(np.abs(coords) < 2.0**62 * delta):
+        raise ConfigurationError("coordinates must be finite and at most 2^62 cells from 0")
+    idx = np.round(coords / delta).astype(np.int64)
+    weights = fields[:, dim] if has_w else None
     domain = meta.get("domain", "ball" if (len(idx) and idx.min() < 0) else "cube")
     return PointSet(dim, delta, idx, weights=weights, nominal_dim=nominal_dim, domain=domain)

@@ -13,16 +13,14 @@ which changes no comparison, so it would count the same matrix.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .covering import Covering
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
-from .dyadic import dyadic_level, group_rows, max_window_count
+from .dyadic import dyadic_level, group_rows
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -42,7 +40,8 @@ class SlabFamily:
 
     A point x lies in the slab at offset c iff |x . gamma(theta) - c| <=
     thickness/2 and |x| <= 1.  The spacing hypotheses on the offsets are
-    not stored: `scan_slab_family` measures the ball condition on request.
+    neither stored nor checked; the generator's offsets satisfy them by
+    construction.
     """
 
     theta: float
@@ -65,28 +64,6 @@ def _in_band(fam: SlabFamily, proj: np.ndarray) -> np.ndarray:
     return hi > lo
 
 
-def scan_slab_family(
-    offsets: np.ndarray, thickness: float, delta: float, s: float
-):
-    """Exhaustive ball-intersection scan of a slab family.
-
-    A ball B(p, r) meets the slab at offset c iff |p.gamma - c| <= r + th/2,
-    so for each dyadic r = 2^-m (delta <= r <= 1) the scan slides a closed
-    window of length 2r + thickness across the sorted offsets and compares
-    the most slabs it holds with (r/delta)^s.  Returns (worst_ratio,
-    witness_r); an empty family gives (0.0, 1.0).
-    """
-    k = dyadic_level(delta)
-    worst, wit = 0.0, 1.0
-    for m in range(k + 1):
-        r = 2.0**-m
-        count, _ = max_window_count(offsets, 2 * r + thickness)
-        ratio = count / (r / delta) ** s
-        if ratio > worst:
-            worst, wit = float(ratio), r
-    return worst, wit
-
-
 def make_family(theta: float, offsets, delta: float, s: float) -> SlabFamily:
     """The family of delta-slabs at the given offsets, sorted.
 
@@ -98,27 +75,6 @@ def make_family(theta: float, offsets, delta: float, s: float) -> SlabFamily:
     if offs.size and np.max(np.abs(offs)) > 1.0:
         raise ConfigurationError("slab offsets must satisfy |offset| <= 1")
     return SlabFamily(theta=theta, s=s, offsets=offs, thickness=delta)
-
-
-def slabs_from_covering(
-    cov: Covering,
-    theta: float,
-    axis=(1.0, 0.0),
-) -> SlabFamily:
-    """One slab per interval of a single-level 1-D covering.
-
-    `axis` = (scale, shift) maps covering coordinates u to physical values
-    scale*u + shift (identity by default); offsets are interval centers and
-    the interval length is the family's delta, hence its thickness.  A
-    multi-level covering is rejected.
-    """
-    if cov.ambient_dim != 1:
-        raise ConfigurationError("slab families come from 1-D coverings")
-    j = cov.single_level()
-    scale, shift = axis
-    centers = (cov.levels[j][:, 0].astype(float) + 0.5) * 2.0**-j
-    offsets = scale * centers + shift
-    return make_family(theta, offsets, delta=scale * 2.0**-j, s=cov.s)
 
 
 @dataclass(frozen=True)
@@ -224,18 +180,6 @@ class IncidenceReport:
     theta_count: int
     ceiling_ok: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "fitted_C": self.fitted_c,
-                "heavy_count": self.heavy_count,
-                "theta_count": self.theta_count,
-            },
-            sort_keys=True,
-        )
-
 
 def verify_incidence_bound(
     cfg: IncidenceConfig, curve: Curve, epsilon: float = 0.1
@@ -292,31 +236,6 @@ class IncidenceSpec:
     t: float
     seed: int
     curve: str = "model"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "s": self.s,
-                "t": self.t,
-                "seed": self.seed,
-                "curve": self.curve,
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "IncidenceSpec":
-        """Keys other than the five fields (such as `mode` and `generator`,
-        which older payloads carry) are ignored."""
-        d = json.loads(text)
-        return IncidenceSpec(
-            delta=float(d["delta"]),
-            s=float(d["s"]),
-            t=float(d["t"]),
-            seed=int(d["seed"]),
-            curve=d.get("curve", "model"),
-        )
 
 
 def _offset_delta_s_set(k: int, s: float, rng) -> np.ndarray:

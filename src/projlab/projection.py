@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import Covering
 from .curve import Curve
-from .dyadic import group_rows, rows_in
-from .errors import ConfigurationError, InconsistencyError, RangeError
+from .dyadic import group_rows
+from .errors import ConfigurationError, RangeError
 from .fractal import PointSet
 
 #: default dimension-decision margin: est_dim < s - margin flags theta
@@ -26,8 +25,7 @@ DEFAULT_MARGIN = 0.1
 class DimensionFit:
     """Box-counting fit: slope of log2 N(r) against log2(1/r)."""
 
-    scales: np.ndarray  # dyadic r, descending
-    counts: np.ndarray  # N(r), non-decreasing as r shrinks
+    counts: np.ndarray  # N(r) at dyadic r, descending; non-decreasing as r shrinks
     slope: float
     r2: float
 
@@ -105,41 +103,10 @@ def box_dimension(p: PointSet, r_min: float, r_max: float) -> DimensionFit:
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return DimensionFit(
-        scales=2.0 ** (-ms.astype(float)),
         counts=counts,
         slope=float(slope),
         r2=float(r2),
     )
-
-
-def select_scale(cov: Covering, weighted: PointSet) -> int:
-    """Smallest covering level j whose cubes capture mass >= 1/(10 j^2).
-
-    `weighted` must be a weighted set on the same coordinate axis as the
-    covering; a level always exists because the per-level masses sum to 1
-    while sum_j 1/(10 j^2) < 1.
-    """
-    if weighted.weights is None:
-        raise ConfigurationError("select_scale needs a weighted set")
-    k = weighted.level
-    cells = weighted.indices
-    remaining = np.ones(len(cells), dtype=bool)
-    masses = {}
-    for j in sorted(cov.levels):
-        idx = cov.levels[j]
-        if j > k:
-            raise InconsistencyError("covering finer than the set lattice")
-        hit = rows_in(cells >> (k - j), idx)
-        masses[j] = float(weighted.weights[hit & remaining].sum())
-        remaining &= ~hit
-    if remaining.any():
-        raise InconsistencyError(
-            f"covering misses cells of total mass {weighted.weights[remaining].sum():.3g}"
-        )
-    for j in sorted(masses):
-        if j >= 1 and masses[j] >= 1.0 / (10 * j * j):
-            return j
-    raise InconsistencyError("pigeonhole failed; covering masses inconsistent")
 
 
 def theorem_bound(s: float, alpha: float) -> float:

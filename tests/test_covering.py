@@ -12,7 +12,7 @@ from projlab.covering import (
     greedy_cover,
     validate_covering,
 )
-from projlab.errors import InfeasibleError, RangeError
+from projlab.errors import ConfigurationError, InfeasibleError, RangeError
 from projlab.fractal import PointSet, cantor_1d, full_grid
 
 
@@ -83,6 +83,11 @@ class TestGreedyCover:
     def test_degenerate_range(self):
         with pytest.raises(RangeError):
             greedy_cover(full_grid(4), 0.5, 1.0, min_level=4)
+
+    def test_negative_min_level_rejected(self):
+        # level -2 cubes have side 4; the call used to return one
+        with pytest.raises(RangeError, match="min_level must be >= 0"):
+            greedy_cover(full_grid(3), 0.5, 100.0, min_level=-3)
 
     def test_deterministic(self):
         p = cantor_1d(1 / 3, 5)
@@ -182,3 +187,28 @@ class TestSerialization:
         assert back.epsilon == cov.epsilon
         for k in cov.levels:
             assert np.array_equal(back.levels[k], cov.levels[k])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"s": 0.5}',
+            '{"s": 0.5, "epsilon": 1.0, "levels": [{"k": 2, "cubes": [[1, 2, 3]]}]}',
+            '{"s": 0.5, "epsilon": 1.0, "levels": [{"k": 2, "cubes": [[1.5, 2]]}]}',
+            '{"s": 0.5, "epsilon": 1.0, "levels": [{"k": 2.5, "cubes": [[1, 2]]}]}',
+            '{"s": 0.5, "epsilon": 1.0, "levels": [{"k": 2, "cubes": [[1], [1, 2]]}]}',
+            '{"s": 0.5, "epsilon": 1.0, "levels": [{"k": 2, "cubes": [[true, false]]}]}',
+            '{"s": 0.5, "epsilon": 1.0, "levels": 3}',
+            '{"s": "x", "epsilon": 1.0, "levels": []}',
+            "{",
+        ],
+        ids=[
+            "list", "missing_keys", "wide_cube", "fractional_index", "fractional_level",
+            "ragged_cubes", "boolean_index", "levels_not_a_list", "non_numeric_s", "not_json",
+        ],
+    )
+    def test_malformed_json_rejected(self, text):
+        # these raised TypeError, KeyError or ValueError, or (1.5) truncated
+        # the index to 1
+        with pytest.raises(ConfigurationError, match="malformed covering JSON"):
+            covering_from_json(text, 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from projlab import curve, fourier
+from projlab import curve, fourier, fractal
 from projlab.curve import frame, great_circle, model_curve
 from projlab.dyadic import spacing_scan
 from projlab.errors import (
@@ -474,15 +474,15 @@ def test_transform_counts(geo16, monkeypatch):
 
 def test_one_spacing_scan_per_decouple_item(geo16, monkeypatch):
     # tspacing_subsample builds on direction_net's window caps, so only
-    # decoupling_ratio's precondition check scans the spacing; curve and
-    # fourier are the modules that import spacing_scan
+    # decoupling_ratio's precondition check scans the spacing; curve,
+    # fractal and fourier are the modules that import spacing_scan
     calls = []
 
     def counted(*args):
         calls.append(args)
         return spacing_scan(*args)
 
-    for module in (curve, fourier):
+    for module in (curve, fractal, fourier):
         monkeypatch.setattr(module, "spacing_scan", counted)
     sub = tspacing_subsample(geo16, 0.5, seed=1)
     g = random_cap_function(geo16, sub, seed=2)
@@ -502,7 +502,7 @@ class TestTspacing:
         geo = cached_geometry(64)
         sub = tspacing_subsample(geo, 0.5, seed=1)
         assert len(sub) == 8  # laminar rank at delta = 2^-6, t = 1/2
-        assert spacing_scan(sub.directions, 6, 0.5)[0] <= 64
+        assert spacing_scan(sub.directions[:, None], 6, 0.5)[0] <= 64
 
 
 class TestCapRange:

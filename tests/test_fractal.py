@@ -21,7 +21,6 @@ from projlab.fractal import (
     ifs_attractor,
     load_csv,
     product_set,
-    rebase_unit_interval,
     save_csv,
     similarity_dimension,
     validate_delta_s_set,
@@ -348,6 +347,18 @@ class TestWeights:
                 nominal_dim=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[math.nan], [0.5, math.nan], [math.inf, math.nan]],
+        ids=["nan", "half_nan", "inf_nan"],
+    )
+    def test_nan_weights_rejected(self, weights):
+        # NaN compares False both with `w < 0` and with the sum check, so a
+        # NaN weight used to pass, and frostman_constant then returned 0.0
+        idx = np.arange(len(weights))[:, None]
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            PointSet(1, 0.25, idx, weights=np.array(weights), nominal_dim=0.5)
+
     def test_weights_attach_without_nominal_dim_but_scan_needs_it(self):
         # the constant is computed on request only, so attaching weights to a
         # set without dimension metadata succeeds and the scan itself refuses
@@ -432,12 +443,30 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("0,0.25,cube,1.0\n0.5\n", "dim must be at least 1"),
+            ("1,0.25,cube,1.0\nnan\n", "finite"),
+            ("1,0.25,cube,1.0\ninf\n", "finite"),
+            ("1,0.25,cube,1.0\n1e300\n", "2\\^62"),
+            ("2,0.25,cube,1.0\n0.5,-1e300\n", "2\\^62"),
+            ("1,0.25,cube,1.0\n0.5,nan\n", "nonnegative"),
+        ],
+        ids=["dim_zero", "nan_coordinate", "inf_coordinate", "huge", "huge_negative", "nan_weight"],
+    )
+    def test_unreadable_values_rejected(self, tmp_path, text, match):
+        # these raised numpy's ValueError ("zero-size array"), ValueError
+        # (NaN to integer) and OverflowError (int64) before
+        path = tmp_path / "bad.csv"
+        path.write_text("dim,delta,domain,nominal_dim\n" + text)
+        with pytest.raises(ConfigurationError, match=match):
+            load_csv(path)
 
-class TestRebase:
-    def test_affine_map(self):
-        idx = np.array([[-4], [0], [3]])
-        p = PointSet(1, 2.0**-2, idx, nominal_dim=0.5, domain="ball")
-        q, (scale, shift) = rebase_unit_interval(p)
-        assert q.domain == "cube"
-        assert q.delta == 2.0**-3
-        assert np.allclose(scale * q.values + shift, p.values)
+    @pytest.mark.parametrize("delta", ["0", "nan"])
+    def test_non_dyadic_delta_rejected_before_the_rows(self, tmp_path, delta):
+        # delta = 0 used to divide by zero on the first row
+        path = tmp_path / "bad.csv"
+        path.write_text(f"dim,delta,domain,nominal_dim\n1,{delta},cube,1.0\n0.5\n")
+        with pytest.raises(DomainError, match="delta"):
+            load_csv(path)

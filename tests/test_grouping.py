@@ -6,12 +6,17 @@ tuples), `oracle_validate_covering` (sets of tuples) and
 `oracle_extract_delta_s_set` (the per-child budget loop).  Each new
 implementation must give exactly the oracle's result on small random sets
 in 1-D, 2-D and 3-D, on cube and ball domains.
+
+The two spacing scans that `dyadic.spacing_scan` merged live on here too:
+`oracle_spacing_scan` (the 1-D scan of sorted indices that direction nets
+and cap subsets ran) and `oracle_validate_delta_s_set` (the point-set
+verdict's own loop over the window sides).
 """
 
 import math
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,7 +27,8 @@ from projlab.covering import (
     greedy_cover,
     validate_covering,
 )
-from projlab.dyadic import group_rows, rows_in
+from projlab.curve import DirectionNet, validate_direction_net
+from projlab.dyadic import group_rows, max_cube_count, max_window_count, rows_in, spacing_scan
 from projlab.errors import (
     ConfigurationError,
     InconsistencyError,
@@ -30,7 +36,13 @@ from projlab.errors import (
     ProjLabError,
     RangeError,
 )
-from projlab.fractal import PointSet, extract_delta_s_set, frostman_constant
+from projlab.fractal import (
+    DeltaSetReport,
+    PointSet,
+    extract_delta_s_set,
+    frostman_constant,
+    validate_delta_s_set,
+)
 
 MAX_LEVEL = {1: 6, 2: 4, 3: 3}
 
@@ -219,13 +231,49 @@ def oracle_extract_delta_s_set(p, s, content_estimate):
     return p.indices[keep]
 
 
+def oracle_spacing_scan(indices, k, exponent):
+    """The 1-D scan of a sorted index array, witness (r, window start)."""
+    worst = 0.0
+    witness = (1.0, 0.0)
+    delta = 2.0 ** (-k)
+    for m in range(k + 1):
+        length = 2 ** (k - m)
+        count, start = max_window_count(indices, length)
+        ratio = count / float(length) ** exponent
+        if ratio > worst:
+            worst = ratio
+            witness = (2.0 ** (-m), start * delta)
+    return worst, witness
+
+
+def oracle_validate_delta_s_set(p, s):
+    k = p.level
+    threshold = 4.0**p.ambient_dim
+    worst, wit_r, wit_corner = 0.0, 1.0, (0,) * p.ambient_dim
+    for m in range(k + 1):
+        length = 2 ** (k - m)
+        count, corner = max_cube_count(p.indices, length)
+        ratio = count / float(length) ** s
+        if ratio > worst:
+            worst = ratio
+            wit_r = 2.0**-m
+            wit_corner = corner
+    return DeltaSetReport(
+        valid=bool(worst <= threshold),
+        worst_constant=worst,
+        witness_r=wit_r,
+        witness_corner=tuple(c * p.delta for c in wit_corner),
+        threshold=threshold,
+    )
+
+
 @st.composite
-def point_sets(draw, weighted=False):
+def point_sets(draw, weighted=False, allow_empty=False):
     """Random subsets of a box on the cube or the ball domain, in 1-D to 3-D.
 
     The box has a random dyadic side, so the clusters that force covering
     merges are common.  Weights, when asked for, are small integers, so
-    ties are common too.
+    ties are common too.  Empty subsets are drawn only when allowed.
     """
     d = draw(st.sampled_from([1, 2, 3]))
     k = draw(st.integers(1, MAX_LEVEL[d]))
@@ -238,7 +286,7 @@ def point_sets(draw, weighted=False):
     idx = box[rng.random(len(box)) < draw(st.floats(0.05, 1.0))]
     if domain == "ball":
         idx = idx[(idx**2).sum(axis=1) <= 4**k]
-    assume(len(idx) > 0)
+    assume(allow_empty or len(idx) > 0)
     p = PointSet(d, 2.0**-k, idx, nominal_dim=float(d), domain=domain)
     if weighted:
         w = rng.integers(1, 4, size=len(p))
@@ -354,3 +402,39 @@ def test_frostman_constant_matches_tuple_masses(p):
             mass[tuple(row)] = mass.get(tuple(row), 0.0) + w
         worst = max(worst, max(mass.values()) / (2.0**-l) ** p.nominal_dim)
     assert frostman_constant(p) == worst
+
+
+SPACING_EXPONENTS = st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.7, 2.5])
+
+
+@given(point_sets(allow_empty=True), SPACING_EXPONENTS)
+@example(PointSet(1, 0.25, np.zeros((0, 1), dtype=np.int64)), 0.5)
+@example(PointSet(3, 0.5, np.zeros((0, 3), dtype=np.int64), domain="ball"), 0.0)
+@example(PointSet(2, 0.125, np.array([[3, 5]])), 0.0)  # ties at every side
+def test_spacing_scan_matches_both_old_scans(p, s):
+    report = validate_delta_s_set(p, s)
+    assert report == oracle_validate_delta_s_set(p, s)
+    worst, (r, corner) = spacing_scan(p.indices, p.level, s)
+    assert (worst, r, corner) == (
+        report.worst_constant, report.witness_r, report.witness_corner
+    )
+    if p.ambient_dim == 1:
+        assert (worst, (r, corner[0])) == oracle_spacing_scan(p.indices[:, 0], p.level, s)
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, 2**k), max_size=2**k + 2))
+    ),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+@example((3, []), 0.5)
+@example((2, [1, 1]), 0.0)
+def test_validate_direction_net_matches_old_scan(k_cells, t):
+    # duplicates allowed, so unseparated nets are drawn too
+    k, cells = k_cells
+    delta = 2.0**-k
+    net = DirectionNet(delta, t, np.array(cells, dtype=np.int64) * delta)
+    idx = np.sort(net.indices)
+    separated = bool(idx.size < 2 or np.min(np.diff(idx)) >= 1)
+    assert validate_direction_net(net) == (separated, *oracle_spacing_scan(idx, k, t))

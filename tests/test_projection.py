@@ -7,17 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projlab import projection
-from projlab.covering import Covering, greedy_cover
 from projlab.curve import frame, model_curve, named_curve
 from projlab.dyadic import group_rows
-from projlab.errors import DomainError, InconsistencyError, RangeError
+from projlab.errors import DomainError, RangeError
 from projlab.fractal import PointSet, cantor_1d, full_grid, product_set
 from projlab.projection import (
     box_counts,
     box_dimension,
     exceptional_sweep,
     project_line,
-    select_scale,
     theorem_bound,
 )
 
@@ -203,72 +201,6 @@ class TestBoxDimension:
     def test_too_few_scales(self):
         with pytest.raises(RangeError):
             box_dimension(full_grid(4), 2.0**-3, 2.0**-2)
-
-
-class TestSelectScale:
-    def test_single_level_mass(self):
-        cells = np.arange(8)[:, None]
-        p = PointSet(1, 2.0**-6, cells, nominal_dim=1.0).with_uniform_weights()
-        cov = Covering(1, 0.5, 1.0, {3: np.array([[0]])}, target=p)
-        assert select_scale(cov, p) == 3
-
-    def test_uniform_shares_pick_level_two(self):
-        # mass 0.1 at each level j = 2..11: the level-j cube is the dyadic
-        # interval [2^-j, 2^(1-j)), its cell sits at the left endpoint
-        k = 12
-        cells = np.array([[2 ** (k - j)] for j in range(2, 12)])
-        p = PointSet(1, 2.0**-k, cells, nominal_dim=1.0).with_weights(
-            np.full(10, 0.1)
-        )
-        levels = {j: np.array([[1]]) for j in range(2, 12)}
-        cov = Covering(1, 0.5, 10.0, levels, target=p)
-        assert select_scale(cov, p) == 2
-
-    def test_randomized_mass_inequality(self):
-        rng = np.random.default_rng(0)
-        for trial in range(10):
-            k = 8
-            n = 40
-            idx = np.unique(rng.integers(0, 2**k, size=n))[:, None]
-            w = rng.random(len(idx))
-            p = PointSet(1, 2.0**-k, idx, nominal_dim=0.5).with_weights(w / w.sum())
-            cov = greedy_cover(p, 0.9, 1.0, min_level=0)
-            j = select_scale(cov, p)
-            # independent mass recomputation at the returned level
-            cubes = set(map(tuple, cov.levels[j].tolist()))
-            mass = sum(
-                wi
-                for row, wi in zip((p.indices >> (k - j)).tolist(), p.weights)
-                if tuple(row) in cubes
-            )
-            assert mass >= 1.0 / (10 * j * j) - 1e-12
-
-    def test_uncovered_cells_raise(self):
-        p = PointSet(1, 2.0**-4, np.array([[0], [8]]), nominal_dim=0.0).with_uniform_weights()
-        cov = Covering(1, 0.5, 1.0, {2: np.array([[0]])}, target=p)
-        with pytest.raises(InconsistencyError):
-            select_scale(cov, p)
-
-    def test_projection_pipeline_end_to_end(self):
-        # project a low-dimensional weighted set, cover the rebased image,
-        # and check the pigeonholed level satisfies the mass inequality
-        from projlab.fractal import rebase_unit_interval
-
-        c = cantor_1d(0.25, 3)  # dimension 1/2 on one axis
-        single = PointSet(1, c.delta, np.array([[0]]), nominal_dim=0.0)
-        a = product_set(c, single, single)
-        proj = project_line(a, CURVE, 0.3)
-        rebased, (scale, shift) = rebase_unit_interval(proj)
-        cov = greedy_cover(rebased, 0.8, 1.0, min_level=0)
-        j = select_scale(cov, rebased)
-        cubes = set(map(tuple, cov.levels[j].tolist()))
-        anc = rebased.indices >> (rebased.level - j)
-        mass = sum(
-            w for row, w in zip(anc.tolist(), rebased.weights) if tuple(row) in cubes
-        )
-        assert mass >= 1.0 / (10 * j * j)
-        # the rebase transform really inverts: physical = scale*u + shift
-        assert np.allclose(scale * rebased.values + shift, proj.values)
 
 
 class TestSweep:
