@@ -49,6 +49,12 @@ RADIAL_FLOOR = 0.5
 #: fine direction samples per cap for the nearest-direction assignment
 FINE_PER_CAP = 4
 
+#: fine thetas per cell of build_geometry's coarse pruning pass
+_COARSE_STRIDE = 16
+
+#: (relative, absolute) slack of build_geometry's pruning tests, for rounding
+_PRUNE_SLACK = (1e-9, 1e-12)
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -207,15 +213,39 @@ class ConeGeometry:
         return dict(zip(taus, ids))
 
 
+def _segment_dist2(points: np.ndarray, norms2: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to the radial segment [lo, hi] gamma (unit gamma)."""
+    lo, hi = FREQ_SCALE * RADIAL_FLOOR, FREQ_SCALE
+    p = points @ gamma
+    return norms2 - p * p + (p - np.clip(p, lo, hi)) ** 2
+
+
 def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     """Assign every frequency lattice point near the cone to a unique cap.
 
     For each lattice point the closest direction parameter is found on a
     fine grid (FINE_PER_CAP samples per cap, ties to the lower index); the
     point joins the cone neighbourhood when its distance to the radial
-    segment [RADIAL_FLOOR, 1] (in nominal units, embedded at FREQ_SCALE)
+    segment [lo, hi] gamma (lo = FREQ_SCALE * RADIAL_FLOOR, hi = FREQ_SCALE)
     is at most delta, and its cap is the direction holding that parameter,
     so the assignment is a partition by construction.
+
+    The fine search runs only on points that can reach the cone:
+    - radial shell: every point of the segment has norm in [lo, hi], so the
+      distance is at least the gap between |xi| and [lo, hi], and a point
+      with |xi| outside [lo - delta, hi + delta] is off the cone;
+    - coarse angular pass: every _COARSE_STRIDE-th fine theta is a coarse
+      theta, and each fine theta belongs to its nearest one.  With R_c the
+      largest chord |gamma_f - gamma_c| over the fine samples of cell c,
+      the segment at theta_f lies within hi R_c of the segment at theta_c,
+      so dist(theta_f) >= dist(theta_c) - hi R_c.  A point whose
+      dist(theta_c) exceeds delta + hi R_c at every c is off the cone.
+      This needs no derivative, so it holds for finite-difference curves.
+    Both tests carry a relative and an absolute slack (_PRUNE_SLACK) far
+    above the rounding of the squared distances, so no point whose computed
+    fine minimum is at most delta^2 is dropped.  The survivors run the same
+    fine loop, row by row, as the full lattice would, so their distances,
+    tie rule and caps, and hence the assignment, are the same bits.
     """
     k = dyadic_level(delta)
     M = 2**k
@@ -232,18 +262,34 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     thetas = np.linspace(0.0, 1.0, n_fine + 1)
     gammas = curve.points(thetas)
 
-    best = np.full(len(lattice), np.inf)
-    best_theta = np.zeros(len(lattice))
+    rel, tol = _PRUNE_SLACK
     lo, hi = FREQ_SCALE * RADIAL_FLOOR, FREQ_SCALE
+    inner, outer = (lo - delta) ** 2 * (1 - rel) - tol, (hi + delta) ** 2 * (1 + rel) + tol
+    cand = np.flatnonzero((norms2 >= inner) & (norms2 <= outer))
+
+    coarse = np.arange(0, n_fine + 1, _COARSE_STRIDE)
+    nearest = (np.arange(n_fine + 1) + _COARSE_STRIDE // 2) // _COARSE_STRIDE
+    owner = np.minimum(nearest, len(coarse) - 1)
+    chord = np.linalg.norm(gammas - gammas[coarse[owner]], axis=1)
+    reach = np.zeros(len(coarse))
+    np.maximum.at(reach, owner, chord)
+    points, n2 = lattice[cand], norms2[cand]
+    near = np.zeros(len(cand), dtype=bool)
+    for gamma, r in zip(gammas[coarse], reach):
+        near |= _segment_dist2(points, n2, gamma) <= (delta + hi * r) ** 2 * (1 + rel) + tol
+    cand = cand[near]
+
+    points, n2 = lattice[cand], norms2[cand]
+    best = np.full(len(cand), np.inf)
+    best_theta = np.zeros(len(cand))
     for theta, gamma in zip(thetas, gammas):
-        p = lattice @ gamma
-        dist2 = norms2 - p * p + (p - np.clip(p, lo, hi)) ** 2
+        dist2 = _segment_dist2(points, n2, gamma)
         best_theta = np.where(dist2 < best, theta, best_theta)
         best = np.minimum(best, dist2)
 
     on_cone = best <= delta**2
-    di = np.minimum((best_theta / delta).astype(np.int64), M - 1)
-    assignment = np.where(on_cone, di, -1).astype(np.int32)
+    assignment = np.full(len(lattice), -1, dtype=np.int32)
+    assignment[cand[on_cone]] = np.minimum((best_theta[on_cone] / delta).astype(np.int64), M - 1)
 
     dir_thetas = (np.arange(M) + 0.5) * delta
     frames = np.zeros((M, 3, 3))

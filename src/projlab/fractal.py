@@ -46,6 +46,8 @@ class PointSet:
     def __post_init__(self):
         k = dyadic_level(self.delta)
         idx = np.asarray(self.indices, dtype=np.int64)
+        if self.ambient_dim < 1:
+            raise ConfigurationError(f"ambient_dim must be at least 1, got {self.ambient_dim}")
         if idx.ndim != 2 or idx.shape[1] != self.ambient_dim:
             raise ConfigurationError("indices must have shape (n, ambient_dim)")
         if idx.shape[0] > CELL_CAP:
@@ -120,6 +122,8 @@ def frostman_constant(p: PointSet) -> float:
 
 def full_grid(k: int, dim: int = 1) -> PointSet:
     """The full delta-grid of [0,1)^dim at delta = 2^-k."""
+    if dim < 1:
+        raise ConfigurationError(f"dim must be at least 1, got {dim}")
     if k * dim > 24:
         raise CapacityError("full grid would exceed the cell cap")
     axes = [np.arange(2**k, dtype=np.int64)] * dim

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import lru_cache
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projlab import curve, fourier, fractal
-from projlab.curve import frame, great_circle, model_curve
+from projlab.curve import Curve, frame, great_circle, helix_curve, model_curve
 from projlab.dyadic import spacing_scan
 from projlab.errors import (
     CapacityError,
@@ -186,6 +187,67 @@ def test_from_coeffs_bytes_match_ifftn(kind, M, seed, density):
     want = np.fft.ifftn(coeffs) * M**3
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def oracle_assignment(curve, delta):
+    """build_geometry's assignment by the fine direction loop over every lattice point."""
+    M = round(1.0 / delta)
+    lattice = frequency_lattice(M)
+    norms2 = np.sum(lattice**2, axis=1)
+    thetas = np.linspace(0.0, 1.0, fourier.FINE_PER_CAP * M + 1)
+    gammas = curve.points(thetas)
+    best = np.full(len(lattice), np.inf)
+    best_theta = np.zeros(len(lattice))
+    lo, hi = fourier.FREQ_SCALE * fourier.RADIAL_FLOOR, fourier.FREQ_SCALE
+    for theta, gamma in zip(thetas, gammas):
+        p = lattice @ gamma
+        dist2 = norms2 - p * p + (p - np.clip(p, lo, hi)) ** 2
+        best_theta = np.where(dist2 < best, theta, best_theta)
+        best = np.minimum(best, dist2)
+    on_cone = best <= delta**2
+    di = np.minimum((best_theta / delta).astype(np.int64), M - 1)
+    return np.where(on_cone, di, -1).astype(np.int32)
+
+
+def rotated_model_curve(q):
+    """The model curve turned by the rotation of the (nonzero) quaternion q."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    rot = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+    m = model_curve()
+    return Curve(
+        "rotated", lambda t: m.eval_fn(t) @ rot.T,
+        lambda t: m.d1(t) @ rot.T, lambda t: m.d2(t) @ rot.T,
+    )
+
+
+class TestGeometryOracle:
+    @pytest.mark.parametrize("M", [16, 32, 64])
+    @pytest.mark.parametrize("make", [model_curve, helix_curve], ids=["model", "helix"])
+    def test_assignment_matches_full_loop(self, make, M):
+        got = build_geometry(make(), 1.0 / M).assignment
+        want = oracle_assignment(make(), 1.0 / M)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @given(
+        M=st.sampled_from([16, 32]),
+        q=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    )
+    def test_rotated_model_curves_match_full_loop(self, M, q):
+        c = rotated_model_curve(q)
+        assert np.array_equal(build_geometry(c, 1.0 / M).assignment, oracle_assignment(c, 1.0 / M))
+
+    def test_pinned_assignment_at_128(self):
+        # sha256 of the full loop's assignment (int32); that loop takes 20-30 s on 2 vCPUs
+        a = build_geometry(CURVE, 2.0**-7).assignment
+        assert a.dtype == np.int32 and int(np.sum(a >= 0)) == 2411
+        assert hashlib.sha256(a.tobytes()).hexdigest() == (
+            "c82a12ebf5d4fe3ababa3aeab940440e76c7c51076e4e6305c4aa9cddccfb5dc"
+        )
 
 
 class TestGeometry:

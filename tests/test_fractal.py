@@ -116,6 +116,20 @@ class TestCantor:
             cantor_1d(1 / 3, 0)
 
 
+class TestAmbientDim:
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 0)], ids=["two_cells", "empty"])
+    def test_zero_dim_point_set_rejected(self, shape):
+        # both used to reach group_rows and die in lexsort with a TypeError
+        with pytest.raises(ConfigurationError, match="ambient_dim must be at least 1"):
+            PointSet(0, 0.25, np.zeros(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_full_grid_needs_a_dimension(self, dim):
+        # both used to die in np.stack of no arrays with a ValueError
+        with pytest.raises(ConfigurationError, match="dim must be at least 1"):
+            full_grid(3, dim=dim)
+
+
 class TestProduct:
     def test_triple_cantor(self):
         c = cantor_1d(1 / 3, 4)
