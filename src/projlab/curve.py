@@ -108,19 +108,16 @@ def helix_curve() -> Curve:
     return Curve("helix", ev)
 
 
-_NAMED = {
-    "model": model_curve,
-    "helix": helix_curve,
-    "greatcircle": great_circle,
-}
+#: one shared instance per name, built at import so that concurrent callers
+#: (the CLI's threads) all see the same object
+_NAMED = {c.label: c for c in (model_curve(), helix_curve(), great_circle())}
 
 
 def named_curve(name: str) -> Curve:
     try:
-        make = _NAMED[name]
+        return _NAMED[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DomainError(f"unknown curve {name!r}; choose from {sorted(_NAMED)}") from None
-    return make()
 
 
 def eval_curve(curve: Curve, theta: float) -> np.ndarray:
@@ -130,19 +127,28 @@ def eval_curve(curve: Curve, theta: float) -> np.ndarray:
     return curve.points(np.array([theta]))[0]
 
 
-def frame(curve: Curve, theta: float):
-    """Orthonormal frame (gamma, tangent, normal) at theta.
+def frame(curve: Curve, thetas):
+    """Orthonormal frames (gamma, tangent, normal) at one theta or an array of them.
 
-    tangent = gamma' / |gamma'|, normal = gamma x tangent.  Raises
-    NumericError when gamma' vanishes (no frame exists there).
+    tangent = gamma' / |gamma'|, normal = gamma x tangent.  A scalar theta
+    gives three 3-vectors, an array of n thetas three (n, 3) arrays whose
+    rows are bit for bit the scalar frames: |gamma'| is sqrt(vecdot), the
+    dot product that `np.linalg.norm` takes of one vector.  Raises
+    NumericError naming the first theta where gamma' vanishes (no frame
+    exists there).
     """
-    g = curve.points(np.array([theta]))[0]
-    d = curve.deriv1(np.array([theta]))[0]
-    n = np.linalg.norm(d)
-    if not np.isfinite(n) or n < 1e-12:
+    th = np.asarray(thetas, dtype=float)
+    flat = th.reshape(-1)
+    g = curve.points(flat)
+    d = curve.deriv1(flat)
+    n = np.sqrt(np.vecdot(d, d))
+    bad = ~(np.isfinite(n) & (n >= 1e-12))
+    if bad.any():
+        theta = flat[np.argmax(bad)]
         raise NumericError(f"curve {curve.label!r} has no tangent frame at theta={theta}")
-    t = d / n
-    return g, t, np.cross(g, t)
+    t = d / n[:, None]
+    out = (g, t, np.cross(g, t))
+    return tuple(a[0] for a in out) if th.ndim == 0 else out
 
 
 def nondegeneracy_margin(curve: Curve, n_samples: int) -> float:

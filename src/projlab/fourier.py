@@ -291,11 +291,8 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     assignment = np.full(len(lattice), -1, dtype=np.int32)
     assignment[cand[on_cone]] = np.minimum((best_theta[on_cone] / delta).astype(np.int64), M - 1)
 
-    dir_thetas = (np.arange(M) + 0.5) * delta
-    frames = np.zeros((M, 3, 3))
-    for i, th in enumerate(dir_thetas):
-        g, t, n = frame(curve, float(min(th, 1.0)))
-        frames[i] = np.stack([g, t, n])
+    dir_thetas = np.minimum((np.arange(M) + 0.5) * delta, 1.0)
+    frames = np.stack(frame(curve, dir_thetas), axis=1)
 
     return ConeGeometry(curve=curve, delta=delta, assignment=assignment, frames=frames)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class IncidenceConfig:
     net: DirectionNet
     families: tuple
     balls: PointSet
+    # incidence matrices by curve, filled by incidence_count; replace() starts empty
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.net.delta > 0.5:
@@ -129,6 +131,11 @@ class IncidenceMatrix:
     ptr: np.ndarray  # int64, length #directions + 1
     balls: np.ndarray  # int64, length ptr[-1]
 
+    def __post_init__(self):
+        # a config's memo hands the same arrays to every caller
+        self.ptr.setflags(write=False)
+        self.balls.setflags(write=False)
+
     @property
     def total(self) -> int:
         return int(self.ptr[-1])
@@ -146,8 +153,20 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     """Exact membership counting of every (ball, direction) pair.
 
     Per pair the slab lookup is a binary search over the family's sorted
-    offsets, so the full count is O(#H * #Theta * log #S).
+    offsets, so the full count is O(#H * #Theta * log #S).  The matrix is
+    counted once per config and curve: it is kept in the config's memo,
+    keyed by the curve object (`named_curve` hands out one shared instance
+    per name), and later calls return the kept matrix, whose arrays are
+    read-only.  `dataclasses.replace` gives a config with an empty memo.
     """
+    m = cfg._counts.get(curve)
+    if m is None:
+        m = _count(cfg, curve)
+        cfg._counts[curve] = m
+    return m
+
+
+def _count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     pts = cfg.balls.values
     norms = np.linalg.norm(pts, axis=1)
     cols = []
@@ -157,6 +176,18 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     ptr[1:] = np.cumsum([c.size for c in cols])
     balls = np.concatenate([np.zeros(0, dtype=np.int64), *cols])
     return IncidenceMatrix(n_balls=len(cfg.balls), ptr=ptr, balls=balls)
+
+
+def _restrict(m: IncidenceMatrix, keep: np.ndarray) -> IncidenceMatrix:
+    """The matrix of the kept balls alone, renumbered in their order.
+
+    Renumbering is monotone, so every direction's list stays sorted, and the
+    result is what counting the kept balls afresh gives.
+    """
+    hit = keep[m.balls]
+    kept_before = np.concatenate([[0], np.cumsum(hit)])  # per position in m.balls
+    balls = (np.cumsum(keep) - 1)[m.balls[hit]]
+    return IncidenceMatrix(n_balls=int(keep.sum()), ptr=kept_before[m.ptr], balls=balls)
 
 
 def heavy_threshold(cfg: IncidenceConfig) -> float:
@@ -238,26 +269,32 @@ class IncidenceSpec:
     curve: str = "model"
 
 
-def _offset_delta_s_set(k: int, s: float, rng) -> np.ndarray:
-    """A (delta, s)-set of slab offsets on [-1, 1] by greedy dyadic extraction.
+def _offset_delta_s_sets(k: int, s: float, n_sets: int, rng) -> np.ndarray:
+    """n_sets (delta, s)-sets of slab offsets on [-1, 1] by greedy dyadic extraction.
 
-    The selection is `extract_delta_s_set` of the full level-K grid of
-    [0, 1] (K = k + 1) under seeded weights w / w.sum(), mapped by
-    u -> 2u - 1, which lands every offset on the delta-lattice exactly; the
-    weights vary the selection across seeds without touching the spacing
-    guarantees.  It is computed bit for bit on the grid's implicit tree:
+    Row j is `extract_delta_s_set` of the full level-K grid of [0, 1]
+    (K = k + 1) under the j-th of n_sets consecutive seeded weight draws
+    w / w.sum(), mapped by u -> 2u - 1, which lands every offset on the
+    delta-lattice exactly; the weights vary the selection across seeds
+    without touching the spacing guarantees.  All rows are computed in one
+    pass, bit for bit, on the grid's implicit tree:
 
+    - one draw of shape (n_sets, 2^K) takes the same PCG64 stream as n_sets
+      draws of 2^K, and each row is normalised by its own sum;
     - leaf i's level-l ancestor is i >> (K - l), and every inner node has
       two children, so all nodes of one level share the rank
       rank_l = min(cap_l, 2 rank_{l+1}), rank_K = 1, cap_l =
       ceil((2^(K-l))^s);
-    - node weights are bincounts over i >> (K - l), which add the leaves
-      in the same order as the general routine's bincount over its
-      grouping, so every heavier-child comparison sees the same bits;
+    - node weights are one bincount over (j << l) + (i >> (K - l)), which
+      adds each node's leaves in the same order as the general routine's
+      bincount over its grouping, so every heavier-child comparison sees
+      the same bits;
     - within a parent of budget b the heavier child (ties go to the lower
       index) takes min(r, b) and the other min(2r, b) - min(r, b), the
       general routine's clamped cumulative sum of the children's ranks.
 
+    Budgets split without loss (b <= rank_{l-1} <= 2 rank_l), so every row
+    selects exactly rank_0 leaves and the result has shape (n_sets, rank_0).
     The general routine's InfeasibleError cannot fire here: for
     0 <= s <= 1, cap_l <= 2^s cap_{l+1} rounded up <= 2 cap_{l+1}, so
     rank_l = cap_l, and cap_0 = ceil(2^(Ks)) >= max(1, 2^(Ks)/64).
@@ -266,19 +303,22 @@ def _offset_delta_s_set(k: int, s: float, rng) -> np.ndarray:
         raise DomainError(f"need 0 <= s <= ambient_dim, got s={s}")
     K = k + 1
     leaves = np.arange(2**K)
-    w = rng.random(leaves.size)
-    w = w / w.sum()
+    rows = np.arange(n_sets)[:, None]
+    w = rng.random((n_sets, leaves.size))
+    w = (w / w.sum(axis=1, keepdims=True)).ravel()
     rank = [1] * (K + 1)
     for l in range(K - 1, -1, -1):
         rank[l] = min(math.ceil((2 ** (K - l)) ** s), 2 * rank[l + 1])
-    budgets = np.array([rank[0]], dtype=np.int64)
+    budgets = np.full((n_sets, 1), rank[0], dtype=np.int64)
     for l in range(1, K + 1):
-        weight = np.bincount(leaves >> (K - l), weights=w)
-        left_heavy = weight[0::2] >= weight[1::2]
+        node = ((rows << l) + (leaves >> (K - l))).ravel()
+        weight = np.bincount(node, weights=w, minlength=n_sets << l).reshape(n_sets, -1)
+        left_heavy = weight[:, 0::2] >= weight[:, 1::2]
         heavy = np.minimum(rank[l], budgets)
-        split = np.stack([heavy, np.minimum(2 * rank[l], budgets) - heavy], axis=1)
-        budgets = np.where(left_heavy[:, None], split, split[:, ::-1]).ravel()
-    return np.flatnonzero(budgets >= 1) * 2.0**-K * 2.0 - 1.0
+        split = np.stack([heavy, np.minimum(2 * rank[l], budgets) - heavy], axis=-1)
+        budgets = np.where(left_heavy[..., None], split, split[..., ::-1]).reshape(n_sets, -1)
+    chosen = np.nonzero(budgets)[1].reshape(n_sets, rank[0])
+    return chosen * 2.0**-K * 2.0 - 1.0
 
 
 def ball_target(delta: float, s: float, t: float) -> int:
@@ -292,8 +332,10 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     Slab offsets per direction come from a (delta, s)-set on [-1, 1]
     (hypothesis (2) holds by construction); candidate balls are sampled
     directly on slab planes so each meets at least one slab, then filtered
-    through heavy_subset so the verify precondition holds.  A delta above
-    1/2 or a seed that is not an integer >= 0 raises DomainError.
+    through heavy_subset so the verify precondition holds.  The returned
+    config's memo already holds the heavy balls' incidence matrix under the
+    spec's named curve.  A delta above 1/2 or a seed that is not an integer
+    >= 0 raises DomainError.
     """
     curve = named_curve(spec.curve)
     k = dyadic_level(spec.delta)
@@ -305,14 +347,10 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     rng = np.random.default_rng(spec.seed)
     net = direction_net(curve, spec.delta, spec.t, spec.seed)
     families = tuple(
-        make_family(
-            float(theta),
-            _offset_delta_s_set(k, spec.s, rng),
-            delta=spec.delta,
-            s=spec.s,
-        )
-        for theta in net.thetas
+        make_family(float(theta), offsets, delta=spec.delta, s=spec.s)
+        for theta, offsets in zip(net.thetas, _offset_delta_s_sets(k, spec.s, len(net), rng))
     )
+    gammas, tangents, normals = frame(curve, net.thetas)
     want = ball_target(spec.delta, spec.s, spec.t)
     collected = np.zeros((0, 3), dtype=np.int64)  # distinct, lexicographic order
     for _attempt in range(64):
@@ -323,7 +361,7 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
         found = [collected]
         for j, count in zip(*np.unique(js, return_counts=True)):
             fam = families[j]
-            g, tv, nv = frame(curve, float(net.thetas[j]))
+            g, tv, nv = gammas[j], tangents[j], normals[j]
             cs = fam.offsets[rng.integers(0, len(fam), size=count)]
             u = rng.uniform(-0.7, 0.7, size=count)
             v = rng.uniform(-0.7, 0.7, size=count)
@@ -343,4 +381,6 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     heavy = heavy_subset(matrix, cfg)
     if len(heavy) == 0:
         raise InfeasibleError("no sampled ball clears the heavy threshold")
-    return replace(cfg, balls=heavy)
+    out = replace(cfg, balls=heavy)
+    out._counts[curve] = _restrict(matrix, matrix.row_counts() >= heavy_threshold(cfg))
+    return out

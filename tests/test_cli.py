@@ -249,17 +249,24 @@ class TestCliProcess:
         assert summary["config"]["margin"] == 0.2
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"depth": 3, "theta_grid": 24}))
-        hashes = []
-        for n, name in (("1", "t1"), ("4", "t4")):
-            r = run_cli(
-                ["sweep", "--config", str(cfg), "--out", str(tmp_path / name)],
-                env_extra={"PROJLAB_THREADS": n},
-            )
-            assert r.returncode == 0, r.stderr
-            hashes.append(hash_dir(tmp_path / name))
-        assert hashes[0] == hashes[1]
+        # incidence threads share the named curve object, and with it the count memo key
+        cases = [
+            ("sweep", {"depth": 3, "theta_grid": 24}, "4"),
+            ("incidence", {"n_seeds": 3}, "2"),
+        ]
+        for command, config, many in cases:
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps(config))
+            hashes = []
+            for n in ("1", many):
+                out = tmp_path / f"{command}-t{n}"
+                r = run_cli(
+                    [command, "--config", str(cfg), "--out", str(out)],
+                    env_extra={"PROJLAB_THREADS": n},
+                )
+                assert r.returncode == 0, r.stderr
+                hashes.append(hash_dir(out))
+            assert hashes[0] == hashes[1], command
 
     def test_missing_config_file(self, tmp_path):
         r = run_cli(["sweep", "--config", str(tmp_path / "nope.json")])

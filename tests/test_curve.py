@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from projlab.curve import (
     Curve,
@@ -15,7 +17,7 @@ from projlab.curve import (
     nondegeneracy_margin,
     validate_direction_net,
 )
-from projlab.errors import DomainError
+from projlab.errors import DomainError, NumericError
 
 
 def brute_force_spacing_ok(thetas, delta, t, cap):
@@ -141,6 +143,8 @@ class TestCsvCurve:
     def test_named_curves(self):
         assert named_curve("model").label == "model"
         assert named_curve("helix").label == "helix"
+        for name in ("model", "helix", "greatcircle"):
+            assert named_curve(name) is named_curve(name)
         with pytest.raises(DomainError):
             named_curve("parabola")
         with pytest.raises(DomainError, match="unknown curve"):
@@ -155,3 +159,44 @@ class TestFrame:
         assert abs(g @ t) < 1e-10
         assert abs(g @ n) < 1e-10
         assert abs(t @ n) < 1e-10
+
+
+def oracle_frame(curve, theta):
+    """The scalar frame: one theta, np.linalg.norm of one derivative vector."""
+    g = curve.points(np.array([theta]))[0]
+    d = curve.deriv1(np.array([theta]))[0]
+    n = np.linalg.norm(d)
+    if not np.isfinite(n) or n < 1e-12:
+        raise NumericError(f"curve {curve.label!r} has no tangent frame at theta={theta}")
+    t = d / n
+    return g, t, np.cross(g, t)
+
+
+@given(
+    st.sampled_from(["model", "helix", "greatcircle"]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+def test_frame_rows_are_the_scalar_frames_bit_for_bit(name, thetas):
+    curve = named_curve(name)
+    rows = frame(curve, np.array(thetas))
+    assert all(a.shape == (len(thetas), 3) for a in rows)
+    for i, theta in enumerate(thetas):
+        want = oracle_frame(curve, theta)
+        scalar = frame(curve, theta)
+        for got_row, got_scalar, w in zip(rows, scalar, want):
+            assert got_scalar.shape == (3,)
+            assert got_row[i].tobytes() == got_scalar.tobytes() == w.tobytes()
+
+
+def test_frame_names_the_first_theta_without_a_tangent():
+    model = model_curve()
+
+    def d1(t):  # gamma' vanishes at theta = 0.5 and 0.75
+        return model.deriv1(t) * ((t != 0.5) & (t != 0.75))[:, None]
+
+    flat = Curve("flat", model.eval_fn, d1)
+    with pytest.raises(NumericError, match=r"'flat' has no tangent frame at theta=0.5$"):
+        frame(flat, np.array([0.25, 0.5, 0.75, 0.0]))
+    with pytest.raises(NumericError, match="theta=0.75"):
+        frame(flat, 0.75)
+    frame(flat, np.array([0.25, 0.0]))

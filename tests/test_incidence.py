@@ -6,16 +6,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from projlab.curve import direction_net, model_curve
+from projlab import incidence
+from projlab.curve import direction_net, model_curve, named_curve
 from projlab.errors import ConfigurationError, DomainError, NumericError, PreconditionError
 from projlab.fractal import PointSet, extract_delta_s_set, full_grid
 from projlab.incidence import (
     IncidenceConfig,
-    _offset_delta_s_set,
+    _offset_delta_s_sets,
     IncidenceMatrix,
     IncidenceSpec,
     ball_target,
     heavy_subset,
+    heavy_threshold,
     incidence_count,
     make_family,
     random_admissible_config,
@@ -232,6 +234,57 @@ class TestVerifyBound:
             verify_incidence_bound(cfg, CURVE)
 
 
+class TestCountMemo:
+    def test_returned_arrays_are_read_only(self):
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=2))
+        for curve in (named_curve("model"), CURVE):  # the generator's matrix and a count
+            m = incidence_count(cfg, curve)
+            for a in (m.ptr, m.balls):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 7
+
+    def test_replace_starts_with_an_empty_memo(self):
+        cfg = config_through_origin(2.0**-4)
+        m = incidence_count(cfg, CURVE)
+        assert incidence_count(cfg, CURVE) is m
+        other = replace(cfg, balls=origin_ball(2.0**-4))
+        assert other._counts == {}
+        assert incidence_count(other, CURVE) is not m
+
+    def test_a_fresh_curve_misses_and_recounts_the_same_arrays(self):
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=4))
+        cached = incidence_count(cfg, named_curve("model"))
+        fresh = incidence_count(cfg, model_curve())
+        assert fresh is not cached
+        assert np.array_equal(fresh.ptr, cached.ptr)
+        assert np.array_equal(fresh.balls, cached.balls)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_generator_matrix_equals_a_fresh_count(self, k):
+        for s, t in [(0.3, 0.7), (0.5, 0.5), (0.7, 0.3)]:
+            for seed in range(10):
+                cfg = random_admissible_config(IncidenceSpec(delta=2.0**-k, s=s, t=t, seed=seed))
+                kept = cfg._counts[named_curve("model")]
+                fresh = incidence_count(replace(cfg), named_curve("model"))
+                assert kept.n_balls == fresh.n_balls == len(cfg.balls)
+                for a, b in ((kept.ptr, fresh.ptr), (kept.balls, fresh.balls)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert np.all(kept.row_counts() >= heavy_threshold(cfg))
+
+    def test_a_bench_shaped_item_counts_once(self, monkeypatch):
+        counted = []
+        count = incidence._count
+        monkeypatch.setattr(
+            incidence, "_count", lambda cfg, curve: counted.append(cfg) or count(cfg, curve)
+        )
+        model = named_curve("model")
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-6, s=0.5, t=0.5, seed=5))
+        m = incidence_count(cfg, model)
+        verify_incidence_bound(cfg, model)
+        assert len(counted) == 1
+        assert m is cfg._counts[model]
+
+
 class TestConfigScale:
     def test_ball_delta_must_match_the_net(self):
         cfg = config_through_origin(2.0**-4)
@@ -286,57 +339,77 @@ def oracle_offset_delta_s_set(k, s, rng):
     return np.sort(extracted.indices[:, 0] * extracted.delta * 2.0 - 1.0)
 
 
+def oracle_offsets(k, s, n_sets, rng):
+    """n_sets consecutive oracle draws from one generator, stacked."""
+    return np.stack([oracle_offset_delta_s_set(k, s, rng) for _ in range(n_sets)])
+
+
 @given(
     st.integers(1, 9),
     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(1, 5),
     st.integers(0, 2**32 - 1),
 )
-@example(1, 0.0, 0)
-@example(9, 1.0, 0)
-def test_offsets_match_general_extraction(k, s, seed):
+@example(1, 0.0, 1, 0)
+@example(9, 1.0, 3, 0)
+def test_offsets_match_general_extraction(k, s, n_sets, seed):
     fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _offset_delta_s_set(k, s, fast_rng)
-    want = oracle_offset_delta_s_set(k, s, oracle_rng)
-    assert got.dtype == want.dtype
+    got = _offset_delta_s_sets(k, s, n_sets, fast_rng)
+    want = oracle_offsets(k, s, n_sets, oracle_rng)
+    assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    assert fast_rng.random() == oracle_rng.random()
+    assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class FixedDraw:
-    """Stands in for a Generator whose `random(n)` returns given values."""
+    """Stands in for a Generator whose draws return given rows: `random(n)`
+    the next row, `random((n_rows, n))` all of them."""
 
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self.next = 0
 
-    def random(self, n):
-        assert n == self.values.size
-        return self.values.copy()
+    def random(self, shape):
+        if isinstance(shape, tuple):
+            assert shape == self.rows.shape
+            return self.rows.copy()
+        assert shape == self.rows.shape[1]
+        self.next += 1
+        return self.rows[self.next - 1].copy()
 
 
 @st.composite
 def tie_heavy_draws(draw):
     """Leaf weights from a few decimals whose right half permutes the left,
     so the root's children (and often deeper siblings) weigh the same in
-    exact arithmetic and only the summation order decides between them."""
+    exact arithmetic and only the summation order decides between them;
+    one such row per direction."""
     k = draw(st.integers(1, 6))
     half = 2**k
-    left = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7]), min_size=half, max_size=half))
-    return k, left + draw(st.permutations(left))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        left = draw(
+            st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7]), min_size=half, max_size=half)
+        )
+        rows.append(left + draw(st.permutations(left)))
+    return k, rows
 
 
 @given(tie_heavy_draws(), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 def test_offsets_match_general_extraction_on_near_ties(draw, s):
-    k, values = draw
-    got = _offset_delta_s_set(k, s, FixedDraw(values))
-    want = oracle_offset_delta_s_set(k, s, FixedDraw(values))
+    k, rows = draw
+    got = _offset_delta_s_sets(k, s, len(rows), FixedDraw(rows))
+    want = oracle_offsets(k, s, len(rows), FixedDraw(rows))
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("s", [-0.1, 1.5, float("nan")])
 def test_offsets_reject_s_like_general_extraction(s):
-    for fn in (_offset_delta_s_set, oracle_offset_delta_s_set):
-        with pytest.raises(DomainError, match=r"need 0 <= s <= ambient_dim, got s="):
-            fn(4, s, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match=r"need 0 <= s <= ambient_dim, got s="):
+        _offset_delta_s_sets(4, s, 2, rng)
+    with pytest.raises(DomainError, match=r"need 0 <= s <= ambient_dim, got s="):
+        oracle_offset_delta_s_set(4, s, rng)
 
 
 #: sha256 of net indices, ball indices and concatenated slab offsets per spec
