@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,6 +62,7 @@ class Curve:
         ) / h2**2
 
 
+@cache
 def model_curve() -> Curve:
     """The model curve theta -> (cos theta, sin theta, 1) / sqrt(2)."""
 
@@ -79,6 +81,7 @@ def model_curve() -> Curve:
     return Curve("model", ev, d1, d2)
 
 
+@cache
 def great_circle() -> Curve:
     """Planar curve theta -> (cos theta, sin theta, 0); degenerate on purpose."""
 
@@ -97,6 +100,7 @@ def great_circle() -> Curve:
     return Curve("greatcircle", ev, d1, d2)
 
 
+@cache
 def helix_curve() -> Curve:
     """Perturbed helix theta -> normalize(cos theta, sin theta, 1 + 0.2 theta)."""
 
@@ -109,7 +113,8 @@ def helix_curve() -> Curve:
 
 
 #: one shared instance per name, built at import so that concurrent callers
-#: (the CLI's threads) all see the same object
+#: (the CLI's threads) all see the same object; the builders are cached, so
+#: model_curve() is named_curve("model") and hits the same count memo
 _NAMED = {c.label: c for c in (model_curve(), helix_curve(), great_circle())}
 
 

@@ -8,7 +8,7 @@ by equality or by ancestor goes through `group_rows`, which numbers the
 groups in lexicographic row order (`projection.project_line` counts a dense
 1-D index range with `np.bincount` instead).  Every (delta, s) spacing
 check, of point sets, direction nets and cap subsets alike, is one
-`spacing_scan` over lattice rows.
+`spacing_scan` over lattice rows given in any order.
 """
 
 from __future__ import annotations
@@ -49,31 +49,31 @@ def max_window_count(indices: np.ndarray, length: float) -> tuple[int, int]:
 def max_cube_count(rows: np.ndarray, length: int) -> tuple[int, tuple]:
     """Max number of lattice rows in a closed axis-aligned cube of side `length`.
 
-    `rows` has shape (n, d) and is in lexicographic order.  Returns (count,
-    corner) with corner the cube's lower lattice corner.  Corner candidates
-    are taken from the point coordinates per axis: sliding an optimal window
-    until each lower face touches a point never decreases the count, so
-    this equals the max over all lattice anchor positions.  In 1-D this is
-    `max_window_count`.
+    `rows` has shape (n, d), in any order.  Returns (count, corner), corner
+    the cube's lower lattice corner.  Sliding an optimal cube until each
+    lower face touches a point never decreases the count, so the scan tries
+    point coordinates only and still equals the max over all lattice anchors.
+    The 1-D base (`max_window_count` of the sorted column) returns the
+    smallest anchor among the maxima, and each level visits the distinct x
+    in ascending order and replaces its best only on a strict >: the corner
+    is the lexicographically smallest point-anchored one among the maxima,
+    whatever the row order.
     """
     n, d = rows.shape
     if n == 0:
         return 0, (0,) * d
     if d == 1:
-        c, start = max_window_count(rows[:, 0], length)
+        c, start = max_window_count(np.sort(rows[:, 0]), length)
         return c, (start,)
+    rows = rows[np.argsort(rows[:, 0])]
+    col0 = rows[:, 0]
+    xs = np.unique(col0)
+    los, his = np.searchsorted(col0, xs), np.searchsorted(col0, xs + length, side="right")
     best, bwit = 0, (0,) * d
-    xs = np.unique(rows[:, 0])
-    order = np.argsort(rows[:, 0], kind="stable")
-    sorted_rows = rows[order]
-    col0 = sorted_rows[:, 0]
-    for x in xs:
-        lo = np.searchsorted(col0, x, side="left")
-        hi = np.searchsorted(col0, x + length, side="right")
-        sub = np.array(sorted(map(tuple, sorted_rows[lo:hi, 1:])), dtype=np.int64)
-        c, wit = max_cube_count(sub, length)
+    for x, lo, hi in zip(xs.tolist(), los.tolist(), his.tolist()):
+        c, wit = max_cube_count(rows[lo:hi, 1:], length)
         if c > best:
-            best, bwit = c, (int(x),) + wit
+            best, bwit = c, (x,) + wit
     return best, bwit
 
 
@@ -82,8 +82,8 @@ def spacing_scan(rows: np.ndarray, k: int, exponent: float):
 
     For every dyadic r = 2**-m (0 <= m <= k, i.e. delta <= r <= 1) and every
     position on the delta-lattice, compares the point count in the closed
-    axis-aligned cube of side r against (r/delta)**exponent.  Rows must be
-    in lexicographic order.
+    axis-aligned cube of side r against (r/delta)**exponent.  The result
+    does not depend on the row order (see `max_cube_count`).
 
     Returns (worst_ratio, witness) with witness = (r, corner), corner the
     lower corner's coordinates (index * delta) of the first worst cube.

@@ -518,7 +518,7 @@ def decoupling_ratio(
     """
     _check_grid(g, geometry)
     _check_caps(caps.directions, geometry)
-    dirs = np.sort(np.asarray(caps.directions, dtype=np.int64))
+    dirs = np.asarray(caps.directions, dtype=np.int64)
     worst, witness = spacing_scan(dirs[:, None], dyadic_level(geometry.delta), caps.t)
     if worst > max_constant:
         raise PreconditionError(

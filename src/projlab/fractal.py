@@ -32,8 +32,10 @@ class PointSet:
     """A finite subset of the delta-lattice in [0,1]^d or the unit ball.
 
     `indices` has shape (n, ambient_dim) and is kept lexicographically
-    sorted; coordinates are `indices * delta`.  `nominal_dim` is declared
-    dimension metadata (similarity dimension for the shipped generators).
+    sorted; coordinates are `indices * delta`.  `indices` and `weights` are
+    read-only copies, so results memoised per set cannot go stale.
+    `nominal_dim` is declared dimension metadata (similarity dimension for
+    the shipped generators).
     """
 
     ambient_dim: int
@@ -73,8 +75,11 @@ class PointSet:
                 raise ConfigurationError("weights must be nonnegative")
             if abs(w.sum() - 1.0) > 1e-10:
                 raise ConfigurationError("weights must sum to 1")
-        object.__setattr__(self, "indices", idx[order])
-        object.__setattr__(self, "weights", None if w is None else w[order])
+        for name, a in (("indices", idx), ("weights", w)):
+            if a is not None:
+                a = a[order]
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
@@ -89,10 +94,6 @@ class PointSet:
 
     def with_weights(self, weights: Sequence[float]) -> "PointSet":
         return replace(self, weights=np.asarray(weights, dtype=float))
-
-    def with_uniform_weights(self) -> "PointSet":
-        n = len(self)
-        return self.with_weights(np.full(n, 1.0 / n))
 
 
 def frostman_constant(p: PointSet) -> float:
@@ -112,11 +113,7 @@ def frostman_constant(p: PointSet) -> float:
     for l in range(k + 1):
         _, inv = group_rows(p.indices >> (k - l))
         mass = np.bincount(inv, weights=p.weights)
-        side = 2.0 ** (-l)
-        if a == 0:
-            worst = max(worst, float(mass.max()))
-        else:
-            worst = max(worst, float(mass.max()) / side**a)
+        worst = max(worst, float(mass.max()) / (2.0 ** (-l)) ** a)
     return worst
 
 

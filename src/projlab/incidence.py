@@ -22,13 +22,14 @@ import numpy as np
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
 from .dyadic import dyadic_level, group_rows
 from .errors import (
+    CapacityError,
     ConfigurationError,
     DomainError,
     InfeasibleError,
     NumericError,
     PreconditionError,
 )
-from .fractal import PointSet
+from .fractal import CELL_CAP, PointSet
 
 #: fitted-constant ceiling for bound-violation flags
 FITTED_C_CEILING = 2.0**16
@@ -48,6 +49,11 @@ class SlabFamily:
     s: float
     offsets: np.ndarray  # sorted central-plane positions along gamma(theta)
     thickness: float
+
+    def __post_init__(self):
+        offsets = np.array(self.offsets)  # a copy: the caller's array stays writable
+        offsets.flags.writeable = False
+        object.__setattr__(self, "offsets", offsets)
 
     def __len__(self) -> int:
         return int(self.offsets.size)
@@ -302,6 +308,8 @@ def _offset_delta_s_sets(k: int, s: float, n_sets: int, rng) -> np.ndarray:
     if not (0.0 <= s <= 1.0):
         raise DomainError(f"need 0 <= s <= ambient_dim, got s={s}")
     K = k + 1
+    if n_sets << K > CELL_CAP:
+        raise CapacityError(f"{n_sets} offset draws of 2^{K} weights exceed the cap {CELL_CAP}")
     leaves = np.arange(2**K)
     rows = np.arange(n_sets)[:, None]
     w = rng.random((n_sets, leaves.size))
@@ -335,7 +343,8 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     through heavy_subset so the verify precondition holds.  The returned
     config's memo already holds the heavy balls' incidence matrix under the
     spec's named curve.  A delta above 1/2 or a seed that is not an integer
-    >= 0 raises DomainError.
+    >= 0 raises DomainError.  An offset draw or a first ball batch larger
+    than CELL_CAP raises CapacityError before it is allocated.
     """
     curve = named_curve(spec.curve)
     k = dyadic_level(spec.delta)
@@ -352,6 +361,8 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     )
     gammas, tangents, normals = frame(curve, net.thetas)
     want = ball_target(spec.delta, spec.s, spec.t)
+    if 2 * want > CELL_CAP:
+        raise CapacityError(f"a first batch of {2 * want} ball draws exceeds the cap {CELL_CAP}")
     collected = np.zeros((0, 3), dtype=np.int64)  # distinct, lexicographic order
     for _attempt in range(64):
         if len(collected) >= want:

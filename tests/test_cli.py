@@ -151,6 +151,8 @@ class TestRun:
             ("gen", {"ratio": 1e-310}),
             # sweep has no seed either
             ("sweep", {"seed": 0}),
+            # 65537 x 2^17 slab-offset weights at delta = 2^-16, t = 1 are refused before the draw
+            ("incidence", {"t": 1, "deltas": [2.0**-16]}),
         ],
     )
     def test_degenerate_deltas_or_seeds_exit_code(self, tmp_path, capsys, command, override):

@@ -116,6 +116,17 @@ class TestCantor:
             cantor_1d(1 / 3, 0)
 
 
+class TestReadOnly:
+    def test_indices_and_weights_refuse_writes(self):
+        mine = np.array([[3], [1]])
+        p = PointSet(1, 0.25, mine).with_weights([0.25, 0.75])
+        for a in (p.indices, p.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        mine[0, 0] = 2  # the caller's array stays writable
+        assert p.indices.tolist() == [[1], [3]]
+
+
 class TestAmbientDim:
     @pytest.mark.parametrize("shape", [(2, 0), (0, 0)], ids=["two_cells", "empty"])
     def test_zero_dim_point_set_rejected(self, shape):
@@ -376,7 +387,7 @@ class TestWeights:
     def test_weights_attach_without_nominal_dim_but_scan_needs_it(self):
         # the constant is computed on request only, so attaching weights to a
         # set without dimension metadata succeeds and the scan itself refuses
-        p = PointSet(1, 0.25, np.array([[0], [3]])).with_uniform_weights()
+        p = PointSet(1, 0.25, np.array([[0], [3]])).with_weights(np.full(2, 1 / 2))
         assert np.array_equal(p.weights, [0.5, 0.5])
         with pytest.raises(ConfigurationError, match="nominal_dim"):
             frostman_constant(p)

@@ -10,7 +10,11 @@ in 1-D, 2-D and 3-D, on cube and ball domains.
 The two spacing scans that `dyadic.spacing_scan` merged live on here too:
 `oracle_spacing_scan` (the 1-D scan of sorted indices that direction nets
 and cap subsets ran) and `oracle_validate_delta_s_set` (the point-set
-verdict's own loop over the window sides).
+verdict's own loop over the window sides).  The cube scan under them has
+two oracles of its own: `oracle_max_cube_count`, the recursion that
+re-sorted every slab as tuples and needed rows in lexicographic order,
+and `brute_max_cube_count`, which counts at every lattice anchor.
+`max_cube_count` must match both on rows in any order.
 """
 
 import math
@@ -39,8 +43,10 @@ from projlab.errors import (
 from projlab.fractal import (
     DeltaSetReport,
     PointSet,
+    cantor_1d,
     extract_delta_s_set,
     frostman_constant,
+    product_set,
     validate_delta_s_set,
 )
 
@@ -246,13 +252,60 @@ def oracle_spacing_scan(indices, k, exponent):
     return worst, witness
 
 
+def oracle_max_cube_count(rows, length):
+    """The recursive cube scan of rows in lexicographic order, each slab re-sorted as tuples."""
+    n, d = rows.shape
+    if n == 0:
+        return 0, (0,) * d
+    if d == 1:
+        c, start = max_window_count(rows[:, 0], length)
+        return c, (start,)
+    best, bwit = 0, (0,) * d
+    xs = np.unique(rows[:, 0])
+    order = np.argsort(rows[:, 0], kind="stable")
+    sorted_rows = rows[order]
+    col0 = sorted_rows[:, 0]
+    for x in xs:
+        lo = np.searchsorted(col0, x, side="left")
+        hi = np.searchsorted(col0, x + length, side="right")
+        sub = np.array(sorted(map(tuple, sorted_rows[lo:hi, 1:])), dtype=np.int64)
+        c, wit = oracle_max_cube_count(sub, length)
+        if c > best:
+            best, bwit = c, (int(x),) + wit
+    return best, bwit
+
+
+def brute_max_cube_count(rows, length):
+    """Point count of the closed cube at every lattice anchor of the bounding box.
+
+    Returns the max count and, as witness, the lexicographically smallest
+    anchored corner among the maxima: corner c is anchored when, on every
+    axis j, some point p has p_j == c_j and lies in the cube on the axes
+    before j.  Those are exactly the corners the recursive scan visits.
+    """
+    n, d = rows.shape
+    if n == 0:
+        return 0, (0,) * d
+    spans = [np.arange(a, b + 1) for a, b in zip(rows.min(0), rows.max(0))]
+    anchors = np.stack([a.ravel() for a in np.meshgrid(*spans, indexing="ij")], axis=1)
+    # inside[a, i, j]: point i lies in anchor a's cube on axis j; anchors run in lexicographic order
+    inside = (rows[None] >= anchors[:, None]) & (rows[None] <= anchors[:, None] + length)
+    counts = inside.all(axis=2).sum(axis=1)
+    inside_before = np.logical_and.accumulate(inside, axis=2)
+    inside_before = np.concatenate([np.ones_like(inside[..., :1]), inside_before[..., :-1]], axis=2)
+    anchored = ((rows[None] == anchors[:, None]) & inside_before).any(axis=1).all(axis=1)
+    best = int(counts.max())
+    first = np.flatnonzero(anchored & (counts == best))[0]
+    return best, tuple(int(c) for c in anchors[first])
+
+
 def oracle_validate_delta_s_set(p, s):
     k = p.level
     threshold = 4.0**p.ambient_dim
     worst, wit_r, wit_corner = 0.0, 1.0, (0,) * p.ambient_dim
     for m in range(k + 1):
         length = 2 ** (k - m)
-        count, corner = max_cube_count(p.indices, length)
+        count, corner = oracle_max_cube_count(p.indices, length)
         ratio = count / float(length) ** s
         if ratio > worst:
             worst = ratio
@@ -420,6 +473,58 @@ def test_spacing_scan_matches_both_old_scans(p, s):
     )
     if p.ambient_dim == 1:
         assert (worst, (r, corner[0])) == oracle_spacing_scan(p.indices[:, 0], p.level, s)
+
+
+@st.composite
+def small_row_sets(draw):
+    """(rows, k): at most 12 distinct lattice points in 1-D to 3-D, either domain, any row order."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(1, MAX_LEVEL[d]))
+    lo = 0 if draw(st.sampled_from(["cube", "ball"])) == "cube" else -(2**k)
+    points = st.tuples(*[st.integers(lo, 2**k)] * d)
+    if lo < 0:
+        points = points.filter(lambda q: sum(c * c for c in q) <= 4**k)
+    rows = draw(st.lists(points, max_size=12, unique=True))
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.int64).reshape(len(rows), d), k
+
+
+@given(small_row_sets())
+@example((np.array([[0, 0], [1, 6], [1, 5]]), 3))  # the witness slab's x-anchor holds no counted point
+@example((np.array([[2, 1, 0], [0, 1, 2], [1, 0, 2], [0, 2, 1]]), 2))  # ties at every side
+def test_max_cube_count_matches_brute_force_in_any_row_order(rows_k):
+    rows, k = rows_k
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    for m in range(k + 1):
+        length = 2 ** (k - m)
+        got = max_cube_count(rows, length)
+        assert got == brute_max_cube_count(rows, length)
+        assert got == oracle_max_cube_count(ordered, length)
+
+
+@given(point_sets(allow_empty=True), SPACING_EXPONENTS, st.randoms(use_true_random=False))
+def test_spacing_scan_ignores_row_order(p, s, rnd):
+    shuffled = p.indices[rnd.sample(range(len(p)), len(p))]
+    for m in range(p.level + 1):
+        length = 2 ** (p.level - m)
+        assert max_cube_count(shuffled, length) == oracle_max_cube_count(p.indices, length)
+    report = validate_delta_s_set(p, s)
+    assert spacing_scan(shuffled, p.level, s) == (
+        report.worst_constant, (report.witness_r, report.witness_corner)
+    )
+
+
+def test_validate_delta_s_set_on_a_32768_cell_product():
+    third = cantor_1d(0.25, 5)
+    p = product_set(third, third, third)
+    assert len(p) == 32768
+    assert validate_delta_s_set(p, 1.0) == DeltaSetReport(
+        valid=True,
+        worst_constant=32.0,
+        witness_r=1.0,
+        witness_corner=(-0.5, -0.5, -0.5),
+        threshold=64.0,
+    )
 
 
 @given(

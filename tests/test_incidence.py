@@ -7,14 +7,21 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projlab import incidence
-from projlab.curve import direction_net, model_curve, named_curve
-from projlab.errors import ConfigurationError, DomainError, NumericError, PreconditionError
+from projlab.curve import Curve, direction_net, model_curve, named_curve
+from projlab.errors import (
+    CapacityError,
+    ConfigurationError,
+    DomainError,
+    NumericError,
+    PreconditionError,
+)
 from projlab.fractal import PointSet, extract_delta_s_set, full_grid
 from projlab.incidence import (
     IncidenceConfig,
     _offset_delta_s_sets,
     IncidenceMatrix,
     IncidenceSpec,
+    SlabFamily,
     ball_target,
     heavy_subset,
     heavy_threshold,
@@ -49,6 +56,14 @@ class TestSlabFamilies:
         assert fam.thickness == 2.0**-3
         with pytest.raises(ConfigurationError, match=r"\|offset\| <= 1"):
             make_family(0.2, [1.125], delta=2.0**-3, s=0.5)
+
+    def test_offsets_are_a_read_only_copy(self):
+        mine = np.array([-0.25, 0.5])
+        fam = SlabFamily(theta=0.2, s=0.5, offsets=mine, thickness=2.0**-3)
+        with pytest.raises(ValueError, match="read-only"):
+            fam.offsets[0] = 0.0
+        mine[0] = 0.0  # the caller's array stays writable
+        assert fam.offsets.tolist() == [-0.25, 0.5]
 
     @pytest.mark.parametrize("offsets", [[], [0.0]])
     def test_family_delta_must_be_dyadic(self, offsets):
@@ -253,8 +268,11 @@ class TestCountMemo:
 
     def test_a_fresh_curve_misses_and_recounts_the_same_arrays(self):
         cfg = random_admissible_config(IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=4))
-        cached = incidence_count(cfg, named_curve("model"))
-        fresh = incidence_count(cfg, model_curve())
+        model = named_curve("model")
+        cached = incidence_count(cfg, model)
+        # functions of its own: a Curve made by replace() would hash equal and hit the memo
+        twin = Curve("model", lambda t: model.eval_fn(t), lambda t: model.d1(t), lambda t: model.d2(t))
+        fresh = incidence_count(cfg, twin)
         assert fresh is not cached
         assert np.array_equal(fresh.ptr, cached.ptr)
         assert np.array_equal(fresh.balls, cached.balls)
@@ -301,6 +319,11 @@ class TestConfigScale:
         # log2(1/delta) = 0 there, and the heavy threshold divides by its square
         with pytest.raises(DomainError, match="delta <= 1/2"):
             random_admissible_config(IncidenceSpec(delta=1.0, s=0.5, t=0.5, seed=0))
+
+    def test_generator_refuses_a_ball_batch_over_the_cell_cap(self):
+        # ball_target(2^-10, 1, 0) = 2^26, so the first batch would hold 2^27 draws
+        with pytest.raises(CapacityError, match="ball draws exceeds the cap"):
+            random_admissible_config(IncidenceSpec(delta=2.0**-10, s=1.0, t=0.0, seed=0))
 
     def test_config_rejects_delta_one(self):
         net = direction_net(CURVE, 1.0, 1.0, 0)

@@ -88,7 +88,7 @@ class TestProjectLine:
 
     def test_weights_summed(self):
         idx = np.array([[0, 0, 4], [0, 0, -4]])
-        a = PointSet(3, 2.0**-4, idx, nominal_dim=0.0, domain="ball").with_uniform_weights()
+        a = PointSet(3, 2.0**-4, idx, nominal_dim=0.0, domain="ball").with_weights(np.full(2, 1 / 2))
         # project onto a direction orthogonal to the z-axis separation
         p = project_line(a, CURVE, 0.0)
         assert p.weights is not None
