@@ -31,8 +31,8 @@ from . import covering as covering_mod
 from . import fourier, incidence, projection
 from .curve import named_curve
 from .dyadic import dyadic_level
-from .errors import ConfigurationError, DomainError, InfeasibleError, ProjLabError
-from .fractal import cantor_1d, full_grid, product_set, save_csv
+from .errors import CapacityError, ConfigurationError, DomainError, InfeasibleError, ProjLabError
+from .fractal import CELL_CAP, cantor_1d, full_grid, product_set, save_csv
 
 DEFAULTS = {
     "gen": {
@@ -133,6 +133,9 @@ def resolve_config(command: str, raw: dict) -> dict:
             raise ConfigurationError(
                 f"deltas must be a nonempty list below 1, got {cfg['deltas']}"
             )
+        n_cells = len(levels) * int(cfg["n_seeds"])  # the (delta, seed) grid
+        if n_cells > CELL_CAP:
+            raise CapacityError(f"{n_cells} (delta, seed) cells exceed the cap {CELL_CAP}")
     return cfg
 
 

@@ -3,14 +3,15 @@
 A covering is a disjoint family of dyadic cubes, a few per level, that
 covers a target point set while keeping sum r(D)^s below a budget and
 never packing more than 2^((k-l)s) level-k cubes into any level-l cube.
-The greedy merge below replaces the transfinite maximality argument: it
-exchanges any violating batch of fine cubes for their common ancestor,
-which strictly shrinks both the budget and the cube count.
+The greedy merge below replaces the transfinite maximality argument: one
+coarse-to-fine pass exchanges the cells inside each crowded cube for that
+cube, which strictly shrinks both the budget and the cube count.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,12 +63,21 @@ def greedy_cover(
 ) -> Covering:
     """Build a covering of x satisfying the s-dimensional condition.
 
-    Starts from the finest-level cover (the cells of x themselves) and
-    repeatedly exchanges: whenever some permitted coarser cube D would
-    contain more than 2^((k-l)s) chosen level-k cubes, all chosen cubes
-    inside D are replaced by D.  Scans run coarse-to-fine in lexicographic
-    cube order, so the result is deterministic.  Permitted levels are
-    min_level < k <= k_max with 2^-k_max = x.delta.
+    Starts from the finest-level cover (the cells of x themselves) and makes
+    one coarse-to-fine pass over the permitted merge levels l = min_level+1,
+    ..., k_max-1, where 2^-k_max = x.delta: every level-l cube D that holds
+    more than 2^((k_max-l)s) of the remaining cells replaces them.  Each
+    level's cubes come out in lexicographic order, so the result is
+    deterministic.
+
+    One pass makes the same exchanges, in the same order, as rescanning
+    every coarser level after each exchange.  Only the scan of level l adds
+    level-l cubes, so when level l is scanned every chosen cube finer than
+    l is a cell.  If that scan adds m cubes inside a coarser cube A at level
+    j, each of them holds more than 2^((k_max-l)s) of A's cells, while A
+    holds at most 2^((k_max-j)s) cells: it passed its own scan, and cells
+    only ever leave.  So m < 2^((l-j)s), A stays uncrowded, and a rescan of
+    level j would exchange nothing.
 
     Raises InfeasibleError when the finest cover already exceeds the
     budget (the set is at least s-dimensional at this resolution) or when
@@ -87,35 +97,16 @@ def greedy_cover(
             f"finest-level budget {finest_budget:.4g} exceeds epsilon={epsilon}; "
             f"the set looks at least {s}-dimensional at delta=2^-{k_max}"
         )
-    # chosen[k] = cube index rows at level k
-    chosen = {
-        k: np.empty((0, x.ambient_dim), dtype=np.int64)
-        for k in range(min_level + 1, k_max + 1)
-    }
-    chosen[k_max] = x.indices
-
-    l = min_level + 1  # merge targets run coarse-to-fine
-    while l < k_max:
-        finer = range(l + 1, k_max + 1)
-        caps = np.array([2.0 ** ((k - l) * s) for k in finer])
-        sizes = [len(chosen[k]) for k in finer]
-        # count chosen fine cubes per level-l ancestor D and per level
-        anc = np.concatenate([chosen[k] >> (k - l) for k in finer])
+    cells, levels = x.indices, {}
+    for l in range(min_level + 1, k_max):  # merge targets, coarse to fine
+        anc = cells >> (k_max - l)
         first, inv = group_rows(anc)
-        slot = inv * len(caps) + np.repeat(np.arange(len(caps)), sizes)
-        counts = np.bincount(slot, minlength=len(first) * len(caps))
-        over = np.any(counts.reshape(-1, len(caps)) > caps + BUDGET_SLACK, axis=1)
-        if not over.any():
-            l += 1
-            continue
-        # exchange: each violating D replaces every chosen cube inside it
-        keep = np.split(~over[inv], np.cumsum(sizes)[:-1])
-        for k, kept in zip(finer, keep):
-            chosen[k] = chosen[k][kept]
-        chosen[l] = np.concatenate([chosen[l], anc[first[over]]])
-        l = min_level + 1  # restart coarse-to-fine after any exchange
-
-    levels = {k: cubes[group_rows(cubes)[0]] for k, cubes in chosen.items() if len(cubes)}
+        over = np.bincount(inv) > 2.0 ** ((k_max - l) * s) + BUDGET_SLACK
+        if over.any():
+            levels[l] = anc[first[over]]  # distinct, in lexicographic order
+            cells = cells[~over[inv]]  # the cells keep x's lexicographic order
+    if len(cells):
+        levels[k_max] = cells
     cov = Covering(x.ambient_dim, s, epsilon, levels, target=x)
     report = validate_covering(cov)
     if not report.cover_ok or not report.disjoint_ok:
@@ -239,6 +230,8 @@ def covering_from_json(text: str, ambient_dim: int) -> Covering:
     try:
         payload = json.loads(text)
         s, epsilon = float(payload["s"]), float(payload["epsilon"])
+        if not (math.isfinite(s) and math.isfinite(epsilon)):
+            raise ValueError(f"s={s} and epsilon={epsilon} must be finite")
         levels = {}
         for entry in payload["levels"]:
             k, cubes = entry["k"], entry["cubes"]

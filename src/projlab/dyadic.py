@@ -21,13 +21,17 @@ from .errors import DomainError
 
 
 def dyadic_level(delta: float) -> int:
-    """Return k such that delta == 2**-k, or raise if delta is not dyadic."""
+    """Return k such that delta == 2**-k, or raise if delta is not dyadic.
+
+    Exact for every double, the subnormal 2^-1074 .. 2^-1023 included:
+    delta = mantissa * 2^exponent is a power of two iff its mantissa is 1/2.
+    """
     if not (0 < delta <= 1):
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    k = round(math.log2(1.0 / delta))
-    if 2.0 ** (-k) != delta:
+    mantissa, exponent = math.frexp(delta)
+    if mantissa != 0.5:
         raise DomainError(f"delta must be a power of two, got {delta}")
-    return k
+    return 1 - exponent
 
 
 def max_window_count(indices: np.ndarray, length: float) -> tuple[int, int]:

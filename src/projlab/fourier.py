@@ -184,11 +184,12 @@ class ConeGeometry:
 
         The boxes are sharp-indicator translates of U_tau (dimensions
         delta^-1 x delta^-1 s x delta^-1 s^2 along the plank frame at the
-        tau's central direction), binned so one box is centred at the
-        origin; they partition the fundamental domain exactly.  Box codes
-        are mixed-radix in the per-axis bins, and an id is its code's rank
-        among the occupied codes, so ids run densely from 0 in lexicographic
-        box order.  Built on first use and kept as the rows of one
+        tau's central direction), binned on the grid indices minus M/2 with
+        no wrap-around, so one box is centred at grid index (M/2, M/2, M/2),
+        not at the origin; they partition the fundamental domain exactly.
+        Box codes are mixed-radix in the per-axis bins, and an id is its
+        code's rank among the occupied codes, so ids run densely from 0 in
+        lexicographic box order.  Built on first use and kept as the rows of one
         (n_tau, M^3) uint16 array (at most 1,470 boxes per tau up to
         M = 128): 7.3 MB at M = 64 and 59 MB at M = 128.  The block is made
         before the build's temporaries, so the free space they leave is one

@@ -140,7 +140,7 @@ def cantor_1d(ratio: float, depth: int) -> PointSet:
         raise DomainError(f"ratio must lie in (0, 1/2], got {ratio}")
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if 2**depth > CELL_CAP:
+    if depth >= CELL_CAP.bit_length():  # 2^depth > CELL_CAP, without forming 2^depth
         raise CapacityError(f"2^{depth} cells exceed the cap {CELL_CAP}")
     level = depth * math.log2(1.0 / ratio)  # inf once 1/ratio overflows
     if level > 62.5:  # k >= 63: the cell indices 0..2^k - 1 overflow int64
@@ -237,7 +237,9 @@ def ifs_attractor(maps: Sequence[SimilarityMap], depth: int, delta: float) -> Po
             f"depth {depth} does not resolve below delta={delta} "
             f"(max ratio^depth = {max_ratio**depth:.3g})"
         )
-    if len(maps) ** depth > CELL_CAP:
+    # for n >= 2 maps, n^depth > CELL_CAP iff n^min(depth, b) > CELL_CAP with
+    # b = CELL_CAP.bit_length(), since 2^b > CELL_CAP: no huge power is formed
+    if len(maps) ** min(depth, CELL_CAP.bit_length()) > CELL_CAP:
         raise CapacityError("composition count exceeds the cell cap")
     pts = np.full((1, dim), 0.5)
     for _ in range(depth):

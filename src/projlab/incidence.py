@@ -78,7 +78,7 @@ def make_family(theta: float, offsets, delta: float, s: float) -> SlabFamily:
     """
     dyadic_level(delta)
     offs = np.sort(np.asarray(offsets, dtype=float))
-    if offs.size and np.max(np.abs(offs)) > 1.0:
+    if not np.all(np.abs(offs) <= 1.0):  # also catches NaN
         raise ConfigurationError("slab offsets must satisfy |offset| <= 1")
     return SlabFamily(theta=theta, s=s, offsets=offs, thickness=delta)
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .curve import Curve
 from .dyadic import group_rows
-from .errors import ConfigurationError, RangeError
-from .fractal import PointSet
+from .errors import CapacityError, ConfigurationError, RangeError
+from .fractal import CELL_CAP, PointSet
 
 #: default dimension-decision margin: est_dim < s - margin flags theta
 DEFAULT_MARGIN = 0.1
@@ -141,6 +141,8 @@ def exceptional_sweep(
     """
     if theta_grid < 2:
         raise ConfigurationError("theta_grid must be at least 2")
+    if theta_grid > CELL_CAP:  # map_fn may submit every theta up front
+        raise CapacityError(f"theta_grid {theta_grid} exceeds the cap {CELL_CAP}")
     r_min, r_max = _auto_fit_range(a.delta)
 
     def row(i: int) -> SweepRow:

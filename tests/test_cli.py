@@ -153,6 +153,14 @@ class TestRun:
             ("sweep", {"seed": 0}),
             # 65537 x 2^17 slab-offset weights at delta = 2^-16, t = 1 are refused before the draw
             ("incidence", {"t": 1, "deltas": [2.0**-16]}),
+            # the subnormal 2^-1074 is dyadic: its level used to overflow a round()
+            ("incidence", {"deltas": [5e-324]}),
+            ("decouple", {"deltas": [5e-324]}),
+            # huge size keys are refused before they are built: these hung or ran out of memory
+            ("gen", {"depth": 1e300}),
+            ("sweep", {"theta_grid": 1e300}),
+            ("incidence", {"n_seeds": 1e300}),
+            ("decouple", {"n_seeds": 1e300}),
         ],
     )
     def test_degenerate_deltas_or_seeds_exit_code(self, tmp_path, capsys, command, override):
@@ -206,6 +214,7 @@ TINY = {
 JUNK = [
     None, "", "x", "foo", [], [0.5, "x"], {"a": 1}, True, False,
     math.nan, math.inf, -math.inf, -1, -0.5, 2.5, 2.0**-40, [2.0**-40],
+    1e300, 5e-324, [5e-324],
 ]
 
 

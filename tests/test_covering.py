@@ -201,14 +201,17 @@ class TestSerialization:
             '{"s": 0.5, "epsilon": 1.0, "levels": 3}',
             '{"s": "x", "epsilon": 1.0, "levels": []}',
             "{",
+            '{"s": NaN, "epsilon": Infinity, "levels": []}',
         ],
         ids=[
             "list", "missing_keys", "wide_cube", "fractional_index", "fractional_level",
             "ragged_cubes", "boolean_index", "levels_not_a_list", "non_numeric_s", "not_json",
+            "non_finite_s_and_epsilon",
         ],
     )
     def test_malformed_json_rejected(self, text):
         # these raised TypeError, KeyError or ValueError, or (1.5) truncated
-        # the index to 1
+        # the index to 1; a NaN s made every condition (3) ratio compare
+        # false, so validate_covering reported a worst ratio of 0
         with pytest.raises(ConfigurationError, match="malformed covering JSON"):
             covering_from_json(text, 2)

@@ -745,6 +745,21 @@ class TestWaveEnvelope:
             total_s += sum(m**2 for m in masses.values()) / (16**3 * s**3)
         assert rep.per_s[s] == pytest.approx(total_s, rel=1e-9)
 
+    def test_focused_quotient_depends_on_where_f_peaks(self, geo16):
+        # the boxes are binned on the grid indices minus M/2, unwrapped, so
+        # one box is centred at index M/2: f peaking at index 0 is cut
+        # across the corner boxes, and its translate to M/2 is not
+        coeffs = np.where(geo16.assignment >= 0, 1.0 + 0j, 0j)
+        x0 = np.array([8.0, 8.0, 8.0])
+        moved = coeffs * np.exp(-2j * np.pi * (frequency_lattice(16) @ x0))
+        for c, peak, quotient in [
+            (coeffs, (0, 0, 0), 12.336245338552457),
+            (moved, (8, 8, 8), 6.010346042130451),
+        ]:
+            f = GridFunction.from_coeffs(c.reshape((16,) * 3))
+            assert np.unravel_index(np.argmax(np.abs(f.samples)), f.samples.shape) == peak
+            assert wave_envelope_rhs(f, geo16).quotient == pytest.approx(quotient, rel=1e-9)
+
     def test_random_band(self, geo16):
         on = geo16.assignment >= 0
         for seed in range(5):

@@ -78,6 +78,11 @@ class TestCantor:
         with pytest.raises(CapacityError):
             cantor_1d(0.5, 25)
 
+    def test_huge_depth_refused_without_forming_the_power(self):
+        # 2**depth used to be formed first: a JSON depth of 1e300 hung here
+        with pytest.raises(CapacityError, match="exceed the cap"):
+            cantor_1d(0.5, 10**300)
+
     @pytest.mark.parametrize(
         "ratio, depth, k",
         [(1e-5, 4, "66"), (1e-300, 1, "997"), (1e-310, 1, "inf"), (2.0**-63, 1, "63")],
@@ -235,6 +240,13 @@ class TestIfs:
     def test_unresolved_depth_rejected(self):
         with pytest.raises(ConfigurationError):
             ifs_attractor([SimilarityMap(0.5, np.array([0.0]))], 2, 2.0**-6)
+
+    @pytest.mark.parametrize("n_maps, depth", [(3, 16), (2, 10**300)])
+    def test_composition_count_over_the_cap(self, n_maps, depth):
+        # 3^16 > 2^24 > 3^15; len(maps)**depth used to be formed in full
+        maps = [SimilarityMap(1 / 3, np.array([i / 3])) for i in range(n_maps)]
+        with pytest.raises(CapacityError, match="composition count"):
+            ifs_attractor(maps, depth, 2.0**-6)
 
     def test_similarity_dimension_bisection(self):
         assert similarity_dimension([0.5, 0.25]) == pytest.approx(0.6942419, abs=1e-5)
@@ -487,6 +499,13 @@ class TestSerialization:
         path.write_text("dim,delta,domain,nominal_dim\n" + text)
         with pytest.raises(ConfigurationError, match=match):
             load_csv(path)
+
+    def test_subnormal_delta_loads(self, tmp_path):
+        # 2^-1074 is dyadic; its level used to raise OverflowError
+        path = tmp_path / "tiny.csv"
+        path.write_text("dim,delta,domain,nominal_dim\n1,5e-324,cube,0.0\n0.0\n1e-323\n")
+        q = load_csv(path)
+        assert (q.level, q.indices.ravel().tolist()) == (1074, [0, 2])
 
     @pytest.mark.parametrize("delta", ["0", "nan"])
     def test_non_dyadic_delta_rejected_before_the_rows(self, tmp_path, delta):

@@ -20,6 +20,7 @@ and `brute_max_cube_count`, which counts at every lattice anchor.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -32,9 +33,17 @@ from projlab.covering import (
     validate_covering,
 )
 from projlab.curve import DirectionNet, validate_direction_net
-from projlab.dyadic import group_rows, max_cube_count, max_window_count, rows_in, spacing_scan
+from projlab.dyadic import (
+    dyadic_level,
+    group_rows,
+    max_cube_count,
+    max_window_count,
+    rows_in,
+    spacing_scan,
+)
 from projlab.errors import (
     ConfigurationError,
+    DomainError,
     InconsistencyError,
     InfeasibleError,
     ProjLabError,
@@ -385,6 +394,17 @@ def test_rows_in_matches_python_sets(rows, n_table):
     ]
 
 
+def test_dyadic_level_is_exact_down_to_the_smallest_subnormal():
+    # 1 / 2^-1074 overflows to inf, so the level used to be round(log2(inf))
+    assert [dyadic_level(2.0**-k) for k in range(1075)] == list(range(1075))
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.0, math.nan, 3 * 2.0**-1074, 1.5, -0.5])
+def test_dyadic_level_rejects_non_dyadic_deltas(delta):
+    with pytest.raises(DomainError, match="delta"):
+        dyadic_level(delta)
+
+
 def _outcome(fn, *args, result=lambda out: out):
     """fn(*args) mapped by `result`, or the class of the ProjLabError it raises."""
     try:
@@ -402,6 +422,55 @@ def test_greedy_cover_matches_oracle(p, s_share, slack, data):
     s = s_share * p.ambient_dim
     epsilon = slack * len(p) * p.delta**s  # the finest cover always fits
     min_level = data.draw(st.integers(0, p.level - 1))
+    args = (p, s, epsilon, min_level)
+    assert _outcome(greedy_cover, *args, result=_levels) == _outcome(
+        oracle_greedy_cover, *args, result=_levels
+    )
+
+
+#: finest level of `multiscale_sets` per dimension: at most 4,096 cells
+MULTISCALE_LEVEL = {1: 10, 2: 6, 3: 4}
+
+
+@st.composite
+def multiscale_sets(draw):
+    """Random recursive subdivisions, on the cube or the ball domain, in 1-D to 3-D.
+
+    At each level every kept cube keeps all its children with a probability
+    drawn for that level, and otherwise each child with probability 2^-d.
+    Full and thin subtrees thus alternate from level to level and from
+    place to place, so one covering run often crowds cubes at several
+    levels; the uniform `point_sets` rarely do.  The ball domain starts
+    from one of the 2^d level-0 cubes around the origin, drawn, and keeps
+    the cells in the ball.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.sampled_from(range(1, MULTISCALE_LEVEL[d] + 1)))
+    domain = draw(st.sampled_from(["cube", "ball"]))
+    full = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    children = np.indices((2,) * d).reshape(d, -1).T
+    cells = np.zeros((1, d), np.int64)
+    if domain == "ball":
+        cells = children[draw(st.sampled_from(range(len(children))))][None] - 1
+    for p_full in full:
+        keep = np.where(rng.random(len(cells)) < p_full, 1.0, 0.5**d)
+        cells = (2 * cells[:, None, :] + children).reshape(-1, d)
+        cells = cells[rng.random(len(cells)) < np.repeat(keep, len(children))]
+    if domain == "ball":
+        cells = cells[(cells**2).sum(axis=1) <= 4**k]
+    assume(len(cells) > 0)
+    return PointSet(d, 2.0**-k, cells, nominal_dim=float(d), domain=domain)
+
+
+@given(multiscale_sets(), st.floats(0.8, 1.4), st.sampled_from([1.0, 1.5, 4.0]), st.data())
+def test_greedy_cover_matches_oracle_on_multiscale_sets(p, dim_share, slack, data):
+    # s near the set's own dimension log2(#cells) / k keeps the root cube
+    # near its count cap, so many runs are feasible and merge at some levels;
+    # s in quarters makes some caps 2^((k-l)s) whole numbers, so ties occur
+    s = min(p.ambient_dim, max(0.25, round(4 * dim_share * math.log2(len(p)) / p.level) / 4))
+    epsilon = slack * len(p) * p.delta**s
+    min_level = data.draw(st.sampled_from(range(p.level)))
     args = (p, s, epsilon, min_level)
     assert _outcome(greedy_cover, *args, result=_levels) == _outcome(
         oracle_greedy_cover, *args, result=_levels

@@ -56,6 +56,9 @@ class TestSlabFamilies:
         assert fam.thickness == 2.0**-3
         with pytest.raises(ConfigurationError, match=r"\|offset\| <= 1"):
             make_family(0.2, [1.125], delta=2.0**-3, s=0.5)
+        # NaN compares false, so a max-based check let it through
+        with pytest.raises(ConfigurationError, match=r"\|offset\| <= 1"):
+            make_family(0.2, [0.5, float("nan"), -0.2], delta=2.0**-3, s=0.5)
 
     def test_offsets_are_a_read_only_copy(self):
         mine = np.array([-0.25, 0.5])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from projlab import projection
 from projlab.curve import frame, model_curve, named_curve
 from projlab.dyadic import group_rows
-from projlab.errors import DomainError, RangeError
+from projlab.errors import CapacityError, DomainError, RangeError
 from projlab.fractal import PointSet, cantor_1d, full_grid, product_set
 from projlab.projection import (
     box_counts,
@@ -240,6 +240,15 @@ class TestSweep:
         assert summary["bound"] == pytest.approx(
             max(0.0, 1 + (1.0 - a.nominal_dim) / 2)
         )
+
+    @pytest.mark.parametrize("theta_grid", [2**24 + 1, 10**300])
+    def test_theta_grid_over_the_cap_refused_before_the_map(self, theta_grid):
+        # a pool's map submits every theta up front: 10**300 of them hung
+        def no_map(fn, items):
+            raise AssertionError("mapped")
+
+        with pytest.raises(CapacityError, match="theta_grid"):
+            exceptional_sweep(full_grid(3), CURVE, s=0.5, theta_grid=theta_grid, map_fn=no_map)
 
     def test_est_dim_capped_by_source(self):
         c = cantor_1d(1 / 3, 4)
