@@ -121,7 +121,7 @@ def full_grid(k: int, dim: int = 1) -> PointSet:
     """The full delta-grid of [0,1)^dim at delta = 2^-k."""
     if dim < 1:
         raise ConfigurationError(f"dim must be at least 1, got {dim}")
-    if k * dim > 24:
+    if k * dim >= CELL_CAP.bit_length():  # 2^(k dim) > CELL_CAP
         raise CapacityError("full grid would exceed the cell cap")
     axes = [np.arange(2**k, dtype=np.int64)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -231,16 +231,18 @@ def ifs_attractor(maps: Sequence[SimilarityMap], depth: int, delta: float) -> Po
     for m in maps:
         if not (0.0 < m.ratio < 1.0):
             raise ConfigurationError(f"map ratio {m.ratio} is not contracting")
+    # for n >= 2 maps, n^depth > CELL_CAP iff n^min(depth, b) > CELL_CAP with
+    # b = CELL_CAP.bit_length(), since 2^b > CELL_CAP: no huge power is formed
+    if len(maps) ** min(depth, CELL_CAP.bit_length()) > CELL_CAP:
+        raise CapacityError("composition count exceeds the cell cap")
+    if depth > CELL_CAP:  # one map's loop still runs depth times; no float overflow below
+        raise CapacityError(f"depth exceeds the cell cap {CELL_CAP}")
     max_ratio = max(m.ratio for m in maps)
     if max_ratio**depth > delta * (1 + 1e-12):
         raise ConfigurationError(
             f"depth {depth} does not resolve below delta={delta} "
             f"(max ratio^depth = {max_ratio**depth:.3g})"
         )
-    # for n >= 2 maps, n^depth > CELL_CAP iff n^min(depth, b) > CELL_CAP with
-    # b = CELL_CAP.bit_length(), since 2^b > CELL_CAP: no huge power is formed
-    if len(maps) ** min(depth, CELL_CAP.bit_length()) > CELL_CAP:
-        raise CapacityError("composition count exceeds the cell cap")
     pts = np.full((1, dim), 0.5)
     for _ in range(depth):
         pts = np.concatenate([m.apply(pts) for m in maps], axis=0)

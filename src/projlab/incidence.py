@@ -89,7 +89,8 @@ class IncidenceConfig:
 
     The scale delta and the net exponent t are the net's, and delta must be
     at most 1/2 (the heavy threshold divides by log2(1/delta)^2); the balls
-    must sit on the same delta-lattice and every family must share one s.
+    must sit on the same delta-lattice, every family must share one s, and
+    family j must sit at the net's direction j.
     """
 
     net: DirectionNet
@@ -103,6 +104,9 @@ class IncidenceConfig:
             raise DomainError(f"incidence configs need delta <= 1/2, got {self.net.delta}")
         if len(self.families) != len(self.net):
             raise ConfigurationError("need exactly one slab family per direction")
+        for j, (fam, theta) in enumerate(zip(self.families, self.net.thetas)):
+            if fam.theta != theta:
+                raise ConfigurationError(f"family {j} sits at theta={fam.theta}, not {theta}")
         if self.balls.ambient_dim != 3:
             raise ConfigurationError("balls must be a 3-D point set")
         if self.balls.delta != self.net.delta:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve
-from .dyadic import group_rows
+from .dyadic import dyadic_level, group_rows
 from .errors import CapacityError, ConfigurationError, RangeError
 from .fractal import CELL_CAP, PointSet
 
@@ -115,7 +115,7 @@ def theorem_bound(s: float, alpha: float) -> float:
 
 
 def _auto_fit_range(delta: float):
-    k = round(-math.log2(delta))
+    k = dyadic_level(delta)
     if k >= 6:
         return 4 * delta, 2.0**-2  # drop the two noisiest octaves at each end
     if k >= 3:

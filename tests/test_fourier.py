@@ -78,7 +78,9 @@ def envelope_oracle(f, geometry):
     """(per_s, total) of wave_envelope_rhs with boxes grouped by np.unique on packed codes."""
     M = geometry.M
     coeffs = f.coeffs().ravel()
-    sig_assign = geometry.sigma_assignment()
+    on = geometry.assignment >= 0
+    sig_assign = np.full(geometry.assignment.shape, -1, dtype=np.int32)
+    sig_assign[on] = (geometry.assignment[on] * geometry.delta / geometry.s_min).astype(np.int32)
     n_sigma = geometry.n_sigma()
     sigma_fields = []
     for si in range(n_sigma):
@@ -402,7 +404,9 @@ class TestHighLow:
         coeffs = np.zeros((16,) * 3, dtype=complex)
         coeffs[5, 5, 5] = 1.0  # far from the theta=0.1 tube
         f = GridFunction.from_coeffs(coeffs)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(
+            PreconditionError, match="^frequency support leaks outside the tube: "
+        ):
             high_low_split(f, 0.1, 4, geo16)
 
     def test_low_part_envelope_constant(self, geo16):
@@ -488,7 +492,7 @@ def test_cap_energy_matches_fft_restriction(M, seed, data):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     t = 0.5
     sub = CapSubset(t=t, directions=np.array(cap_ids, dtype=np.int64))
-    rep = decoupling_ratio(g, sub, geo, max_constant=np.inf)
+    rep = decoupling_ratio(g, sub, geo)
     assert rep.lhs == l4_norm(g)
     assert rep.rhs == pytest.approx(geo.delta**-t * sum(oracle), rel=1e-12, abs=0.0)
 
@@ -660,7 +664,7 @@ class TestDecoupling:
         big = CapSubset(t=0.5, directions=np.arange(16))
         g = random_cap_function(geo16, small, seed=11)
         rep_small = decoupling_ratio(g, small, geo16)
-        rep_big = decoupling_ratio(g, big, geo16, max_constant=16.0)
+        rep_big = decoupling_ratio(g, big, geo16)
         assert rep_big.rhs >= rep_small.rhs - 1e-9
 
     def test_scaling_covariance(self, geo16):
@@ -672,11 +676,12 @@ class TestDecoupling:
         assert rep3.rhs == pytest.approx(81 * rep1.rhs, rel=1e-12)
         assert rep3.ratio == pytest.approx(rep1.ratio, rel=1e-12)
 
-    def test_spacing_precondition_witnessed(self, geo16):
+    def test_spacing_precondition_witnessed(self, geo16, monkeypatch):
+        monkeypatch.setattr(fourier, "MAX_SPACING_CONSTANT", 1.5)
         sub = CapSubset(t=0.5, directions=np.array([4, 5]))
         g = random_cap_function(geo16, sub, seed=1)
         with pytest.raises(PreconditionError, match="t-spacing"):
-            decoupling_ratio(g, sub, geo16, max_constant=1.5)
+            decoupling_ratio(g, sub, geo16)
 
     @pytest.mark.parametrize("directions", [[4, 4], [3, 9, 3], [[4], [5]], 4])
     def test_cap_directions_distinct_and_flat(self, directions):
@@ -690,7 +695,7 @@ class TestDecoupling:
             geo16, CapSubset(t=0.5, directions=np.array([4, 9])),
             seed=3,
         )
-        with pytest.raises(PreconditionError, match="leak"):
+        with pytest.raises(PreconditionError, match="^support leaks off the selected caps: "):
             decoupling_ratio(g, sub, geo16)
 
 
@@ -700,9 +705,9 @@ class TestWaveEnvelope:
         assert rep.total == 0.0 and rep.quotient == 0.0
 
     def test_single_sigma_plank(self, geo16):
-        sig = geo16.sigma_assignment()
+        # at M = 16, s_min = 1/4: sigma 0 is caps 0..3
         coeffs = np.zeros(16**3, dtype=complex)
-        coeffs[sig == 0] = 1.0
+        coeffs[np.isin(geo16.assignment, range(4))] = 1.0
         f = GridFunction.from_coeffs(coeffs.reshape((16,) * 3))
         rep = wave_envelope_rhs(f, geo16)
         # direct recomputation of the l4 side
@@ -721,11 +726,10 @@ class TestWaveEnvelope:
         rep = wave_envelope_rhs(f, geo16)
         # brute-force python re-binning at one scale must agree with per_s
         M, s = 16, 0.25
-        sig = geo16.sigma_assignment()
         fields = {}
         for si in range(4):
             cc = coeffs.copy()
-            cc[sig != si] = 0
+            cc[~np.isin(geo16.assignment, range(4 * si, 4 * si + 4))] = 0
             fields[si] = np.abs(GridFunction.from_coeffs(cc.reshape((16,) * 3)).samples.ravel()) ** 2
         axes = np.indices((M, M, M)).reshape(3, -1).T.astype(float) - M / 2
         total_s = 0.0
@@ -774,7 +778,9 @@ class TestWaveEnvelope:
     def test_support_leak_rejected(self, geo16):
         coeffs = np.zeros((16,) * 3, dtype=complex)
         coeffs[1, 1, 1] = 1.0
-        with pytest.raises(PreconditionError):
+        with pytest.raises(
+            PreconditionError, match="^support leaks off the cone neighbourhood: "
+        ):
             wave_envelope_rhs(GridFunction.from_coeffs(coeffs), geo16)
 
     @staticmethod

@@ -248,6 +248,13 @@ class TestIfs:
         with pytest.raises(CapacityError, match="composition count"):
             ifs_attractor(maps, depth, 2.0**-6)
 
+    @pytest.mark.parametrize("n_maps, match", [(1, "depth exceeds"), (2, "composition count")])
+    def test_astronomical_depth_refused_before_the_ratio_power(self, n_maps, match):
+        # max_ratio**depth used to raise a bare OverflowError at depth 10**400
+        maps = [SimilarityMap(0.5, np.array([i / 2])) for i in range(n_maps)]
+        with pytest.raises(CapacityError, match=match):
+            ifs_attractor(maps, 10**400, 2.0**-6)
+
     def test_similarity_dimension_bisection(self):
         assert similarity_dimension([0.5, 0.25]) == pytest.approx(0.6942419, abs=1e-5)
 

@@ -334,6 +334,15 @@ class TestConfigScale:
         with pytest.raises(DomainError, match="delta <= 1/2"):
             IncidenceConfig(net=net, families=fams, balls=origin_ball(1.0))
 
+    def test_config_rejects_a_family_off_its_direction(self):
+        # the count pairs family j with net.thetas[j], but the family's own
+        # theta places its slabs, so the two must agree
+        net = direction_net(CURVE, 2.0**-4, 1.0, 0)
+        fams = [make_family(float(th), [0.0], delta=2.0**-4, s=0.5) for th in net.thetas]
+        fams[3] = make_family(0.9, [0.0], delta=2.0**-4, s=0.5)
+        with pytest.raises(ConfigurationError, match="family 3 sits at theta=0.9"):
+            IncidenceConfig(net=net, families=tuple(fams), balls=origin_ball(2.0**-4))
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_generator_rejects_bad_seed(self, seed):
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
