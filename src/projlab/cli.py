@@ -7,11 +7,11 @@ inputs, calls the library routine that does the job (`sweep` calls
 `projection.exceptional_sweep`) and writes numbers only: `<command>.csv`
 and `<command>_summary.json` (`cover` also writes the covering itself as
 `cover.json`).  There are no plots.  All outputs are byte-identical across
-reruns with the same resolved config and seed.  The PROJLAB_THREADS
-environment variable sets the size of the one thread pool, which maps over
-the theta grid of `sweep` and the (delta, seed) cells of `incidence` and
-`decouple`; it never changes the output bytes.  Exit codes: 0 ok, 2
-invalid config, 3 infeasible experiment.
+reruns with the same resolved config and seed.  PROJLAB_THREADS (1 to 64,
+default 1) sets the size of the one thread pool, which maps over the theta
+grid of `sweep` and the (delta, seed) cells of `incidence` and `decouple`;
+it never changes the output bytes.  Exit codes: 0 ok, 2 invalid config, 3
+infeasible experiment.
 """
 
 from __future__ import annotations
@@ -76,9 +76,18 @@ DEFAULTS = {
 
 COMMANDS = tuple(DEFAULTS)
 
+
+def _cantor3d(ratio: float, depth: int):
+    # ratio <= 1/2 puts consecutive endpoints at least delta/sqrt(2) apart, so a
+    # factor has at least 2^(depth-1) cells: refuse before building one
+    if 3 * (depth - 1) >= CELL_CAP.bit_length():
+        raise CapacityError(f"a depth-{depth} cantor3d set exceeds the cap {CELL_CAP}")
+    return product_set(*[cantor_1d(ratio, depth)] * 3)
+
+
 #: point-set generators of `gen` and `cover`: name -> builder(ratio, depth)
 GENERATORS = {
-    "cantor3d": lambda ratio, depth: product_set(*[cantor_1d(ratio, depth)] * 3),
+    "cantor3d": _cantor3d,
     "cantor1d": cantor_1d,
     "grid1d": lambda ratio, depth: full_grid(depth),
 }
@@ -89,12 +98,16 @@ INTEGER_KEYS = {"depth": 1, "min_level": 0, "theta_grid": 2, "n_seeds": 1, "seed
 #: real-valued config keys; each must be a finite number
 REAL_KEYS = ("s", "t", "margin", "ratio", "epsilon")
 
+#: largest accepted PROJLAB_THREADS; a pool's map submits every item up front
+MAX_THREADS = 64
+
 
 def threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PROJLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+    """The PROJLAB_THREADS pool size: an integer from 1 to MAX_THREADS, 1 if unset."""
+    raw = os.environ.get("PROJLAB_THREADS", "1")
+    if not (raw.isdecimal() and 1 <= int(raw) <= MAX_THREADS):
+        raise ConfigurationError(f"PROJLAB_THREADS must be 1 to {MAX_THREADS}, got {raw!r}")
+    return int(raw)
 
 
 def resolve_config(command: str, raw: dict) -> dict:
@@ -159,20 +172,14 @@ def _build_set(cfg: dict):
     return gen(float(cfg["ratio"]), int(cfg["depth"]))
 
 
-def _pool_map(fn, items) -> list:
-    """fn over items in a pool of PROJLAB_THREADS threads, results in order."""
-    with ThreadPoolExecutor(max_workers=threads()) as pool:
-        return list(pool.map(fn, items))
-
-
-def _per_cell(cfg: dict, one) -> list:
+def _per_cell(cfg: dict, one, map_fn) -> list:
     """[(delta, seed, one(delta, seed))] over the delta-major (delta, seed) grid."""
     cells = [
         (float(d), int(cfg["seed"]) + j)
         for d in cfg["deltas"]
         for j in range(int(cfg["n_seeds"]))
     ]
-    reps = _pool_map(lambda cell: one(*cell), cells)
+    reps = list(map_fn(lambda cell: one(*cell), cells))
     return [(delta, seed, rep) for (delta, seed), rep in zip(cells, reps)]
 
 
@@ -185,7 +192,7 @@ def _per_delta_means(results: list, value):
     return [math.log2(1 / d) for d in ds], [float(np.mean(per_delta[d])) for d in ds]
 
 
-def run_gen(cfg: dict, out: Path) -> dict:
+def run_gen(cfg: dict, out: Path, map_fn) -> dict:
     pset = _build_set(cfg)
     save_csv(pset, out / "gen.csv")
     return {
@@ -195,7 +202,7 @@ def run_gen(cfg: dict, out: Path) -> dict:
     }
 
 
-def run_cover(cfg: dict, out: Path) -> dict:
+def run_cover(cfg: dict, out: Path, map_fn) -> dict:
     pset = _build_set(cfg)
     cov = covering_mod.greedy_cover(
         pset, float(cfg["s"]), float(cfg["epsilon"]), int(cfg["min_level"])
@@ -212,14 +219,14 @@ def run_cover(cfg: dict, out: Path) -> dict:
     }
 
 
-def run_sweep(cfg: dict, out: Path) -> dict:
+def run_sweep(cfg: dict, out: Path, map_fn) -> dict:
     rows, summary = projection.exceptional_sweep(
         _build_set(cfg),
         named_curve(cfg["curve"]),
         float(cfg["s"]),
         int(cfg["theta_grid"]),
         float(cfg["margin"]),
-        map_fn=_pool_map,
+        map_fn=map_fn,
     )
     lines = ["theta,est_dim,r2,below_s"]
     for r in rows:
@@ -228,7 +235,7 @@ def run_sweep(cfg: dict, out: Path) -> dict:
     return summary
 
 
-def run_incidence(cfg: dict, out: Path) -> dict:
+def run_incidence(cfg: dict, out: Path, map_fn) -> dict:
     curve = named_curve(cfg["curve"])
     s, t, eps = float(cfg["s"]), float(cfg["t"]), float(cfg["epsilon"])
 
@@ -237,7 +244,7 @@ def run_incidence(cfg: dict, out: Path) -> dict:
         c = incidence.random_admissible_config(spec)
         return incidence.verify_incidence_bound(c, curve, epsilon=eps)
 
-    results = _per_cell(cfg, one)
+    results = _per_cell(cfg, one, map_fn)
     lines = ["delta,seed,lhs,rhs,fitted_C,heavy_count,theta_count"]
     for delta, seed, rep in results:
         lines.append(
@@ -255,7 +262,7 @@ def run_incidence(cfg: dict, out: Path) -> dict:
     }
 
 
-def run_decouple(cfg: dict, out: Path) -> dict:
+def run_decouple(cfg: dict, out: Path, map_fn) -> dict:
     curve = named_curve(cfg["curve"])
     t = float(cfg["t"])
     deltas = sorted(set(map(float, cfg["deltas"])))
@@ -267,7 +274,7 @@ def run_decouple(cfg: dict, out: Path) -> dict:
         g = fourier.random_cap_function(geo, caps, seed=seed + 10000)
         return fourier.decoupling_ratio(g, caps, geo)
 
-    results = _per_cell(cfg, one)
+    results = _per_cell(cfg, one, map_fn)
     lines = ["delta,t,seed,lhs,rhs,ratio"]
     for delta, seed, rep in results:
         lines.append(f"{delta!r},{t!r},{seed},{rep.lhs!r},{rep.rhs!r},{rep.ratio!r}")
@@ -280,6 +287,7 @@ def run_decouple(cfg: dict, out: Path) -> dict:
     }
 
 
+#: command -> runner(cfg, out, map_fn), map_fn the pool's map (`gen`, `cover`: unused)
 RUNNERS = {
     "gen": run_gen,
     "cover": run_cover,
@@ -300,13 +308,15 @@ def _error(exc: Exception) -> int:
 def run(command: str, raw_config: dict, out_dir) -> int:
     """Execute one command; returns the process exit code."""
     try:
+        workers = threads()
         cfg = resolve_config(command, raw_config)
     except (ProjLabError, ValueError, TypeError) as exc:
         return _error(exc)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        results = RUNNERS[command](cfg, out)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = RUNNERS[command](cfg, out, pool.map)
     except ProjLabError as exc:
         return _error(exc)
     _write(out / f"{command}_summary.json", _summary_json(cfg, results))

@@ -389,9 +389,11 @@ def high_low_split(
 
     Multiplies the coefficients by a smooth partition pair transitioning
     over [1/(2K), 1/K] in |xi.gamma|; reconstruction f_high + f_low = f is
-    exact on the lattice.  Raises PreconditionError on frequency support
-    leaking outside the tube.
+    exact on the lattice.  Raises DomainError for K < 1 and PreconditionError
+    on frequency support leaking outside the tube.
     """
+    if K < 1:
+        raise DomainError(f"the split height 1/K needs K >= 1, got K={K}")
     M = f_theta.M
     gamma, tan, nor = frame(geometry.curve, theta)
     coeffs = f_theta.coeffs().ravel()

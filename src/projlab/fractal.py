@@ -371,12 +371,8 @@ def save_csv(p: PointSet, path) -> None:
         CSV_HEADER,
         f"{p.ambient_dim},{p.delta!r},{p.domain},{float(p.nominal_dim)!r}",
     ]
-    vals = p.values
-    for i in range(len(p)):
-        fields = [repr(float(v)) for v in vals[i]]
-        if p.weights is not None:
-            fields.append(repr(float(p.weights[i])))
-        lines.append(",".join(fields))
+    rows = p.values if p.weights is None else np.column_stack([p.values, p.weights])
+    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

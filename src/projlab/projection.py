@@ -41,36 +41,26 @@ class SweepRow:
 def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     """Orthogonal projection x -> x . gamma(theta), snapped to a's lattice.
 
-    Duplicated cells merge and their weights add; all projected values of a
-    unit-ball set satisfy |v| <= 1.  The merge is one dense count over the
-    projected index range when that range is at most four times the number
-    of cells, so memory stays O(n); sparser sets (such as products of thin
-    Cantor sets at large k) sort their cells with `group_rows` instead.
-    Either way each cell's weights add in input order, so the two routes
-    give the same bits.
+    Returns the projected set, one cell per occupied lattice point in
+    lattice order, with no weights: the sweep's box counts read only the
+    support.  All projected values of a unit-ball set satisfy |v| <= 1.
+    The cells come from one dense count over the projected index range
+    when that range is at most four times the number of cells, so memory
+    stays O(n); sparser sets (such as products of thin Cantor sets at
+    large k) sort their cells with `group_rows` instead.
     """
     if a.ambient_dim != 3:
         raise ConfigurationError("project_line expects a 3-D set")
     gamma = curve.points(np.array([theta]))[0]
     # delta is a power of two, so this equals (idx * delta) @ gamma / delta
     col = np.round(a.indices @ gamma).astype(np.int64)
-    w = None
     if len(col) and col.max() - col.min() < 4 * len(col):
         lo = col.min()
-        off = col - lo
-        # occupancy from the unweighted count keeps cells of weight zero
-        occupied = np.flatnonzero(np.bincount(off))
-        cells = occupied + lo
-        if a.weights is not None:
-            w = np.bincount(off, weights=a.weights)[occupied]
+        cells = np.flatnonzero(np.bincount(col - lo)) + lo
     else:
-        first, inv = group_rows(col[:, None])
-        cells = col[first]
-        if a.weights is not None:
-            w = np.bincount(inv, weights=a.weights, minlength=len(first))
+        cells = col[group_rows(col[:, None])[0]]
     return PointSet(
-        1, a.delta, cells[:, None], weights=w,
-        nominal_dim=min(1.0, a.nominal_dim), domain="ball",
+        1, a.delta, cells[:, None], nominal_dim=min(1.0, a.nominal_dim), domain="ball"
     )
 
 

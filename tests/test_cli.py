@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from projlab import cli
 from projlab.cli import COMMANDS, DEFAULTS, main, resolve_config, run
+from projlab.errors import ConfigurationError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -50,6 +52,27 @@ class TestConfig:
     def test_bad_delta_rejected(self):
         with pytest.raises(Exception):
             resolve_config("decouple", {"deltas": [0.3]})
+
+
+class TestThreads:
+    def test_unset_means_one(self, monkeypatch):
+        monkeypatch.delenv("PROJLAB_THREADS", raising=False)
+        assert cli.threads() == 1
+
+    @pytest.mark.parametrize("value", ["1", "8", "64"])
+    def test_integer_in_range_accepted(self, monkeypatch, value):
+        monkeypatch.setenv("PROJLAB_THREADS", value)
+        assert cli.threads() == int(value)
+
+    # read only, so no thread is started: these mapped to 1 silently, or
+    # (100000) sized a pool with one thread per item
+    @pytest.mark.parametrize(
+        "value", ["abc", "", "0", "-3", "4.0", "1e3", "65", "100000"]
+    )
+    def test_anything_else_refused(self, monkeypatch, value):
+        monkeypatch.setenv("PROJLAB_THREADS", value)
+        with pytest.raises(ConfigurationError, match="PROJLAB_THREADS"):
+            cli.threads()
 
 
 class TestRun:
@@ -175,6 +198,36 @@ class TestRun:
         assert "level k=66" in err["error"]["message"]
 
     @pytest.mark.parametrize(
+        "command, depth", [("gen", 10), ("gen", 24), ("sweep", 10), ("sweep", 24)]
+    )
+    def test_cantor3d_over_the_cap_refused_before_a_factor_is_built(
+        self, tmp_path, capsys, monkeypatch, command, depth
+    ):
+        # depth 24 spent 19.5 s building a 2^24-cell factor before product_set refused it
+        def no_deep_factor(ratio, depth):
+            raise AssertionError(f"built a depth-{depth} factor")
+
+        monkeypatch.setattr(cli, "cantor_1d", no_deep_factor)
+        assert run(command, {"depth": depth}, tmp_path) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "config"
+        assert "exceeds the cap" in err["message"]
+
+    def test_cantor3d_at_depth_9_still_builds_its_factor(self, tmp_path, capsys, monkeypatch):
+        # the smallest product at depth 9 fits, so product_set refuses it as before
+        calls, real = [], cli.cantor_1d
+
+        def counted(ratio, depth):
+            calls.append(depth)
+            return real(ratio, depth)
+
+        monkeypatch.setattr(cli, "cantor_1d", counted)
+        assert run("gen", {"depth": 9}, tmp_path) == 2
+        assert calls == [9]
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert "product cells exceed the cap" in err["message"]
+
+    @pytest.mark.parametrize(
         "command, raw, files",
         [
             ("gen", {"depth": 2}, {"gen.csv", "gen_summary.json"}),
@@ -278,6 +331,16 @@ class TestCliProcess:
                 assert r.returncode == 0, r.stderr
                 hashes.append(hash_dir(out))
             assert hashes[0] == hashes[1], command
+
+    def test_bad_thread_count_exits_2_before_any_output(self, tmp_path):
+        out = tmp_path / "o"
+        r = run_cli(
+            ["sweep", "--set", "depth=2", "--set", "theta_grid=8", "--out", str(out)],
+            env_extra={"PROJLAB_THREADS": "abc"},
+        )
+        assert r.returncode == 2, r.stderr
+        assert json.loads(r.stdout)["error"]["kind"] == "config"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         r = run_cli(["sweep", "--config", str(tmp_path / "nope.json")])

@@ -409,6 +409,14 @@ class TestHighLow:
         ):
             high_low_split(f, 0.1, 4, geo16)
 
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_k_below_one_rejected(self, geo16, K):
+        # K = 0 divided by zero, and K = -2 returned an all-zero high part
+        fam = make_family(0.1, [0.125], delta=2.0**-4, s=0.5)
+        f = synth_tube_function(fam, geo16)
+        with pytest.raises(DomainError, match="K >= 1"):
+            high_low_split(f, 0.1, K, geo16)
+
     def test_low_part_envelope_constant(self, geo16):
         from projlab.incidence import IncidenceSpec, random_admissible_config
 

@@ -430,6 +430,32 @@ class TestSerialization:
         save_csv(p, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            product_set(cantor_1d(0.25, 3), cantor_1d(0.25, 3), cantor_1d(0.25, 3)),
+            product_set(*[cantor_1d(1 / 3, 2)] * 3).with_weights(np.arange(1, 65) / 2080),
+            cantor_1d(1 / 3, 5),
+            PointSet(2, 2.0**-3, np.array([[-5, 2], [0, -8], [3, 3]]), nominal_dim=0.7,
+                     domain="ball"),
+        ],
+        ids=["weighted_3d_product", "uneven_weights_3d", "unweighted_1d", "ball_2d"],
+    )
+    def test_bytes_match_the_per_cell_formula(self, tmp_path, p):
+        # the per-cell repr(float(...)) loop that save_csv once ran
+        lines = [
+            "dim,delta,domain,nominal_dim",
+            f"{p.ambient_dim},{p.delta!r},{p.domain},{float(p.nominal_dim)!r}",
+        ]
+        for i in range(len(p)):
+            fields = [repr(float(v)) for v in p.values[i]]
+            if p.weights is not None:
+                fields.append(repr(float(p.weights[i])))
+            lines.append(",".join(fields))
+        path = tmp_path / "set.csv"
+        save_csv(p, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_header_and_order(self, tmp_path):
         p = cantor_1d(0.5, 3)
         path = tmp_path / "grid.csv"

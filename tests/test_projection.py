@@ -23,17 +23,13 @@ CURVE = model_curve()
 
 
 def oracle_project_line(a, curve, theta):
-    """The sort-based projection: every duplicate merge goes through group_rows."""
+    """The sort-based projection: the support, every duplicate merged by group_rows."""
     gamma = curve.points(np.array([theta]))[0]
     vals = a.values @ gamma
     idx = np.round(vals / a.delta).astype(np.int64)[:, None]
-    first, inv = group_rows(idx)
-    w = None
-    if a.weights is not None:
-        w = np.bincount(inv, weights=a.weights, minlength=len(first))
+    first, _ = group_rows(idx)
     return PointSet(
-        1, a.delta, idx[first], weights=w, nominal_dim=min(1.0, a.nominal_dim),
-        domain="ball",
+        1, a.delta, idx[first], nominal_dim=min(1.0, a.nominal_dim), domain="ball"
     )
 
 
@@ -41,10 +37,7 @@ def assert_same_projection(got, want):
     assert got.indices.dtype == want.indices.dtype
     assert got.indices.shape == want.indices.shape
     assert got.indices.tobytes() == want.indices.tobytes()
-    if want.weights is None:
-        assert got.weights is None
-    else:
-        assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.weights is None and want.weights is None
     assert (got.nominal_dim, got.domain) == (want.nominal_dim, want.domain)
 
 
@@ -86,13 +79,15 @@ class TestProjectLine:
         p = project_line(a, CURVE, 0.25)
         assert np.max(np.abs(p.values)) <= 2 * a.delta
 
-    def test_weights_summed(self):
-        idx = np.array([[0, 0, 4], [0, 0, -4]])
-        a = PointSet(3, 2.0**-4, idx, nominal_dim=0.0, domain="ball").with_weights(np.full(2, 1 / 2))
-        # project onto a direction orthogonal to the z-axis separation
-        p = project_line(a, CURVE, 0.0)
-        assert p.weights is not None
-        assert p.weights.sum() == pytest.approx(1.0)
+    def test_weighted_and_unweighted_project_alike(self):
+        idx = np.array([[0, 0, 4], [0, 0, -4], [3, 1, 0]])
+        a = PointSet(3, 2.0**-4, idx, nominal_dim=0.0, domain="ball")
+        weighted = a.with_weights([0.5, 0.5, 0.0])
+        for theta in (0.0, 0.4, 1.0):
+            p = project_line(weighted, CURVE, theta)
+            assert p.weights is None
+            # the zero-weight cell keeps its projected cell
+            assert_same_projection(p, project_line(a, CURVE, theta))
 
     def test_lipschitz_diameter_and_counts(self):
         a = product_set(cantor_1d(1 / 3, 3), cantor_1d(1 / 3, 3), cantor_1d(1 / 3, 3))
@@ -116,7 +111,7 @@ class TestProjectLine:
 )
 def test_project_line_matches_sort_oracle(k, n, seed, zero_share, name, theta):
     # small k fills the index range (dense count), large k leaves it sparse
-    # (group_rows); weights of exactly 0 must keep their cells
+    # (group_rows); weights, even weights of exactly 0, change no cell
     rng = np.random.default_rng(seed)
     delta = 2.0**-k
     rows = rng.integers(-(2**k), 2**k + 1, size=(n, 3))
@@ -128,7 +123,7 @@ def test_project_line_matches_sort_oracle(k, n, seed, zero_share, name, theta):
     if w.sum() > 0:
         weighted = a.with_weights(w / w.sum())
         assert_same_projection(
-            project_line(weighted, curve, theta), oracle_project_line(weighted, curve, theta)
+            project_line(weighted, curve, theta), oracle_project_line(a, curve, theta)
         )
 
 
