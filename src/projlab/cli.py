@@ -313,11 +313,17 @@ def run(command: str, raw_config: dict, out_dir) -> int:
     except (ProjLabError, ValueError, TypeError) as exc:
         return _error(exc)
     out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = RUNNERS[command](cfg, out, pool.map)
-    except ProjLabError as exc:
+    except (ProjLabError, OSError) as exc:  # OSError: --out is a file, or a write failed
+        for d in made:  # stops at the first one the runner left non-empty
+            try:
+                d.rmdir()
+            except OSError:
+                break
         return _error(exc)
     _write(out / f"{command}_summary.json", _summary_json(cfg, results))
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +34,9 @@ class PointSet:
 
     `indices` has shape (n, ambient_dim) and is kept lexicographically
     sorted; coordinates are `indices * delta`.  `indices` and `weights` are
-    read-only copies, so results memoised per set cannot go stale.
+    read-only copies, so results memoised per set cannot go stale; one such
+    result is `float_indices`, the float64 copy of the indices that every
+    projection of the set multiplies, built on first use.
     `nominal_dim` is declared dimension metadata (similarity dimension for
     the shipped generators).
     """
@@ -91,6 +94,13 @@ class PointSet:
     @property
     def values(self) -> np.ndarray:
         return self.indices * self.delta
+
+    @cached_property
+    def float_indices(self) -> np.ndarray:
+        """Read-only float64 copy of `indices`, made once per set (not a field)."""
+        out = self.indices.astype(np.float64)
+        out.flags.writeable = False
+        return out
 
     def with_weights(self, weights: Sequence[float]) -> "PointSet":
         return replace(self, weights=np.asarray(weights, dtype=float))

@@ -52,8 +52,9 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     if a.ambient_dim != 3:
         raise ConfigurationError("project_line expects a 3-D set")
     gamma = curve.points(np.array([theta]))[0]
-    # delta is a power of two, so this equals (idx * delta) @ gamma / delta
-    col = np.round(a.indices @ gamma).astype(np.int64)
+    # delta is a power of two, so this equals (idx * delta) @ gamma / delta;
+    # numpy would cast the int64 indices to the same floats on every call
+    col = np.round(a.float_indices @ gamma).astype(np.int64)
     if len(col) and col.max() - col.min() < 4 * len(col):
         lo = col.min()
         cells = np.flatnonzero(np.bincount(col - lo)) + lo
@@ -65,11 +66,18 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
 
 
 def box_counts(p: PointSet, level: int) -> int:
-    """Number of aligned dyadic cubes of side 2^-level meeting the set."""
+    """Number of aligned dyadic cubes of side 2^-level meeting the set.
+
+    In 1-D the ancestors of the sorted cells are sorted too, so the count is
+    the number of steps between neighbours, plus one for a non-empty set.
+    """
     k = p.level
     if level > k:
         raise RangeError("cannot count boxes below the lattice scale")
-    return len(group_rows(p.indices >> (k - level))[0])
+    anc = p.indices >> (k - level)
+    if p.ambient_dim == 1:
+        return int(np.count_nonzero(np.diff(anc[:, 0]))) + (len(anc) > 0)
+    return len(group_rows(anc)[0])
 
 
 def box_dimension(p: PointSet, r_min: float, r_max: float) -> DimensionFit:

@@ -213,6 +213,39 @@ class TestRun:
         assert err["kind"] == "config"
         assert "exceeds the cap" in err["message"]
 
+    def test_refusal_removes_only_the_directories_it_made(self, tmp_path, capsys):
+        # a runner's refusal used to leave the empty --out behind
+        made = tmp_path / "a" / "b" / "d24"
+        assert run("gen", {"depth": 24}, made) == 2
+        assert list(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert run("gen", {"depth": 24}, kept) == 2
+        assert kept.is_dir() and list(kept.iterdir()) == []
+        assert run("gen", {"depth": 24}, kept / "d24") == 2
+        assert list(tmp_path.iterdir()) == [kept] and list(kept.iterdir()) == []
+        capsys.readouterr()
+
+    def test_out_path_through_a_file_exits_2(self, tmp_path, capsys):
+        # mkdir's FileExistsError and NotADirectoryError used to escape as tracebacks
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        for out in (blocker, blocker / "sub"):
+            assert run("gen", {}, out) == 2
+            assert json.loads(capsys.readouterr().out)["error"]["kind"] == "config"
+        assert blocker.read_text() == ""
+
+    def test_refusal_keeps_a_directory_the_runner_wrote_into(self, tmp_path, capsys, monkeypatch):
+        def partial(cfg, out, map_fn):
+            (out / "part.csv").write_text("x")
+            raise ConfigurationError("refused after a write")
+
+        monkeypatch.setitem(cli.RUNNERS, "gen", partial)
+        out = tmp_path / "a" / "out"
+        assert run("gen", {}, out) == 2
+        assert [f.name for f in out.iterdir()] == ["part.csv"]
+        assert "refused after a write" in capsys.readouterr().out
+
     def test_cantor3d_at_depth_9_still_builds_its_factor(self, tmp_path, capsys, monkeypatch):
         # the smallest product at depth 9 fits, so product_set refuses it as before
         calls, real = [], cli.cantor_1d

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,26 @@ class TestReadOnly:
                 a[0] = 0
         mine[0, 0] = 2  # the caller's array stays writable
         assert p.indices.tolist() == [[1], [3]]
+
+    def test_float_indices_are_a_read_only_copy_built_on_first_use(self):
+        rows = np.array([[2**39 + 1, -5], [0, -(2**38) - 3], [3, 3]])  # not float32-exact
+        p = PointSet(2, 2.0**-40, rows, domain="ball")
+        assert "float_indices" not in vars(p)  # nothing is built with the set
+        f = p.float_indices
+        assert f.dtype == np.float64
+        assert f.tobytes() == p.indices.astype(float).tobytes()
+        assert p.float_indices is f
+        with pytest.raises(ValueError, match="read-only"):
+            f[0, 0] = 0.0
+
+    def test_float_indices_are_not_a_field(self):
+        p, q = (PointSet(1, 0.25, np.array([[3]]), nominal_dim=0.0) for _ in range(2))
+        p.float_indices
+        assert p == q
+        assert repr(p) == repr(q)
+        assert "float_indices" not in {f.name for f in fields(PointSet)}
+        for r in (replace(p, nominal_dim=1.0), p.with_weights([1.0])):
+            assert "float_indices" not in vars(r)
 
 
 class TestAmbientDim:

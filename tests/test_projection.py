@@ -1,9 +1,10 @@
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projlab import projection
@@ -170,7 +171,41 @@ class TestProjectLineRoutes:
             project_line(a, CURVE, 0.3)
 
 
+@given(
+    k=st.integers(0, 20),
+    n=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    domain=st.sampled_from(["cube", "ball"]),
+)
+@example(k=5, n=0, seed=0, domain="ball")
+@example(k=5, n=0, seed=0, domain="cube")
+def test_box_counts_1d_match_group_rows(k, n, seed, domain):
+    # the sort-free 1-D count against a group_rows count of the ancestors at
+    # every level; ball-domain indices run negative, and n = 0 is the empty set
+    rng = np.random.default_rng(seed)
+    lo = -(2**k) if domain == "ball" else 0
+    rows = np.unique(rng.integers(lo, 2**k + 1, size=n))[:, None]
+    p = PointSet(1, 2.0**-k, rows, domain=domain)
+    for m in range(k + 1):
+        assert box_counts(p, m) == len(group_rows(p.indices >> (k - m))[0])
+
+
 class TestBoxDimension:
+    def test_only_sets_above_1d_are_grouped(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape[1])
+            return group_rows(rows)
+
+        monkeypatch.setattr(projection, "group_rows", counted)
+        c = cantor_1d(1 / 3, 3)
+        box_dimension(c, 4 * c.delta, 2.0**-1)
+        assert calls == []  # 1-D counts come from sorted ancestors
+        a = product_set(c, c, c)
+        box_dimension(a, 4 * a.delta, 2.0**-1)
+        assert calls and set(calls) == {3}
+
     def test_full_grid_slope_one(self):
         p = full_grid(10)
         fit = box_dimension(p, 2.0**-8, 2.0**-2)
@@ -235,6 +270,19 @@ class TestSweep:
         assert summary["bound"] == pytest.approx(
             max(0.0, 1 + (1.0 - a.nominal_dim) / 2)
         )
+
+    def test_threads_racing_to_a_fresh_float_cache_give_the_serial_rows(self):
+        c = cantor_1d(1 / 3, 3)
+        serial = exceptional_sweep(product_set(c, c, c), CURVE, s=1.0, theta_grid=64)
+        fresh = product_set(c, c, c)  # its float cache is first built inside the pool
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                pooled = exceptional_sweep(fresh, CURVE, s=1.0, theta_grid=64, map_fn=pool.map)
+        finally:
+            sys.setswitchinterval(old)
+        assert pooled == serial
 
     @pytest.mark.parametrize("theta_grid", [2**24 + 1, 10**300])
     def test_theta_grid_over_the_cap_refused_before_the_map(self, theta_grid):
