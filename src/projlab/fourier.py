@@ -59,9 +59,36 @@ _PRUNE_SLACK = (1e-9, 1e-12)
 MAX_SPACING_CONSTANT = 64.0
 
 
+def _synthesize(coeffs: np.ndarray, lines: np.ndarray, stage: np.ndarray, out: np.ndarray):
+    """Write sum_xi coeffs(xi) exp(2 pi i xi.x) into out: the bytes of ifftn(coeffs) * M^3.
+
+    `lines` holds the flat indices i M + j, sorted and distinct, of every
+    (i, j) line on axis 2 where coeffs may be nonzero; `stage` is a zeroed
+    complex (M, M, M) buffer.  ifftn runs axis 2, then 1, then 0, one line
+    at a time, and the transform of a zero line is exactly 0, so only those
+    lines run on axis 2 and only their i slabs on axis 1.  The passes run
+    unscaled (norm="forward"): ifftn's 1/M per axis and the factor M^3 are
+    powers of two, so leaving both out keeps the bits.  Unless out is stage,
+    the slab rows of stage go back to 0, so the next call can reuse it.
+    """
+    M = coeffs.shape[0]
+    stage.reshape(M * M, M)[lines] = np.fft.ifft(coeffs.reshape(M * M, M)[lines], norm="forward")
+    slabs = np.unique(lines // M)
+    stage[slabs] = np.fft.ifft(stage[slabs], axis=1, norm="forward")
+    np.fft.ifft(stage, axis=0, norm="forward", out=out)
+    if out is not stage:
+        stage[slabs] = 0
+    return out
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex function on the periodic grid [0, M)^3 with unit spacing."""
+    """Complex function on the periodic grid [0, M)^3 with unit spacing.
+
+    `samples` is read-only: a writable array (or a view) from the caller is
+    copied first, so the forward transform and the L4 norm are computed
+    once per function and kept.
+    """
 
     M: int
     samples: np.ndarray
@@ -71,32 +98,37 @@ class GridFunction:
             raise CapacityError(f"grid side must be one of {GRID_SIZES}, got {self.M}")
         if self.samples.shape != (self.M,) * 3:
             raise ConfigurationError("samples must have shape (M, M, M)")
+        if self.samples.flags.writeable or self.samples.base is not None:
+            samples = self.samples.copy()  # the caller's array stays theirs
+            samples.flags.writeable = False
+            object.__setattr__(self, "samples", samples)
 
     @property
     def delta(self) -> float:
         return 1.0 / self.M
 
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        out = np.fft.fftn(self.samples) / self.M**3
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _l4(self) -> float:
+        return float(np.sum(np.abs(self.samples) ** 4))
+
     def coeffs(self) -> np.ndarray:
-        """Coefficients c(xi) with f(x) = sum_xi c(xi) exp(2 pi i xi.x)."""
-        return np.fft.fftn(self.samples) / self.M**3
+        """Coefficients c(xi) with f(x) = sum_xi c(xi) exp(2 pi i xi.x): one read-only array."""
+        return self._coeffs
 
     @staticmethod
     def from_coeffs(coeffs: np.ndarray) -> "GridFunction":
-        """The samples np.fft.ifftn(coeffs) * M^3, transforming only nonzero lines.
-
-        ifftn runs axis 2, then 1, then 0, one line at a time, and the
-        transform of a zero line is exactly 0; so transforming only the
-        nonzero (i, j) lines on axis 2 and the nonzero i slabs on axis 1
-        gives the same bytes.
-        """
+        """The samples np.fft.ifftn(coeffs) * M^3, synthesised in place and kept uncopied."""
         M = coeffs.shape[0]
-        lines = coeffs.any(axis=2)
-        inner = np.fft.ifft(coeffs[lines], axis=1)
-        a = np.zeros(coeffs.shape, dtype=inner.dtype)
-        a[lines] = inner
-        slabs = lines.any(axis=1)
-        a[slabs] = np.fft.ifft(a[slabs], axis=1)
-        return GridFunction(M, np.fft.ifft(a, axis=0) * M**3)
+        a = np.zeros(coeffs.shape, dtype=np.result_type(coeffs, 1j))  # ifft's output dtype
+        _synthesize(coeffs, np.flatnonzero(coeffs.any(axis=2)), a, a)
+        a.flags.writeable = False
+        return GridFunction(M, a)
 
     def physical_energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2))
@@ -112,8 +144,8 @@ class GridFunction:
 
 
 def l4_norm(g: GridFunction) -> float:
-    """Integral of |g|^4 over the box with unit cell weight."""
-    return float(np.sum(np.abs(g.samples) ** 4))
+    """Integral of |g|^4 over the box with unit cell weight, computed once per function."""
+    return g._l4
 
 
 def _check_support(coeffs: np.ndarray, support: np.ndarray, what: str) -> None:
@@ -445,9 +477,7 @@ def cap_restrict(g: GridFunction, cap_id: int, geometry: ConeGeometry) -> GridFu
     """Zero all coefficients not assigned to the cap; linear and idempotent."""
     _check_grid(g, geometry)
     _check_caps(cap_id, geometry)
-    coeffs = g.coeffs().ravel()
-    keep = geometry.assignment == cap_id
-    coeffs[~keep] = 0
+    coeffs = np.where(geometry.assignment == cap_id, g.coeffs().ravel(), 0)
     return GridFunction.from_coeffs(coeffs.reshape((g.M,) * 3))
 
 
@@ -569,6 +599,12 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     whole periodic domain), so a call bins each tau's field with one
     np.bincount over dense ids: the box masses come out as one array in
     lexicographic box order, as a sort-based grouping gives them.
+
+    Each |f_sigma|^2 comes from one `_synthesize` call on the lines that
+    hold the sigma's own points, through buffers made once per call.  Tau j
+    at scale s is the ordered sum of sigmas j m, ..., (j + 1) m - 1 with
+    m = s / s_min, so the coarser taus that start at the same sigma extend
+    one running sum; each scale's terms are still added in tau order.
     """
     _check_grid(f, geometry)
     M = geometry.M
@@ -581,39 +617,37 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     on = np.flatnonzero(geometry.assignment >= 0)  # a few points per cap, in FFT order
     sigma = geometry.assignment[on] // round(geometry.s_min * M)
     n_sigma = geometry.n_sigma()
-    # the fields and one coefficient buffer are made before the transforms'
-    # temporaries, which then come and go in the same free space; a field made
-    # after each transform would leave a hole per sigma and grow the heap
     sigma_fields = np.empty((n_sigma, M**3))
     c = np.zeros_like(coeffs)
-    for si, out in enumerate(sigma_fields):
+    stage, samples = np.zeros((2, M, M, M), dtype=coeffs.dtype)
+    for si, dest in enumerate(sigma_fields):
         points = on[sigma == si]
         c[points] = coeffs[points]
-        g = GridFunction.from_coeffs(c.reshape((M,) * 3))
+        _synthesize(c.reshape((M,) * 3), np.unique(points // M), stage, samples)
         c[points] = 0
-        np.square(np.abs(g.samples.ravel(), out=out), out=out)
+        np.square(np.abs(samples.ravel(), out=dest), out=dest)
+    del c, stage, samples  # the accumulator reuses their space
 
-    field = np.empty(M**3)
-    per_s = {}
-    total = 0.0
-    for s in geometry.s_values:
-        n_tau = round(1.0 / s)
-        sig_per_tau = round(s / geometry.s_min)
-        box_vol = M**3 * s**3
-        value_s = 0.0
-        for ti in range(n_tau):
-            field.fill(0.0)
-            for si in range(ti * sig_per_tau, (ti + 1) * sig_per_tau):
-                field += sigma_fields[si]
-            if not field.any():
-                continue
+    acc = np.empty(M**3)
+    per_s = dict.fromkeys(geometry.s_values, 0.0)
+    for lo in range(n_sigma):
+        field, end = sigma_fields[lo], lo + 1
+        for s in geometry.s_values:
+            m = round(s * n_sigma)
+            if lo % m:
+                break
+            for si in range(end, lo + m):
+                field = np.add(field, sigma_fields[si], out=acc)
+            end = lo + m
+            box_vol = M**3 * s**3
             if s == 1.0:
                 # U_{tau_1} is the full periodic box: one sharp box, exactly
-                value_s += float(field.sum() ** 2 / box_vol)
-                continue
-            masses = np.bincount(boxes[s, ti], weights=field)
-            value_s += float(np.sum(masses**2) / box_vol)
-        per_s[s] = value_s
+                per_s[s] += float(field.sum() ** 2 / box_vol)
+            else:
+                masses = np.bincount(boxes[s, lo // m], weights=field)
+                per_s[s] += float(np.sum(masses**2) / box_vol)
+    total = 0.0
+    for value_s in per_s.values():  # left to right; sum() compensates from Python 3.12
         total += value_s
     l4 = l4_norm(f)
     quotient = 0.0 if total == 0 else l4 / total

@@ -75,7 +75,11 @@ def random_on(points, M, seed):
 
 
 def envelope_oracle(f, geometry):
-    """(per_s, total) of wave_envelope_rhs with boxes grouped by np.unique on packed codes."""
+    """(per_s, total) of wave_envelope_rhs with boxes grouped by np.unique on packed codes.
+
+    The sigma fields come from the full np.fft.ifftn, so the check shares no
+    synthesis code with wave_envelope_rhs.
+    """
     M = geometry.M
     coeffs = f.coeffs().ravel()
     on = geometry.assignment >= 0
@@ -86,8 +90,8 @@ def envelope_oracle(f, geometry):
     for si in range(n_sigma):
         c = coeffs.copy()
         c[sig_assign != si] = 0
-        g = GridFunction.from_coeffs(c.reshape((M,) * 3))
-        sigma_fields.append(np.abs(g.samples.ravel()) ** 2)
+        samples = np.fft.ifftn(c.reshape((M,) * 3)) * M**3
+        sigma_fields.append(np.abs(samples.ravel()) ** 2)
     axes = np.indices((M, M, M)).reshape(3, -1).T.astype(float) - M / 2
     per_s = {}
     total = 0.0
@@ -189,6 +193,92 @@ def test_from_coeffs_bytes_match_ifftn(kind, M, seed, density):
     want = np.fft.ifftn(coeffs) * M**3
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@given(
+    st.sampled_from([16, 32]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.integers(-60, 60),
+)
+def test_unscaled_synthesis_bytes_match_ifftn(M, seed, n_slabs, exponent):
+    """from_coeffs and _synthesize on sparse input equal np.fft.ifftn(coeffs) * M^3 in bytes.
+
+    The passes run unscaled, while ifftn scales by 1/M per axis and the
+    product by M^3: powers of two, so the bytes agree as long as every
+    partial sum stays in the normal float range (no overflow, no
+    subnormals), which coefficients of size 2^-60 to 2^60 keep.  Some drawn
+    lines and slabs are all zero; _synthesize also gets those lines, as
+    wave_envelope_rhs does, and its stage must come back zeroed.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((M,) * 3, dtype=complex)
+    lines = []
+    for i in rng.choice(M, size=n_slabs, replace=False):
+        for j in rng.choice(M, size=rng.integers(1, 4), replace=False):
+            k = rng.random(M) < rng.random()  # sometimes no point at all
+            values = rng.normal(size=(2, int(k.sum())))
+            coeffs[i, j, k] = (values[0] + 1j * values[1]) * 2.0**exponent
+            lines.append(i * M + j)
+    want = np.fft.ifftn(coeffs) * M**3
+    assert GridFunction.from_coeffs(coeffs).samples.tobytes() == want.tobytes()
+    stage, out = np.zeros((M,) * 3, dtype=complex), np.empty((M,) * 3, dtype=complex)
+    for _ in range(2):
+        fourier._synthesize(coeffs, np.unique(np.array(lines, dtype=np.int64)), stage, out)
+        assert out.tobytes() == want.tobytes()
+        assert not stage.any()
+
+
+class TestFrozenGridFunction:
+    @staticmethod
+    def make(M=16, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(M,) * 3) + 1j * rng.normal(size=(M,) * 3)
+
+    def test_samples_and_coeffs_are_read_only(self):
+        for g in (GridFunction(16, self.make()), GridFunction.from_coeffs(self.make())):
+            for a in (g.samples, g.coeffs()):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0, 0] = 1.0
+
+    def test_caller_array_is_copied(self):
+        samples = self.make()
+        g = GridFunction(16, samples)
+        before = g.samples.tobytes(), g.coeffs().tobytes()
+        samples[...] = 0
+        assert (g.samples.tobytes(), g.coeffs().tobytes()) == before
+        assert samples.flags.writeable
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        base = self.make()
+        view = base[:]
+        view.flags.writeable = False
+        g = GridFunction(16, view)
+        before = g.samples.tobytes()
+        base[...] = 0
+        assert g.samples.tobytes() == before
+
+    def test_coeffs_and_l4_computed_once(self, monkeypatch):
+        g = GridFunction(16, self.make())
+        first = g.coeffs()
+        monkeypatch.setattr(np.fft, "fftn", None)  # a second transform would fail
+        assert g.coeffs() is first
+        l4 = l4_norm(g)
+        assert l4 == float(np.sum(np.abs(g.samples) ** 4))
+        monkeypatch.setattr(np, "abs", None)
+        assert l4_norm(g) == l4
+
+    def test_callers_leave_coeffs_untouched(self, geo16):
+        sub = CapSubset(t=0.5, directions=np.array([3, 9]))
+        g = random_cap_function(geo16, sub, seed=4)
+        before = g.coeffs().tobytes()
+        cap_restrict(g, 3, geo16)
+        g.frequency_energy()
+        f = synth_tube_function(make_family(0.1, [0.0, 0.25], delta=2.0**-4, s=0.5), geo16)
+        f_before = f.coeffs().tobytes()
+        high_low_split(f, 0.1, 4, geo16)
+        assert g.coeffs().tobytes() == before
+        assert f.coeffs().tobytes() == f_before
 
 
 def oracle_assignment(curve, delta):
@@ -524,26 +614,30 @@ def test_cap_energy_on_any_support(M, corner, side, seed):
 
 
 def test_transform_counts(geo16, monkeypatch):
+    # the forward transform is kept on the function, so the ratio's one fftn
+    # also serves the envelope, which synthesises each sigma field directly
     sub = tspacing_subsample(geo16, 0.5, seed=1)
     g = random_cap_function(geo16, sub, seed=2)
-    calls = {"coeffs": 0, "from_coeffs": 0}
-    coeffs, from_coeffs = GridFunction.coeffs, GridFunction.from_coeffs
+    calls = dict.fromkeys(["coeffs", "fftn", "from_coeffs", "_synthesize"], 0)
 
-    def counted_coeffs(self):
-        calls["coeffs"] += 1
-        return coeffs(self)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    def counted_from_coeffs(c):
-        calls["from_coeffs"] += 1
-        return from_coeffs(c)
+        return wrapper
 
-    monkeypatch.setattr(GridFunction, "coeffs", counted_coeffs)
-    monkeypatch.setattr(GridFunction, "from_coeffs", staticmethod(counted_from_coeffs))
+    monkeypatch.setattr(GridFunction, "coeffs", counted("coeffs", GridFunction.coeffs))
+    monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
+    monkeypatch.setattr(
+        GridFunction, "from_coeffs", staticmethod(counted("from_coeffs", GridFunction.from_coeffs))
+    )
+    monkeypatch.setattr(fourier, "_synthesize", counted("_synthesize", fourier._synthesize))
     decoupling_ratio(g, sub, geo16)
-    assert calls == {"coeffs": 1, "from_coeffs": 0}
-    calls.update(coeffs=0, from_coeffs=0)
+    assert calls == {"coeffs": 1, "fftn": 1, "from_coeffs": 0, "_synthesize": 0}
+    calls.update(dict.fromkeys(calls, 0))
     wave_envelope_rhs(g, geo16)
-    assert calls == {"coeffs": 1, "from_coeffs": geo16.n_sigma()}
+    assert calls == {"coeffs": 1, "fftn": 0, "from_coeffs": 0, "_synthesize": geo16.n_sigma()}
 
 
 def test_one_spacing_scan_per_decouple_item(geo16, monkeypatch):
@@ -812,6 +906,21 @@ class TestWaveEnvelope:
     def test_bit_identical_to_unique_binning_at_bench_size(self):
         # the bench's largest grid: 1,280 to 1,425 boxes per tau at s = 1/8
         self.assert_matches_oracle(64, 0)
+
+    @pytest.mark.parametrize("M", [32, 64])
+    def test_bit_identical_on_one_sigma(self, M):
+        # every other sigma field, and every tau field without this sigma, is
+        # exactly 0: wave_envelope_rhs adds their +0.0 terms, the oracle skips them
+        geo = cached_geometry(M)
+        on = np.flatnonzero(geo.assignment >= 0)
+        sigma = geo.assignment[on] // round(geo.s_min * M)
+        si = geo.n_sigma() // 2 + 1
+        f = random_on(on[sigma == si], M, seed=M)
+        rep = wave_envelope_rhs(f, geo)
+        per_s, total = envelope_oracle(f, geo)
+        assert rep.per_s == per_s
+        assert rep.total == total
+        assert total > 0
 
     def test_box_ids_built_once_per_geometry(self, monkeypatch):
         geo = build_geometry(CURVE, 2.0**-4)
