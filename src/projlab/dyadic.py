@@ -11,6 +11,11 @@ with `np.bincount`, and `projection.box_counts` counts the steps between
 the ancestors of sorted cells, which are sorted too.
 Every (delta, s) spacing check, of point sets, direction nets and cap
 subsets alike, is one `spacing_scan` over lattice rows given in any order.
+It counts every window at once on the rows' compressed grid (each axis cut
+to its distinct coordinates), from one prefix-sum table built per scan; a
+grid above CELL_BUDGET cells is cut into axis-0 slabs first.  The witness
+is the lexicographically smallest anchored corner among the maxima, so it
+does not depend on the row order or on the branch taken.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ def max_window_count(indices: np.ndarray, length: float) -> tuple[int, int]:
     return int(counts[best]), int(indices[best])
 
 
+#: most cells a dense count's compressed grid may have; a larger grid is cut into axis-0 slabs
+CELL_BUDGET = 2**18
+
+
 def max_cube_count(rows: np.ndarray, length: int) -> tuple[int, tuple]:
     """Max number of lattice rows in a closed axis-aligned cube of side `length`.
 
@@ -59,28 +68,90 @@ def max_cube_count(rows: np.ndarray, length: int) -> tuple[int, tuple]:
     the cube's lower lattice corner.  Sliding an optimal cube until each
     lower face touches a point never decreases the count, so the scan tries
     point coordinates only and still equals the max over all lattice anchors.
-    The 1-D base (`max_window_count` of the sorted column) returns the
-    smallest anchor among the maxima, and each level visits the distinct x
-    in ascending order and replaces its best only on a strict >: the corner
-    is the lexicographically smallest point-anchored one among the maxima,
-    whatever the row order.
+    The corner is the lexicographically smallest anchored one among the
+    maxima, whatever the row order: on every axis j it is the coordinate of
+    a point that lies in the cube on the axes before j (see `_cube_counter`).
+    """
+    return _cube_counter(rows)(length)
+
+
+def _cube_counter(rows: np.ndarray):
+    """The side-free part of `max_cube_count`: returns count_at(length) -> (count, corner).
+
+    1-D sorts the column once.  For d >= 2 the candidate corners form the
+    compressed grid (each axis's distinct coordinates).  Up to CELL_BUDGET
+    cells, the rows' histogram on it becomes one zero-padded d-fold
+    prefix-sum table; per side, one searchsorted per axis gives each
+    corner's end ranks and d take-differences its closed-cube count.  The
+    same differences on axis j, with the later axes summed out, count the
+    points that anchor corner c on axis j (coordinate c_j, inside the cube
+    on the axes before j) and zero the unanchored corners, so `np.argmax`
+    of the C-ordered counts is the witness.  A larger grid is sorted by
+    axis 0 once, and each distinct x's slab [x, x + length] is counted on
+    the remaining axes, recursively.
     """
     n, d = rows.shape
     if n == 0:
-        return 0, (0,) * d
+        return lambda length: (0, (0,) * d)
     if d == 1:
-        c, start = max_window_count(np.sort(rows[:, 0]), length)
-        return c, (start,)
-    rows = rows[np.argsort(rows[:, 0])]
-    col0 = rows[:, 0]
-    xs = np.unique(col0)
-    los, his = np.searchsorted(col0, xs), np.searchsorted(col0, xs + length, side="right")
-    best, bwit = 0, (0,) * d
-    for x, lo, hi in zip(xs.tolist(), los.tolist(), his.tolist()):
-        c, wit = max_cube_count(rows[lo:hi, 1:], length)
-        if c > best:
-            best, bwit = c, (x,) + wit
-    return best, bwit
+        col = np.sort(rows[:, 0])
+
+        def count_at(length):
+            count, start = max_window_count(col, length)
+            return count, (start,)
+
+        return count_at
+    coords, ranks = zip(*(np.unique(col, return_inverse=True) for col in rows.T))
+    shape = tuple(c.size for c in coords)
+    if math.prod(shape) > CELL_BUDGET:
+        rows = rows[np.argsort(rows[:, 0])]
+        col0, xs = rows[:, 0], coords[0]
+        los = np.searchsorted(col0, xs).tolist()
+
+        def count_at(length):
+            his = np.searchsorted(col0, xs + length, side="right").tolist()
+            best, bwit = 0, (0,) * d
+            for x, lo, hi in zip(xs.tolist(), los, his):
+                c, wit = max_cube_count(rows[lo:hi, 1:], length)
+                if c > best:
+                    best, bwit = c, (x,) + wit
+            return best, bwit
+
+        return count_at
+    table = np.zeros(tuple(m + 1 for m in shape), dtype=np.intp)
+    inner = table[(slice(1, None),) * d]
+    cells = np.ravel_multi_index(ranks, shape)
+    inner[...] = np.bincount(cells, minlength=inner.size).reshape(shape)
+    for ax in range(d):
+        np.cumsum(inner, axis=ax, out=inner)
+    # for 0 < j < d - 1: points per axis-j rank, prefix-summed on the axes before j;
+    # axis d - 1's come from the count table's own differences in count_at
+    anchors = [
+        np.diff(table[(slice(None),) * (j + 1) + (-1,) * (d - 1 - j)], axis=j)
+        for j in range(1, d - 1)
+    ]
+
+    def count_at(length):
+        ends = [np.searchsorted(c, c + length, side="right") for c in coords]
+        head = _window(table, ends[:-1])
+        counts = np.take(head, ends[-1], axis=-1)
+        counts -= head[..., :-1]
+        counts *= np.diff(head, axis=-1) > 0
+        for j, anchor in enumerate(anchors, 1):
+            counts *= _window(anchor, ends[:j])[(...,) + (None,) * (d - 1 - j)] > 0
+        best = np.unravel_index(int(np.argmax(counts)), shape)
+        return int(counts[best]), tuple(int(c[i]) for c, i in zip(coords, best))
+
+    return count_at
+
+
+def _window(table: np.ndarray, ends: list) -> np.ndarray:
+    """Difference a padded prefix table on its first len(ends) axes, from rank i to ends[ax][i]."""
+    for ax, end in enumerate(ends):
+        out = np.take(table, end, axis=ax)
+        out -= table[(slice(None),) * ax + (slice(None, -1),)]
+        table = out
+    return table
 
 
 def spacing_scan(rows: np.ndarray, k: int, exponent: float):
@@ -88,18 +159,24 @@ def spacing_scan(rows: np.ndarray, k: int, exponent: float):
 
     For every dyadic r = 2**-m (0 <= m <= k, i.e. delta <= r <= 1) and every
     position on the delta-lattice, compares the point count in the closed
-    axis-aligned cube of side r against (r/delta)**exponent.  The result
-    does not depend on the row order (see `max_cube_count`).
+    axis-aligned cube of side r against (r/delta)**exponent.  The sort or
+    prefix-sum table behind the counts is built once for all k + 1 sides
+    (see `_cube_counter`), and the result does not depend on the row order.
 
     Returns (worst_ratio, witness) with witness = (r, corner), corner the
-    lower corner's coordinates (index * delta) of the first worst cube.
+    lower corner's coordinates (index * delta) of the first worst cube
+    (largest r, then `max_cube_count`'s corner).  Raises DomainError unless
+    the exponent is finite and >= 0: 1.0 ** nan == 1.0 would pass any set.
     """
+    if not (math.isfinite(exponent) and exponent >= 0):
+        raise DomainError(f"spacing exponent must be finite and >= 0, got {exponent}")
+    count_at = _cube_counter(rows)
     worst = 0.0
     delta = 2.0 ** (-k)
     witness = (1.0, (0.0,) * rows.shape[1])
     for m in range(k + 1):
         length = 2 ** (k - m)
-        count, corner = max_cube_count(rows, length)
+        count, corner = count_at(length)
         ratio = count / float(length) ** exponent
         if ratio > worst:
             worst = ratio

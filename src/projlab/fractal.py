@@ -281,7 +281,7 @@ def validate_delta_s_set(p: PointSet, s: float) -> DeltaSetReport:
     delta-lattice, for every dyadic r with delta <= r <= 1 (the lattice
     surrogate for balls B_r).  worst_constant is the max of
     count / (r/delta)^s; the verdict threshold is 4^ambient_dim, i.e. 64
-    for sets in R^3.
+    for sets in R^3.  Raises DomainError unless s is finite and >= 0.
     """
     threshold = 4.0**p.ambient_dim
     worst, (r, corner) = spacing_scan(p.indices, p.level, s)

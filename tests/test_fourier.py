@@ -658,6 +658,14 @@ def test_one_spacing_scan_per_decouple_item(geo16, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_cap_spacing_exponent_rejected(geo16, t):
+    # a NaN t used to pass the t-spacing check: 1.0 ** nan == 1.0
+    g = random_cap_function(geo16, CapSubset(t=0.5, directions=np.array([3, 9])), seed=0)
+    with pytest.raises(DomainError, match="spacing exponent"):
+        decoupling_ratio(g, CapSubset(t=t, directions=np.array([3, 9])), geo16)
+
+
 class TestTspacing:
     def test_t_one_all_caps(self, geo16):
         sub = tspacing_subsample(geo16, 1.0, seed=0)

@@ -14,7 +14,11 @@ verdict's own loop over the window sides).  The cube scan under them has
 two oracles of its own: `oracle_max_cube_count`, the recursion that
 re-sorted every slab as tuples and needed rows in lexicographic order,
 and `brute_max_cube_count`, which counts at every lattice anchor.
-`max_cube_count` must match both on rows in any order.
+`max_cube_count` must match both on rows in any order, through both of its
+branches: the dense count on the compressed grid and, above
+`dyadic.CELL_BUDGET` grid cells, the axis-0 slab recursion.  The scan
+tests run each input once at the real budget and once at a budget of one
+cell, which sends every count with d >= 2 down the slab branch.
 """
 
 import math
@@ -25,6 +29,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from projlab import dyadic
 from projlab.covering import (
     BUDGET_SLACK,
     Covering,
@@ -529,19 +534,37 @@ def test_frostman_constant_matches_tuple_masses(p):
 SPACING_EXPONENTS = st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.7, 2.5])
 
 
+#: the real cell budget, and one cell, which leaves the dense count to 1-cell grids only
+BUDGETS = (dyadic.CELL_BUDGET, 1)
+
+
 @given(point_sets(allow_empty=True), SPACING_EXPONENTS)
 @example(PointSet(1, 0.25, np.zeros((0, 1), dtype=np.int64)), 0.5)
 @example(PointSet(3, 0.5, np.zeros((0, 3), dtype=np.int64), domain="ball"), 0.0)
 @example(PointSet(2, 0.125, np.array([[3, 5]])), 0.0)  # ties at every side
 def test_spacing_scan_matches_both_old_scans(p, s):
-    report = validate_delta_s_set(p, s)
-    assert report == oracle_validate_delta_s_set(p, s)
-    worst, (r, corner) = spacing_scan(p.indices, p.level, s)
-    assert (worst, r, corner) == (
-        report.worst_constant, report.witness_r, report.witness_corner
-    )
-    if p.ambient_dim == 1:
-        assert (worst, (r, corner[0])) == oracle_spacing_scan(p.indices[:, 0], p.level, s)
+    want = oracle_validate_delta_s_set(p, s)
+    for budget in BUDGETS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dyadic, "CELL_BUDGET", budget)
+            assert validate_delta_s_set(p, s) == want
+            worst, (r, corner) = spacing_scan(p.indices, p.level, s)
+        assert (worst, r, corner) == (want.worst_constant, want.witness_r, want.witness_corner)
+        if p.ambient_dim == 1:
+            assert (worst, (r, corner[0])) == oracle_spacing_scan(p.indices[:, 0], p.level, s)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_spacing_exponent_must_be_finite_and_nonnegative(bad):
+    # 1.0 ** nan == 1.0, so a NaN exponent used to pass every scan: only the
+    # window of side 1 counted, and cantor_1d(1/3, 4) read valid=True with
+    # worst constant 2.0
+    with pytest.raises(DomainError, match="spacing exponent"):
+        validate_delta_s_set(cantor_1d(1 / 3, 4), bad)
+    with pytest.raises(DomainError, match="spacing exponent"):
+        spacing_scan(np.array([[0, 0], [1, 2]]), 2, bad)
+    with pytest.raises(DomainError, match="spacing exponent"):
+        validate_direction_net(DirectionNet(0.25, bad, np.array([0.0, 0.5, 1.0])))
 
 
 @st.composite
@@ -566,21 +589,41 @@ def test_max_cube_count_matches_brute_force_in_any_row_order(rows_k):
     ordered = rows[np.lexsort(rows.T[::-1])]
     for m in range(k + 1):
         length = 2 ** (k - m)
-        got = max_cube_count(rows, length)
-        assert got == brute_max_cube_count(rows, length)
-        assert got == oracle_max_cube_count(ordered, length)
+        want = brute_max_cube_count(rows, length)
+        assert want == oracle_max_cube_count(ordered, length)
+        for budget in BUDGETS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dyadic, "CELL_BUDGET", budget)
+                assert max_cube_count(rows, length) == want
 
 
 @given(point_sets(allow_empty=True), SPACING_EXPONENTS, st.randoms(use_true_random=False))
 def test_spacing_scan_ignores_row_order(p, s, rnd):
     shuffled = p.indices[rnd.sample(range(len(p)), len(p))]
-    for m in range(p.level + 1):
-        length = 2 ** (p.level - m)
-        assert max_cube_count(shuffled, length) == oracle_max_cube_count(p.indices, length)
     report = validate_delta_s_set(p, s)
-    assert spacing_scan(shuffled, p.level, s) == (
-        report.worst_constant, (report.witness_r, report.witness_corner)
-    )
+    wants = [oracle_max_cube_count(p.indices, 2 ** (p.level - m)) for m in range(p.level + 1)]
+    for budget in BUDGETS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dyadic, "CELL_BUDGET", budget)
+            for m, want in enumerate(wants):
+                assert max_cube_count(shuffled, 2 ** (p.level - m)) == want
+            assert spacing_scan(shuffled, p.level, s) == (
+                report.worst_constant, (report.witness_r, report.witness_corner)
+            )
+
+
+def test_max_cube_count_above_the_cell_budget():
+    # 150 spread cells at k = 8: about 110 distinct coordinates per axis, so
+    # the 3-D grid is far above the budget and the scan cuts it into x-slabs,
+    # whose 2-D grids fit and are counted densely
+    rng = np.random.default_rng(22)
+    k = 8
+    rows = rng.integers(0, 2**k + 1, size=(150, 3))
+    assert math.prod(np.unique(c).size for c in rows.T) > dyadic.CELL_BUDGET
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    for m in range(k + 1):
+        length = 2 ** (k - m)
+        assert max_cube_count(rows, length) == oracle_max_cube_count(ordered, length)
 
 
 def test_validate_delta_s_set_on_a_32768_cell_product():
@@ -591,6 +634,20 @@ def test_validate_delta_s_set_on_a_32768_cell_product():
         valid=True,
         worst_constant=32.0,
         witness_r=1.0,
+        witness_corner=(-0.5, -0.5, -0.5),
+        threshold=64.0,
+    )
+
+
+def test_validate_delta_s_set_on_criterion_4s_product():
+    # 64 distinct coordinates per axis: a 262,144-cell compressed grid
+    third = cantor_1d(1 / 3, 6)
+    p = product_set(third, third, third)
+    assert len(p) == 262144
+    assert validate_delta_s_set(p, p.nominal_dim) == DeltaSetReport(
+        valid=True,
+        worst_constant=2.154287413365126,
+        witness_r=0.001953125,
         witness_corner=(-0.5, -0.5, -0.5),
         threshold=64.0,
     )
