@@ -5,9 +5,10 @@ Evaluates the shipped curves, measures how non-degenerate each one is
 direction nets whose window counts follow a prescribed power law.
 """
 
+import numpy as np
+
 from projlab.curve import (
     direction_net,
-    eval_curve,
     great_circle,
     helix_curve,
     model_curve,
@@ -17,8 +18,7 @@ from projlab.curve import (
 
 print("= curve evaluation =")
 for curve in (model_curve(), helix_curve(), great_circle()):
-    v0 = eval_curve(curve, 0.0)
-    v1 = eval_curve(curve, 1.0)
+    v0 = curve.points(np.array([0.0]))[0]
     margin = nondegeneracy_margin(curve, 1024)
     tag = "admissible" if margin > 0 else "DEGENERATE"
     print(

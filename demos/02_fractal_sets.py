@@ -1,6 +1,6 @@
 """Discretized fractal generators and the (delta, s)-set machinery.
 
-Builds Cantor-type sets, products and IFS attractors, then shows how the
+Builds Cantor-type sets and their products, then shows how the
 greedy tree pruning extracts spacing-controlled subsets and how the
 exhaustive window scan judges them.
 """
@@ -8,12 +8,10 @@ exhaustive window scan judges them.
 import numpy as np
 
 from projlab.fractal import (
-    SimilarityMap,
     cantor_1d,
     extract_delta_s_set,
     frostman_constant,
     full_grid,
-    ifs_attractor,
     product_set,
     validate_delta_s_set,
 )
@@ -25,16 +23,6 @@ c2 = cantor_1d(1 / 2, 5)
 print(f"cantor(1/2, 5):   {len(c2):5d} cells (the full grid), dim {c2.nominal_dim:.4f}")
 prod = product_set(c3, c3, c3)
 print(f"triple product:   {len(prod):5d} cells in the unit ball, dim {prod.nominal_dim:.4f}")
-sier = ifs_attractor(
-    [
-        SimilarityMap(0.5, np.array([0.0, 0.0])),
-        SimilarityMap(0.5, np.array([0.5, 0.0])),
-        SimilarityMap(0.5, np.array([0.0, 0.5])),
-    ],
-    depth=7,
-    delta=2.0**-7,
-)
-print(f"sierpinski IFS:   {len(sier):5d} cells in the square, dim {sier.nominal_dim:.4f}")
 
 print()
 print("= extraction and validation at delta = 2^-8 =")

@@ -4,7 +4,6 @@ from .curve import (
     Curve,
     DirectionNet,
     direction_net,
-    eval_curve,
     great_circle,
     helix_curve,
     model_curve,
@@ -13,11 +12,9 @@ from .curve import (
 )
 from .fractal import (
     PointSet,
-    SimilarityMap,
     cantor_1d,
     extract_delta_s_set,
     full_grid,
-    ifs_attractor,
     product_set,
     validate_delta_s_set,
 )

@@ -18,11 +18,19 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import group_rows, rows_in
-from .errors import ConfigurationError, InconsistencyError, InfeasibleError, RangeError
+from .errors import (
+    ConfigurationError, DomainError, InconsistencyError, InfeasibleError, RangeError
+)
 from .fractal import PointSet
 
 #: slack for budget comparisons in double precision
 BUDGET_SLACK = 1e-12
+
+
+def _check_exponents(s: float, epsilon: float, ambient_dim: int) -> None:
+    """Raise DomainError unless 0 <= s <= ambient_dim and epsilon is finite."""
+    if not (0.0 <= s <= ambient_dim and math.isfinite(epsilon)):
+        raise DomainError(f"need 0 <= s <= {ambient_dim} and finite epsilon, got {s}, {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,9 @@ class Covering:
     epsilon: float
     levels: dict
     target: Optional[PointSet] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        _check_exponents(self.s, self.epsilon, self.ambient_dim)
 
     def budget_value(self) -> float:
         return float(
@@ -79,11 +90,13 @@ def greedy_cover(
     only ever leave.  So m < 2^((l-j)s), A stays uncrowded, and a rescan of
     level j would exchange nothing.
 
-    Raises InfeasibleError when the finest cover already exceeds the
-    budget (the set is at least s-dimensional at this resolution) or when
-    a counting violation at a level at or below min_level cannot be fixed
-    inside the permitted range.
+    Raises DomainError unless 0 <= s <= x.ambient_dim and epsilon is
+    finite.  Raises InfeasibleError when the finest cover already exceeds
+    the budget (the set is at least s-dimensional at this resolution) or
+    when a counting violation at a level at or below min_level cannot be
+    fixed inside the permitted range.
     """
+    _check_exponents(s, epsilon, x.ambient_dim)
     k_max = x.level
     if min_level < 0:
         raise RangeError(f"min_level must be >= 0, got {min_level}")
@@ -144,14 +157,13 @@ def validate_covering(c: Covering) -> CoveringReport:
                 worst = float(ratio)
                 witness = (l, k, tuple(anc[first[int(np.argmax(counts))]].tolist()))
 
-    # disjointness: no chosen cube strictly inside another chosen cube
-    disjoint = True
-    for i, l in enumerate(ks):
-        for k in ks[i + 1 :]:
-            inside = rows_in(c.levels[k] >> (k - l), c.levels[l])
-            if inside.any():
-                disjoint = False
-                witness = witness or (l, k, tuple(c.levels[k][inside][0].tolist()))
+    # disjointness: no chosen cube strictly inside another chosen cube; a nested
+    # pair adds no witness, as the scan above set one at its level k >= 1
+    disjoint = not any(
+        rows_in(c.levels[k] >> (k - l), c.levels[l]).any()
+        for i, l in enumerate(ks)
+        for k in ks[i + 1 :]
+    )
 
     # cover check against the recorded target
     cover_ok = True
@@ -160,10 +172,9 @@ def validate_covering(c: Covering) -> CoveringReport:
         k_cell = c.target.level
         covered = np.zeros(len(cells), dtype=bool)
         for k in ks:
-            anc = cells >> (k_cell - k) if k <= k_cell else None
-            if anc is None:
+            if k > k_cell:
                 raise InconsistencyError("covering finer than the target lattice")
-            covered |= rows_in(anc, c.levels[k])
+            covered |= rows_in(cells >> (k_cell - k), c.levels[k])
         cover_ok = bool(covered.all())
         if not cover_ok:
             missing = cells[~covered][0]
@@ -184,8 +195,10 @@ def dyadic_content(x: PointSet, t: float, max_level: int) -> float:
 
     Bottom-up tree recursion content(node) = min(r^t, sum children); an
     upper bound for the t-dimensional Hausdorff content up to the usual
-    lattice-versus-ball constant.
+    lattice-versus-ball constant.  t must be finite and >= 0 (else DomainError).
     """
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"exponent t must be finite and >= 0, got {t}")
     if max_level < 0:
         raise RangeError("max_level must be >= 0")
     k = x.level
@@ -226,12 +239,11 @@ def covering_to_json(c: Covering) -> str:
 
 
 def covering_from_json(text: str, ambient_dim: int) -> Covering:
-    """Read a `covering_to_json` payload; a malformed one raises ConfigurationError."""
+    """Read a `covering_to_json` payload; a malformed one raises ConfigurationError,
+    as do a repeated level and an s or epsilon that `Covering` refuses."""
     try:
         payload = json.loads(text)
         s, epsilon = float(payload["s"]), float(payload["epsilon"])
-        if not (math.isfinite(s) and math.isfinite(epsilon)):
-            raise ValueError(f"s={s} and epsilon={epsilon} must be finite")
         levels = {}
         for entry in payload["levels"]:
             k, cubes = entry["k"], entry["cubes"]
@@ -239,7 +251,9 @@ def covering_from_json(text: str, ambient_dim: int) -> Covering:
             integer_rows = rows.dtype.kind == "i" and rows.shape == (len(cubes), ambient_dim)
             if type(k) is not int or k < 0 or not integer_rows:
                 raise ValueError(f"level {k!r} needs k >= 0 and rows of {ambient_dim} integers")
+            if k in levels:
+                raise ValueError(f"level {k} is listed twice")
             levels[k] = rows.astype(np.int64, copy=False)
+        return Covering(ambient_dim, s, epsilon, levels)
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigurationError(f"malformed covering JSON: {exc!r}") from None
-    return Covering(ambient_dim, s, epsilon, levels)

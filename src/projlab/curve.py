@@ -125,13 +125,6 @@ def named_curve(name: str) -> Curve:
         raise DomainError(f"unknown curve {name!r}; choose from {sorted(_NAMED)}") from None
 
 
-def eval_curve(curve: Curve, theta: float) -> np.ndarray:
-    """Evaluate the curve at a single parameter in [0, 1]."""
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must lie in [0, 1], got {theta}")
-    return curve.points(np.array([theta]))[0]
-
-
 def frame(curve: Curve, thetas):
     """Orthonormal frames (gamma, tangent, normal) at one theta or an array of them.
 

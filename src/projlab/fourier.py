@@ -103,10 +103,6 @@ class GridFunction:
             samples.flags.writeable = False
             object.__setattr__(self, "samples", samples)
 
-    @property
-    def delta(self) -> float:
-        return 1.0 / self.M
-
     @cached_property
     def _coeffs(self) -> np.ndarray:
         out = np.fft.fftn(self.samples) / self.M**3

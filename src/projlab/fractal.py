@@ -200,67 +200,6 @@ def product_set(sx: PointSet, sy: PointSet, sz: PointSet) -> PointSet:
     )
 
 
-@dataclass(frozen=True)
-class SimilarityMap:
-    """x -> ratio * (matrix @ x) + offset with orthogonal matrix (default I)."""
-
-    ratio: float
-    offset: np.ndarray
-    matrix: Optional[np.ndarray] = None
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        out = pts if self.matrix is None else pts @ np.asarray(self.matrix).T
-        return self.ratio * out + np.asarray(self.offset, dtype=float)
-
-
-def similarity_dimension(ratios: Sequence[float]) -> float:
-    """Solve sum ratio_i^s = 1 for s (equal ratios: log m / log(1/r))."""
-    ratios = [float(r) for r in ratios]
-    if len(ratios) == 1:
-        return 0.0
-    lo, hi = 0.0, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sum(r**mid for r in ratios) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def ifs_attractor(maps: Sequence[SimilarityMap], depth: int, delta: float) -> PointSet:
-    """Cells hit by depth-fold map compositions applied to the domain center.
-
-    nominal_dim is the similarity dimension of the contraction ratios.
-    """
-    if not maps:
-        raise ConfigurationError("need at least one map")
-    dim = len(np.atleast_1d(maps[0].offset))
-    if dim not in (1, 2, 3):
-        raise ConfigurationError("maps must act on dimension 1, 2 or 3")
-    for m in maps:
-        if not (0.0 < m.ratio < 1.0):
-            raise ConfigurationError(f"map ratio {m.ratio} is not contracting")
-    # for n >= 2 maps, n^depth > CELL_CAP iff n^min(depth, b) > CELL_CAP with
-    # b = CELL_CAP.bit_length(), since 2^b > CELL_CAP: no huge power is formed
-    if len(maps) ** min(depth, CELL_CAP.bit_length()) > CELL_CAP:
-        raise CapacityError("composition count exceeds the cell cap")
-    if depth > CELL_CAP:  # one map's loop still runs depth times; no float overflow below
-        raise CapacityError(f"depth exceeds the cell cap {CELL_CAP}")
-    max_ratio = max(m.ratio for m in maps)
-    if max_ratio**depth > delta * (1 + 1e-12):
-        raise ConfigurationError(
-            f"depth {depth} does not resolve below delta={delta} "
-            f"(max ratio^depth = {max_ratio**depth:.3g})"
-        )
-    pts = np.full((1, dim), 0.5)
-    for _ in range(depth):
-        pts = np.concatenate([m.apply(pts) for m in maps], axis=0)
-    cells = np.floor(pts / delta).astype(np.int64)
-    idx = cells[group_rows(cells)[0]]
-    return PointSet(dim, delta, idx, nominal_dim=similarity_dimension([m.ratio for m in maps]))
-
-
 # ----------------------------------------------------------------------------
 # (delta, s)-set machinery
 

@@ -12,7 +12,7 @@ from projlab.covering import (
     greedy_cover,
     validate_covering,
 )
-from projlab.errors import ConfigurationError, InfeasibleError, RangeError
+from projlab.errors import ConfigurationError, DomainError, InfeasibleError, RangeError
 from projlab.fractal import PointSet, cantor_1d, full_grid
 
 
@@ -94,6 +94,36 @@ class TestGreedyCover:
         a = greedy_cover(p, 0.7, 1.0, min_level=0)
         b = greedy_cover(p, 0.7, 1.0, min_level=0)
         assert covering_to_json(a) == covering_to_json(b)
+
+
+class TestExponentDomain:
+    # s = 1e4 raised a bare OverflowError; s = nan gave budget nan and worst
+    # ratio 0.0; s = inf gave budget 0.0; t = nan gave a content of nan
+    @pytest.mark.parametrize(
+        "s, epsilon",
+        [(1e4, 1.0), (math.nan, 1.0), (math.inf, 1.0), (-0.5, 1.0), (1.5, 1.0),
+         (0.5, math.nan), (0.5, math.inf)],
+    )
+    def test_greedy_cover_refuses(self, s, epsilon):
+        with pytest.raises(DomainError, match="need 0 <= s <= 1"):
+            greedy_cover(cantor_1d(1 / 3, 4), s, epsilon, 0)
+
+    @pytest.mark.parametrize("s, epsilon", [(1e6, 1.0), (math.nan, 1.0), (0.5, -math.inf)])
+    def test_covering_refuses(self, s, epsilon):
+        with pytest.raises(DomainError, match="need 0 <= s <= 1"):
+            Covering(1, s, epsilon, {3: np.array([[1]])})
+
+    def test_edges_accepted(self):
+        # s = 0 and s = ambient_dim are inside the domain; one cube's worst
+        # ratio is 1 / 2^s, at its parent
+        for s in (0.0, 1.0):
+            rep = validate_covering(Covering(1, s, 1.0, {3: np.array([[1]])}))
+            assert rep.worst_condition3_ratio == 2.0**-s
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_dyadic_content_refuses(self, t):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            dyadic_content(cantor_1d(1 / 3, 4), t, 4)
 
 
 class TestValidateCovering:
@@ -202,16 +232,21 @@ class TestSerialization:
             '{"s": "x", "epsilon": 1.0, "levels": []}',
             "{",
             '{"s": NaN, "epsilon": Infinity, "levels": []}',
+            '{"s": 0.5, "epsilon": 1, "levels": '
+            '[{"k": 2, "cubes": [[0, 0]]}, {"k": 2, "cubes": [[1, 1], [2, 2]]}]}',
+            '{"s": 1e6, "epsilon": 1, "levels": [{"k": 3, "cubes": [[1, 1]]}]}',
         ],
         ids=[
             "list", "missing_keys", "wide_cube", "fractional_index", "fractional_level",
             "ragged_cubes", "boolean_index", "levels_not_a_list", "non_numeric_s", "not_json",
-            "non_finite_s_and_epsilon",
+            "non_finite_s_and_epsilon", "repeated_level", "s_above_dim",
         ],
     )
     def test_malformed_json_rejected(self, text):
         # these raised TypeError, KeyError or ValueError, or (1.5) truncated
         # the index to 1; a NaN s made every condition (3) ratio compare
-        # false, so validate_covering reported a worst ratio of 0
+        # false, so validate_covering reported a worst ratio of 0; a repeated
+        # level kept only its last entry; s = 1e6 made validate_covering
+        # raise a bare OverflowError
         with pytest.raises(ConfigurationError, match="malformed covering JSON"):
             covering_from_json(text, 2)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from projlab.curve import (
     Curve,
     direction_net,
-    eval_curve,
     frame,
     great_circle,
     helix_curve,
@@ -35,28 +34,22 @@ def brute_force_spacing_ok(thetas, delta, t, cap):
 
 class TestEvalCurve:
     def test_model_at_zero(self):
-        v = eval_curve(model_curve(), 0.0)
+        v = model_curve().points(np.array([0.0]))[0]
         assert np.allclose(v, [0.7071068, 0.0, 0.7071068], atol=1e-7)
 
     def test_model_third_coordinate_constant(self):
-        curve = model_curve()
-        for theta in np.linspace(0, 1, 17):
-            assert eval_curve(curve, theta)[2] == pytest.approx(2**-0.5, abs=1e-12)
+        pts = model_curve().points(np.linspace(0, 1, 17))
+        assert np.all(np.abs(pts[:, 2] - 2**-0.5) <= 1e-12)
 
     def test_great_circle_is_planar(self):
-        assert eval_curve(great_circle(), 0.3)[2] == 0.0
-        assert np.linalg.norm(eval_curve(great_circle(), 0.3)) == pytest.approx(1.0, abs=1e-12)
+        v = great_circle().points(np.array([0.3]))[0]
+        assert v[2] == 0.0
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_norm_grids(self):
         for curve, tol in [(model_curve(), 1e-10), (great_circle(), 1e-10), (helix_curve(), 1e-6)]:
             pts = curve.points(np.linspace(0, 1, 4096))
             assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < tol
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            eval_curve(model_curve(), -0.01)
-        with pytest.raises(DomainError):
-            eval_curve(model_curve(), 1.01)
 
 
 class TestNondegeneracyMargin:

@@ -1,7 +1,6 @@
 import hashlib
 import math
 from dataclasses import fields, replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,16 +13,13 @@ from projlab.errors import (
 )
 from projlab.fractal import (
     PointSet,
-    SimilarityMap,
     cantor_1d,
     extract_delta_s_set,
     frostman_constant,
     full_grid,
-    ifs_attractor,
     load_csv,
     product_set,
     save_csv,
-    similarity_dimension,
     validate_delta_s_set,
 )
 
@@ -197,87 +193,6 @@ class TestProduct:
     def test_mismatched_delta(self):
         with pytest.raises(ConfigurationError):
             product_set(full_grid(4), full_grid(5), full_grid(4))
-
-
-class TestIfs:
-    def test_four_corner_maps_dimension_one(self):
-        maps = [
-            SimilarityMap(0.25, np.array([ox, oy]))
-            for ox in (0.0, 0.75)
-            for oy in (0.0, 0.75)
-        ]
-        p = ifs_attractor(maps, depth=4, delta=2.0**-8)
-        assert p.nominal_dim == pytest.approx(1.0, abs=1e-9)
-        assert p.ambient_dim == 2
-
-    def test_single_map_single_cell(self):
-        p = ifs_attractor([SimilarityMap(0.5, np.array([0.0]))], depth=6, delta=2.0**-6)
-        assert len(p) == 1
-        assert p.nominal_dim == 0.0
-
-    def test_cantor_maps_match_exact_oracle(self):
-        # Oracle: exact rational composition images.  Depth-4 compositions of
-        # x/3 and x/3 + 2/3 applied to 1/2 give a + (1/2) 3^-4 with a running
-        # over the stage-4 left endpoints.
-        maps = [
-            SimilarityMap(1 / 3, np.array([0.0])),
-            SimilarityMap(1 / 3, np.array([2 / 3])),
-        ]
-        p = ifs_attractor(maps, depth=4, delta=2.0**-6)
-        expected = set()
-        for bits in range(16):
-            a = Fraction(0)
-            for i in range(4):
-                if bits >> i & 1:
-                    a += 2 * Fraction(1, 3) ** (i + 1)
-            point = a + Fraction(1, 2) * Fraction(1, 3) ** 4
-            expected.add(int(point * 64))  # floor: point*64 is never integral
-        assert set(p.indices[:, 0].tolist()) == expected
-
-    def test_cantor_maps_reproduce_cantor_cells(self):
-        # With a dyadic ratio the center-seeded IFS lands exactly on the
-        # cantor_1d cells; with ratio 1/3 the half-interval seed offset can
-        # shift a cell by at most one lattice step.
-        maps_half = [
-            SimilarityMap(0.5, np.array([0.0])),
-            SimilarityMap(0.5, np.array([0.5])),
-        ]
-        p = ifs_attractor(maps_half, depth=4, delta=2.0**-4)
-        assert np.array_equal(p.indices, cantor_1d(0.5, 4).indices)
-
-        maps_third = [
-            SimilarityMap(1 / 3, np.array([0.0])),
-            SimilarityMap(1 / 3, np.array([2 / 3])),
-        ]
-        q = ifs_attractor(maps_third, depth=4, delta=2.0**-6)
-        c = cantor_1d(1 / 3, 4)
-        assert len(q) == len(c)
-        assert np.max(np.abs(q.indices - c.indices)) <= 1
-
-    def test_non_contracting_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ifs_attractor([SimilarityMap(1.0, np.array([0.0]))], 3, 2.0**-4)
-
-    def test_unresolved_depth_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ifs_attractor([SimilarityMap(0.5, np.array([0.0]))], 2, 2.0**-6)
-
-    @pytest.mark.parametrize("n_maps, depth", [(3, 16), (2, 10**300)])
-    def test_composition_count_over_the_cap(self, n_maps, depth):
-        # 3^16 > 2^24 > 3^15; len(maps)**depth used to be formed in full
-        maps = [SimilarityMap(1 / 3, np.array([i / 3])) for i in range(n_maps)]
-        with pytest.raises(CapacityError, match="composition count"):
-            ifs_attractor(maps, depth, 2.0**-6)
-
-    @pytest.mark.parametrize("n_maps, match", [(1, "depth exceeds"), (2, "composition count")])
-    def test_astronomical_depth_refused_before_the_ratio_power(self, n_maps, match):
-        # max_ratio**depth used to raise a bare OverflowError at depth 10**400
-        maps = [SimilarityMap(0.5, np.array([i / 2])) for i in range(n_maps)]
-        with pytest.raises(CapacityError, match=match):
-            ifs_attractor(maps, 10**400, 2.0**-6)
-
-    def test_similarity_dimension_bisection(self):
-        assert similarity_dimension([0.5, 0.25]) == pytest.approx(0.6942419, abs=1e-5)
 
 
 class TestValidate:
