@@ -163,6 +163,14 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, newline="\n")
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row after the header: bools as true/false, other values by repr."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(v).lower() if isinstance(v, bool) else repr(v) for v in row))
+    _write(path, "\n".join(lines) + "\n")
+
+
 def _summary_json(cfg: dict, results: dict) -> str:
     return json.dumps({"config": cfg, **results}, sort_keys=True, indent=2) + "\n"
 
@@ -209,8 +217,8 @@ def run_cover(cfg: dict, out: Path, map_fn) -> dict:
     )
     rep = covering_mod.validate_covering(cov)
     _write(out / "cover.json", covering_mod.covering_to_json(cov) + "\n")
-    rows = ["level,cubes"] + [f"{k},{len(cov.levels[k])}" for k in sorted(cov.levels)]
-    _write(out / "cover.csv", "\n".join(rows) + "\n")
+    rows = [(k, len(cov.levels[k])) for k in sorted(cov.levels)]
+    _write_csv(out / "cover.csv", "level,cubes", rows)
     return {
         "budget_value": rep.budget_value,
         "worst_condition3_ratio": rep.worst_condition3_ratio,
@@ -228,10 +236,11 @@ def run_sweep(cfg: dict, out: Path, map_fn) -> dict:
         float(cfg["margin"]),
         map_fn=map_fn,
     )
-    lines = ["theta,est_dim,r2,below_s"]
-    for r in rows:
-        lines.append(f"{r.theta!r},{r.est_dim!r},{r.r2!r},{str(r.below_s).lower()}")
-    _write(out / "sweep.csv", "\n".join(lines) + "\n")
+    _write_csv(
+        out / "sweep.csv",
+        "theta,est_dim,r2,below_s",
+        [(r.theta, r.est_dim, r.r2, r.below_s) for r in rows],
+    )
     return summary
 
 
@@ -245,13 +254,14 @@ def run_incidence(cfg: dict, out: Path, map_fn) -> dict:
         return incidence.verify_incidence_bound(c, curve, epsilon=eps)
 
     results = _per_cell(cfg, one, map_fn)
-    lines = ["delta,seed,lhs,rhs,fitted_C,heavy_count,theta_count"]
-    for delta, seed, rep in results:
-        lines.append(
-            f"{delta!r},{seed},{rep.lhs!r},{rep.rhs!r},{rep.fitted_c!r},"
-            f"{rep.heavy_count},{rep.theta_count}"
-        )
-    _write(out / "incidence.csv", "\n".join(lines) + "\n")
+    _write_csv(
+        out / "incidence.csv",
+        "delta,seed,lhs,rhs,fitted_C,heavy_count,theta_count",
+        [
+            (delta, seed, rep.lhs, rep.rhs, rep.fitted_c, rep.heavy_count, rep.theta_count)
+            for delta, seed, rep in results
+        ],
+    )
     _, means = _per_delta_means(results, lambda rep: rep.fitted_c)
     all_c = [rep.fitted_c for _, _, rep in results]
     return {
@@ -275,10 +285,11 @@ def run_decouple(cfg: dict, out: Path, map_fn) -> dict:
         return fourier.decoupling_ratio(g, caps, geo)
 
     results = _per_cell(cfg, one, map_fn)
-    lines = ["delta,t,seed,lhs,rhs,ratio"]
-    for delta, seed, rep in results:
-        lines.append(f"{delta!r},{t!r},{seed},{rep.lhs!r},{rep.rhs!r},{rep.ratio!r}")
-    _write(out / "decouple.csv", "\n".join(lines) + "\n")
+    _write_csv(
+        out / "decouple.csv",
+        "delta,t,seed,lhs,rhs,ratio",
+        [(delta, t, seed, rep.lhs, rep.rhs, rep.ratio) for delta, seed, rep in results],
+    )
     xs, means = _per_delta_means(results, lambda rep: rep.ratio)
     slope = float(np.polyfit(xs, np.log2(means), 1)[0]) if len(xs) >= 2 else 0.0
     return {

@@ -225,6 +225,11 @@ def dyadic_content(x: PointSet, t: float, max_level: int) -> float:
 # serialization
 
 
+#: largest level a loaded covering may name: cantor_1d's largest; validating a
+#: level of 64 or more would shift int64 indices by 64 bits or more
+MAX_LEVEL = 62
+
+
 def covering_to_json(c: Covering) -> str:
     payload = {
         "s": c.s,
@@ -240,7 +245,8 @@ def covering_to_json(c: Covering) -> str:
 
 def covering_from_json(text: str, ambient_dim: int) -> Covering:
     """Read a `covering_to_json` payload; a malformed one raises ConfigurationError,
-    as do a repeated level and an s or epsilon that `Covering` refuses."""
+    as do a repeated level, a level above MAX_LEVEL and an s or epsilon that
+    `Covering` refuses."""
     try:
         payload = json.loads(text)
         s, epsilon = float(payload["s"]), float(payload["epsilon"])
@@ -249,8 +255,10 @@ def covering_from_json(text: str, ambient_dim: int) -> Covering:
             k, cubes = entry["k"], entry["cubes"]
             rows = np.asarray(cubes) if len(cubes) else np.empty((0, ambient_dim), np.int64)
             integer_rows = rows.dtype.kind == "i" and rows.shape == (len(cubes), ambient_dim)
-            if type(k) is not int or k < 0 or not integer_rows:
-                raise ValueError(f"level {k!r} needs k >= 0 and rows of {ambient_dim} integers")
+            if type(k) is not int or not 0 <= k <= MAX_LEVEL or not integer_rows:
+                raise ValueError(
+                    f"level {k!r} needs 0 <= k <= {MAX_LEVEL} and rows of {ambient_dim} integers"
+                )
             if k in levels:
                 raise ValueError(f"level {k} is listed twice")
             levels[k] = rows.astype(np.int64, copy=False)

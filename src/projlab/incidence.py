@@ -3,7 +3,8 @@
 A configuration couples a direction net with one slab family per direction
 and a set of lattice balls.  Counting is exhaustive (every ball against
 every family via binary search over slab offsets) and yields the
-incidence matrix in CSR form, which everything layered on top reads.
+incidence relation as one dense boolean array of #balls x #directions
+bytes, whose per-ball and per-direction counts everything on top reads.
 
 Everything lives in one picture, the unit one: balls are delta-lattice
 cells inside the unit ball and slabs keep their own thickness.  The
@@ -131,32 +132,26 @@ class IncidenceConfig:
 
 @dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
-    """Sparse ball-direction relation in direction-major CSR form.
+    """Ball-direction relation: hits[i, j] is true when ball i meets a slab
+    of direction j."""
 
-    balls[ptr[j]:ptr[j + 1]] are the sorted indices of the balls meeting a
-    slab of direction j.
-    """
-
-    n_balls: int
-    ptr: np.ndarray  # int64, length #directions + 1
-    balls: np.ndarray  # int64, length ptr[-1]
+    hits: np.ndarray  # bool, shape (#balls, #directions)
 
     def __post_init__(self):
-        # a config's memo hands the same arrays to every caller
-        self.ptr.setflags(write=False)
-        self.balls.setflags(write=False)
+        # a config's memo hands the same array to every caller
+        self.hits.setflags(write=False)
 
     @property
     def total(self) -> int:
-        return int(self.ptr[-1])
+        return int(np.count_nonzero(self.hits))
 
     def row_counts(self) -> np.ndarray:
         """Per ball, the number of directions it meets."""
-        return np.bincount(self.balls, minlength=self.n_balls)
+        return np.count_nonzero(self.hits, axis=1)
 
     def col_counts(self) -> np.ndarray:
         """Per direction, the number of balls meeting it."""
-        return np.diff(self.ptr)
+        return np.count_nonzero(self.hits, axis=0)
 
 
 def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
@@ -166,7 +161,7 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     offsets, so the full count is O(#H * #Theta * log #S).  The matrix is
     counted once per config and curve: it is kept in the config's memo,
     keyed by the curve object (`named_curve` hands out one shared instance
-    per name), and later calls return the kept matrix, whose arrays are
+    per name), and later calls return the kept matrix, whose array is
     read-only.  `dataclasses.replace` gives a config with an empty memo.
     """
     m = cfg._counts.get(curve)
@@ -178,26 +173,11 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
 
 def _count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     pts = cfg.balls.values
-    norms = np.linalg.norm(pts, axis=1)
-    cols = []
-    for fam, gamma in zip(cfg.families, curve.points(cfg.net.thetas)):
-        cols.append(np.nonzero(_in_band(fam, pts @ gamma) & (norms <= 1.0))[0])
-    ptr = np.zeros(len(cols) + 1, dtype=np.int64)
-    ptr[1:] = np.cumsum([c.size for c in cols])
-    balls = np.concatenate([np.zeros(0, dtype=np.int64), *cols])
-    return IncidenceMatrix(n_balls=len(cfg.balls), ptr=ptr, balls=balls)
-
-
-def _restrict(m: IncidenceMatrix, keep: np.ndarray) -> IncidenceMatrix:
-    """The matrix of the kept balls alone, renumbered in their order.
-
-    Renumbering is monotone, so every direction's list stays sorted, and the
-    result is what counting the kept balls afresh gives.
-    """
-    hit = keep[m.balls]
-    kept_before = np.concatenate([[0], np.cumsum(hit)])  # per position in m.balls
-    balls = (np.cumsum(keep) - 1)[m.balls[hit]]
-    return IncidenceMatrix(n_balls=int(keep.sum()), ptr=kept_before[m.ptr], balls=balls)
+    in_ball = np.linalg.norm(pts, axis=1) <= 1.0
+    hits = np.empty((len(cfg.balls), len(cfg.net)), dtype=bool)
+    for j, (fam, gamma) in enumerate(zip(cfg.families, curve.points(cfg.net.thetas))):
+        hits[:, j] = _in_band(fam, pts @ gamma) & in_ball
+    return IncidenceMatrix(hits)
 
 
 def heavy_threshold(cfg: IncidenceConfig) -> float:
@@ -397,5 +377,5 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     if len(heavy) == 0:
         raise InfeasibleError("no sampled ball clears the heavy threshold")
     out = replace(cfg, balls=heavy)
-    out._counts[curve] = _restrict(matrix, matrix.row_counts() >= heavy_threshold(cfg))
+    out._counts[curve] = IncidenceMatrix(matrix.hits[matrix.row_counts() >= heavy_threshold(cfg)])
     return out

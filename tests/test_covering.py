@@ -235,11 +235,14 @@ class TestSerialization:
             '{"s": 0.5, "epsilon": 1, "levels": '
             '[{"k": 2, "cubes": [[0, 0]]}, {"k": 2, "cubes": [[1, 1], [2, 2]]}]}',
             '{"s": 1e6, "epsilon": 1, "levels": [{"k": 3, "cubes": [[1, 1]]}]}',
+            '{"s": 0.5, "epsilon": 1, "levels": [{"k": 3000, "cubes": [[1, 1]]}]}',
+            '{"s": 0.5, "epsilon": 1, "levels": [{"k": 64, "cubes": [[1, 1]]}]}',
         ],
         ids=[
             "list", "missing_keys", "wide_cube", "fractional_index", "fractional_level",
             "ragged_cubes", "boolean_index", "levels_not_a_list", "non_numeric_s", "not_json",
-            "non_finite_s_and_epsilon", "repeated_level", "s_above_dim",
+            "non_finite_s_and_epsilon", "repeated_level", "s_above_dim", "level_3000",
+            "level_64",
         ],
     )
     def test_malformed_json_rejected(self, text):
@@ -247,6 +250,7 @@ class TestSerialization:
         # the index to 1; a NaN s made every condition (3) ratio compare
         # false, so validate_covering reported a worst ratio of 0; a repeated
         # level kept only its last entry; s = 1e6 made validate_covering
-        # raise a bare OverflowError
+        # raise a bare OverflowError, and so did a level of 3000; a level of
+        # 64 shifted int64 indices by 64 bits
         with pytest.raises(ConfigurationError, match="malformed covering JSON"):
             covering_from_json(text, 2)

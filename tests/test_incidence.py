@@ -19,7 +19,6 @@ from projlab.fractal import PointSet, extract_delta_s_set, full_grid
 from projlab.incidence import (
     IncidenceConfig,
     _offset_delta_s_sets,
-    IncidenceMatrix,
     IncidenceSpec,
     SlabFamily,
     ball_target,
@@ -90,6 +89,22 @@ class TestIncidenceCount:
         m = incidence_count(cfg, CURVE)
         assert m.total == 0
 
+    def test_counts_are_int64_per_ball_and_per_direction(self):
+        # the bench digest hashes each count array's dtype string
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=3))
+        empty = tuple(make_family(f.theta, [], delta=2.0**-5, s=0.5) for f in cfg.families)
+        for c, curve in [
+            (cfg, named_curve("model")),  # the generator's matrix
+            (cfg, CURVE),  # a fresh count
+            (replace(cfg, families=empty), CURVE),
+        ]:
+            m = incidence_count(c, curve)
+            rows, cols = m.row_counts(), m.col_counts()
+            assert rows.dtype == cols.dtype == np.int64
+            assert rows.shape == (len(c.balls),) and cols.shape == (len(c.net),)
+            assert type(m.total) is int and m.total == int(rows.sum())
+        assert m.total == 0 and len(c.balls) > 1
+
     def test_double_counting_identity(self):
         for seed in range(5):
             spec = IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=seed)
@@ -129,12 +144,6 @@ def oracle_incidence(cfg, curve):
     return hit
 
 
-def dense(m: IncidenceMatrix, n_directions: int) -> np.ndarray:
-    out = np.zeros((m.n_balls, n_directions), dtype=bool)
-    out[m.balls, np.repeat(np.arange(n_directions), m.col_counts())] = True
-    return out
-
-
 @st.composite
 def small_configs(draw):
     """Configs at delta = 2^-2..2^-4: lattice balls in the unit ball and
@@ -166,11 +175,8 @@ def small_configs(draw):
 def test_incidence_count_matches_every_ball_against_every_slab(cfg):
     expected = oracle_incidence(cfg, CURVE)
     m = incidence_count(cfg, CURVE)
-    assert m.n_balls == len(cfg.balls)
-    assert np.array_equal(dense(m, len(cfg.net)), expected)
-    # each direction's ball list is sorted and free of repeats
-    for j in range(len(cfg.net)):
-        assert np.all(np.diff(m.balls[m.ptr[j] : m.ptr[j + 1]]) > 0)
+    assert m.hits.dtype == bool and m.hits.shape == (len(cfg.balls), len(cfg.net))
+    assert np.array_equal(m.hits, expected)
     assert np.array_equal(m.row_counts(), expected.sum(axis=1))
     assert np.array_equal(m.col_counts(), expected.sum(axis=0))
     assert m.total == int(expected.sum())
@@ -257,9 +263,8 @@ class TestCountMemo:
         cfg = random_admissible_config(IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=2))
         for curve in (named_curve("model"), CURVE):  # the generator's matrix and a count
             m = incidence_count(cfg, curve)
-            for a in (m.ptr, m.balls):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                m.hits[0, 0] = not m.hits[0, 0]
 
     def test_replace_starts_with_an_empty_memo(self):
         cfg = config_through_origin(2.0**-4)
@@ -277,8 +282,7 @@ class TestCountMemo:
         twin = Curve("model", lambda t: model.eval_fn(t), lambda t: model.d1(t), lambda t: model.d2(t))
         fresh = incidence_count(cfg, twin)
         assert fresh is not cached
-        assert np.array_equal(fresh.ptr, cached.ptr)
-        assert np.array_equal(fresh.balls, cached.balls)
+        assert np.array_equal(fresh.hits, cached.hits)
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_generator_matrix_equals_a_fresh_count(self, k):
@@ -287,9 +291,9 @@ class TestCountMemo:
                 cfg = random_admissible_config(IncidenceSpec(delta=2.0**-k, s=s, t=t, seed=seed))
                 kept = cfg._counts[named_curve("model")]
                 fresh = incidence_count(replace(cfg), named_curve("model"))
-                assert kept.n_balls == fresh.n_balls == len(cfg.balls)
-                for a, b in ((kept.ptr, fresh.ptr), (kept.balls, fresh.balls)):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert kept.hits.shape == fresh.hits.shape == (len(cfg.balls), len(cfg.net))
+                assert kept.hits.dtype == fresh.hits.dtype == bool
+                assert np.array_equal(kept.hits, fresh.hits)
                 assert np.all(kept.row_counts() >= heavy_threshold(cfg))
 
     def test_a_bench_shaped_item_counts_once(self, monkeypatch):
