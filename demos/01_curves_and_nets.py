@@ -19,7 +19,7 @@ from projlab.curve import (
 print("= curve evaluation =")
 for curve in (model_curve(), helix_curve(), great_circle()):
     v0 = curve.points(np.array([0.0]))[0]
-    margin = nondegeneracy_margin(curve, 1024)
+    margin = nondegeneracy_margin(curve)
     tag = "admissible" if margin > 0 else "DEGENERATE"
     print(
         f"{curve.label:>12}: gamma(0)=({v0[0]:+.4f},{v0[1]:+.4f},{v0[2]:+.4f})  "
@@ -30,7 +30,7 @@ print()
 print("= direction nets at delta = 2^-8 =")
 print("a (delta,t)-net keeps at most ~(r/delta)^t parameters in any window of length r")
 for t in (0.0, 0.3, 0.5, 0.7, 1.0):
-    net = direction_net(model_curve(), 2.0**-8, t, seed=7)
+    net = direction_net(2.0**-8, t, seed=7)
     separated, worst, witness = validate_direction_net(net)
     print(
         f"  t={t:.1f}: {len(net):4d} points, separated={separated}, "
@@ -39,5 +39,5 @@ for t in (0.0, 0.3, 0.5, 0.7, 1.0):
 
 print()
 print("the t=0.5 net, as parameters:")
-net = direction_net(model_curve(), 2.0**-6, 0.5, seed=7)
+net = direction_net(2.0**-6, 0.5, seed=7)
 print("  " + ", ".join(f"{th:.4f}" for th in net.thetas))

@@ -5,6 +5,8 @@ greedy tree pruning extracts spacing-controlled subsets and how the
 exhaustive window scan judges them.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from projlab.fractal import (
@@ -40,7 +42,7 @@ for s in (0.3, 0.5, 0.8):
 print()
 print("weights concentrate where the tree keeps the heaviest branches:")
 w = np.linspace(1, 3, len(grid))
-weighted = grid.with_weights(w / w.sum())
+weighted = replace(grid, weights=w / w.sum())
 sub = extract_delta_s_set(weighted, 0.5, 1.0)
 print(f"  kept cells lie at indices {sub.indices[:, 0].tolist()}")
 print(f"  Frostman constant of the kept mass: {frostman_constant(sub):.3f}")

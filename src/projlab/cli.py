@@ -32,7 +32,7 @@ from . import fourier, incidence, projection
 from .curve import named_curve
 from .dyadic import dyadic_level
 from .errors import CapacityError, ConfigurationError, DomainError, InfeasibleError, ProjLabError
-from .fractal import CELL_CAP, cantor_1d, full_grid, product_set, save_csv
+from .fractal import CELL_CAP, cantor_1d, full_grid, product_set, save_csv, write_csv
 
 DEFAULTS = {
     "gen": {
@@ -163,14 +163,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, newline="\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """One line per row after the header: bools as true/false, other values by repr."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(v).lower() if isinstance(v, bool) else repr(v) for v in row))
-    _write(path, "\n".join(lines) + "\n")
-
-
 def _summary_json(cfg: dict, results: dict) -> str:
     return json.dumps({"config": cfg, **results}, sort_keys=True, indent=2) + "\n"
 
@@ -218,7 +210,7 @@ def run_cover(cfg: dict, out: Path, map_fn) -> dict:
     rep = covering_mod.validate_covering(cov)
     _write(out / "cover.json", covering_mod.covering_to_json(cov) + "\n")
     rows = [(k, len(cov.levels[k])) for k in sorted(cov.levels)]
-    _write_csv(out / "cover.csv", "level,cubes", rows)
+    write_csv(out / "cover.csv", "level,cubes", rows)
     return {
         "budget_value": rep.budget_value,
         "worst_condition3_ratio": rep.worst_condition3_ratio,
@@ -236,7 +228,7 @@ def run_sweep(cfg: dict, out: Path, map_fn) -> dict:
         float(cfg["margin"]),
         map_fn=map_fn,
     )
-    _write_csv(
+    write_csv(
         out / "sweep.csv",
         "theta,est_dim,r2,below_s",
         [(r.theta, r.est_dim, r.r2, r.below_s) for r in rows],
@@ -254,7 +246,7 @@ def run_incidence(cfg: dict, out: Path, map_fn) -> dict:
         return incidence.verify_incidence_bound(c, curve, epsilon=eps)
 
     results = _per_cell(cfg, one, map_fn)
-    _write_csv(
+    write_csv(
         out / "incidence.csv",
         "delta,seed,lhs,rhs,fitted_C,heavy_count,theta_count",
         [
@@ -285,7 +277,7 @@ def run_decouple(cfg: dict, out: Path, map_fn) -> dict:
         return fourier.decoupling_ratio(g, caps, geo)
 
     results = _per_cell(cfg, one, map_fn)
-    _write_csv(
+    write_csv(
         out / "decouple.csv",
         "delta,t,seed,lhs,rhs,ratio",
         [(delta, t, seed, rep.lhs, rep.rhs, rep.ratio) for delta, seed, rep in results],

@@ -195,21 +195,18 @@ def dyadic_content(x: PointSet, t: float, max_level: int) -> float:
 
     Bottom-up tree recursion content(node) = min(r^t, sum children); an
     upper bound for the t-dimensional Hausdorff content up to the usual
-    lattice-versus-ball constant.  t must be finite and >= 0 (else DomainError).
+    lattice-versus-ball constant.  t must be finite and >= 0 (else
+    DomainError), and 0 <= max_level <= x.level, as no cube finer than the
+    lattice carries information (else RangeError).
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"exponent t must be finite and >= 0, got {t}")
-    if max_level < 0:
-        raise RangeError("max_level must be >= 0")
     k = x.level
+    if not 0 <= max_level <= k:
+        raise RangeError(f"max_level must lie in [0, {k}], got {max_level}")
     if len(x) == 0:
         return 0.0
-    if max_level <= k:
-        nodes = x.indices >> (k - max_level)
-    else:
-        # refine below the lattice: the cell point i*delta lies on the level-m
-        # cube boundary, i.e. in cube i << (m-k)
-        nodes = x.indices << (max_level - k)
+    nodes = x.indices >> (k - max_level)
     nodes = nodes[group_rows(nodes)[0]]
     content = np.full(len(nodes), (2.0**-max_level) ** t)
     for l in range(max_level - 1, -1, -1):

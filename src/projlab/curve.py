@@ -24,6 +24,9 @@ SQRT2 = math.sqrt(2.0)
 #: default central-difference step; balances truncation against round-off
 FD_STEP = 2.0 ** -20
 
+#: parameters on the uniform grid that `nondegeneracy_margin` samples
+MARGIN_SAMPLES = 1024
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -130,16 +133,16 @@ def frame(curve: Curve, thetas):
 
     tangent = gamma' / |gamma'|, normal = gamma x tangent.  A scalar theta
     gives three 3-vectors, an array of n thetas three (n, 3) arrays whose
-    rows are bit for bit the scalar frames: |gamma'| is sqrt(vecdot), the
-    dot product that `np.linalg.norm` takes of one vector.  Raises
-    NumericError naming the first theta where gamma' vanishes (no frame
-    exists there).
+    rows are bit for bit the scalar frames: |gamma'| is the square root of
+    the fixed-order ufunc sum d0 d0 + d1 d1 + d2 d2, which gives the same
+    bits row by row and under every BLAS kernel.  Raises NumericError
+    naming the first theta where gamma' vanishes (no frame exists there).
     """
     th = np.asarray(thetas, dtype=float)
     flat = th.reshape(-1)
     g = curve.points(flat)
     d = curve.deriv1(flat)
-    n = np.sqrt(np.vecdot(d, d))
+    n = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
     bad = ~(np.isfinite(n) & (n >= 1e-12))
     if bad.any():
         theta = flat[np.argmax(bad)]
@@ -149,14 +152,12 @@ def frame(curve: Curve, thetas):
     return tuple(a[0] for a in out) if th.ndim == 0 else out
 
 
-def nondegeneracy_margin(curve: Curve, n_samples: int) -> float:
-    """Min of |det(gamma, gamma', gamma'')| over a uniform parameter grid.
+def nondegeneracy_margin(curve: Curve) -> float:
+    """Min of |det(gamma, gamma', gamma'')| over MARGIN_SAMPLES uniform thetas in [0, 1].
 
     A margin of 0 flags a degenerate curve.
     """
-    if n_samples < 2:
-        raise DomainError("n_samples must be at least 2")
-    thetas = np.linspace(0.0, 1.0, n_samples)
+    thetas = np.linspace(0.0, 1.0, MARGIN_SAMPLES)
     g = curve.points(thetas)
     g1 = curve.deriv1(thetas)
     g2 = curve.deriv2(thetas)
@@ -179,6 +180,11 @@ class DirectionNet:
     t: float
     thetas: np.ndarray
 
+    def __post_init__(self):
+        thetas = np.array(self.thetas)  # a copy: the caller's array stays writable
+        thetas.flags.writeable = False
+        object.__setattr__(self, "thetas", thetas)
+
     def __len__(self) -> int:
         return int(self.thetas.size)
 
@@ -199,7 +205,7 @@ def validate_direction_net(net: DirectionNet):
     return separated, worst, (r, corner[0])
 
 
-def direction_net(curve: Curve, delta: float, t: float, seed: int) -> DirectionNet:
+def direction_net(delta: float, t: float, seed: int) -> DirectionNet:
     """Build a (delta, t)-net of direction parameters in [0, 1].
 
     For t = 1 the full delta-grid (both endpoints included) is returned.

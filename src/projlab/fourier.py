@@ -172,7 +172,9 @@ class ConeGeometry:
     (angular width s_min): sigma j is the run of caps j M s_min, ...,
     (j + 1) M s_min - 1, so a point's sigma is its cap // (M s_min), and
     consecutive sigmas nest into each tau_s.  The grid side, the direction
-    count and the dyadic s values follow from delta.
+    count and the dyadic s values follow from delta.  `build_geometry`
+    makes `assignment` and `frames` read-only, so `envelope_boxes`, built
+    from `frames` and read-only too, cannot go stale.
     """
 
     curve: Curve = field(compare=False)
@@ -238,6 +240,7 @@ class ConeGeometry:
                 code = code * (b.max() - lo + 1) + (b - lo)
             rank = np.cumsum(np.bincount(code) > 0) - 1
             row[:] = rank[code]
+        ids.flags.writeable = False
         return dict(zip(taus, ids))
 
 
@@ -279,7 +282,7 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     M = 2**k
     if M not in GRID_SIZES:
         raise CapacityError(f"delta=2^-{k} needs grid side {M}, not in {GRID_SIZES}")
-    if nondegeneracy_margin(curve, 1024) <= 0:
+    if nondegeneracy_margin(curve) <= 0:
         raise GeometryError(
             f"curve {curve.label!r} is degenerate; plank frames need gamma' x gamma != 0"
         )
@@ -321,7 +324,7 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
 
     dir_thetas = np.minimum((np.arange(M) + 0.5) * delta, 1.0)
     frames = np.stack(frame(curve, dir_thetas), axis=1)
-
+    assignment.flags.writeable = frames.flags.writeable = False
     return ConeGeometry(curve=curve, delta=delta, assignment=assignment, frames=frames)
 
 
@@ -508,7 +511,7 @@ def tspacing_subsample(geometry: ConeGeometry, t: float, seed: int) -> CapSubset
     most 4 and no scan runs here; `decoupling_ratio` checks the condition
     on whatever subset it is given.
     """
-    net = direction_net(geometry.curve, geometry.delta, t, seed)
+    net = direction_net(geometry.delta, t, seed)
     dirs = np.unique(np.minimum(net.indices, geometry.n_directions - 1))
     return CapSubset(t=t, directions=dirs)
 

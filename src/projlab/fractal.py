@@ -10,9 +10,9 @@ the Frostman-type constant of a weighted set is computed on request by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class PointSet:
         out.flags.writeable = False
         return out
 
-    def with_weights(self, weights: Sequence[float]) -> "PointSet":
-        return replace(self, weights=np.asarray(weights, dtype=float))
-
 
 def frostman_constant(p: PointSet) -> float:
     """Mass-concentration constant of the aligned dyadic-cube scan.
@@ -127,16 +124,11 @@ def frostman_constant(p: PointSet) -> float:
     return worst
 
 
-def full_grid(k: int, dim: int = 1) -> PointSet:
-    """The full delta-grid of [0,1)^dim at delta = 2^-k."""
-    if dim < 1:
-        raise ConfigurationError(f"dim must be at least 1, got {dim}")
-    if k * dim >= CELL_CAP.bit_length():  # 2^(k dim) > CELL_CAP
+def full_grid(k: int) -> PointSet:
+    """The full delta-grid of [0,1) at delta = 2^-k."""
+    if k >= CELL_CAP.bit_length():  # 2^k > CELL_CAP
         raise CapacityError("full grid would exceed the cell cap")
-    axes = [np.arange(2**k, dtype=np.int64)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    idx = np.stack([m.ravel() for m in mesh], axis=1)
-    return PointSet(dim, 2.0**-k, idx, nominal_dim=float(dim))
+    return PointSet(1, 2.0**-k, np.arange(2**k, dtype=np.int64)[:, None], nominal_dim=1.0)
 
 
 def cantor_1d(ratio: float, depth: int) -> PointSet:
@@ -310,37 +302,37 @@ def extract_delta_s_set(p: PointSet, s: float, content_estimate: float) -> Point
 CSV_HEADER = "dim,delta,domain,nominal_dim"
 
 
+def write_csv(path, header: str, rows) -> None:
+    """The header line(s), then one line per row: bools as true/false, other values by repr."""
+    lines = [header]
+    for row in rows:  # a list and identity tests, as this runs once per value
+        lines.append(",".join([str(v).lower() if v is True or v is False else repr(v) for v in row]))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def save_csv(p: PointSet, path) -> None:
     """Write the `dim,delta,domain,nominal_dim` header block then one cell per row.
 
     Rows are coordinates (and a trailing weight when present) in
     lexicographic lattice order, so output bytes are deterministic.
     """
-    lines = [
-        CSV_HEADER,
-        f"{p.ambient_dim},{p.delta!r},{p.domain},{float(p.nominal_dim)!r}",
-    ]
+    meta = f"{p.ambient_dim},{p.delta!r},{p.domain},{float(p.nominal_dim)!r}"
     rows = p.values if p.weights is None else np.column_stack([p.values, p.weights])
-    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, f"{CSV_HEADER}\n{meta}", rows.tolist())
 
 
 def load_csv(path) -> PointSet:
-    """Read a `save_csv` file.  Files with the older `dim,delta` header load
-    with the domain inferred from the index signs and no nominal dimension."""
+    """Read a `save_csv` file; any other header raises ConfigurationError."""
     with open(path, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",") if lines else []
-    if len(lines) < 2 or header not in (["dim", "delta"], CSV_HEADER.split(",")):
-        raise ConfigurationError("missing dim,delta header")
+    if len(lines) < 2 or lines[0] != CSV_HEADER:
+        raise ConfigurationError(f"missing {CSV_HEADER} header")
     values = lines[1].split(",")
-    if len(values) != len(header):
+    if len(values) != 4:
         raise ConfigurationError(f"header line {lines[1]!r} does not match {lines[0]!r}")
-    meta = dict(zip(header, values))
     try:
-        dim, delta = int(meta["dim"]), float(meta["delta"])
-        nominal_dim = float(meta.get("nominal_dim", "nan"))
+        dim, delta, nominal_dim = int(values[0]), float(values[1]), float(values[3])
         rows = [[float(v) for v in ln.split(",")] for ln in lines[2:]]
     except ValueError as exc:
         raise ConfigurationError(f"non-numeric field: {exc}") from None
@@ -358,5 +350,4 @@ def load_csv(path) -> PointSet:
         raise ConfigurationError("coordinates must be finite and at most 2^62 cells from 0")
     idx = np.round(coords / delta).astype(np.int64)
     weights = fields[:, dim] if has_w else None
-    domain = meta.get("domain", "ball" if (len(idx) and idx.min() < 0) else "cube")
-    return PointSet(dim, delta, idx, weights=weights, nominal_dim=nominal_dim, domain=domain)
+    return PointSet(dim, delta, idx, weights=weights, nominal_dim=nominal_dim, domain=values[2])

@@ -138,8 +138,10 @@ class IncidenceMatrix:
     hits: np.ndarray  # bool, shape (#balls, #directions)
 
     def __post_init__(self):
-        # a config's memo hands the same array to every caller
-        self.hits.setflags(write=False)
+        # a config's memo hands the same array to every caller; the caller's stays writable
+        hits = np.array(self.hits)
+        hits.flags.writeable = False
+        object.__setattr__(self, "hits", hits)
 
     @property
     def total(self) -> int:
@@ -338,7 +340,7 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(spec.seed)
-    net = direction_net(curve, spec.delta, spec.t, spec.seed)
+    net = direction_net(spec.delta, spec.t, spec.seed)
     families = tuple(
         make_family(float(theta), offsets, delta=spec.delta, s=spec.s)
         for theta, offsets in zip(net.thetas, _offset_delta_s_sets(k, spec.s, len(net), rng))

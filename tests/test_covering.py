@@ -52,8 +52,9 @@ class TestGreedyCover:
         assert naive_condition3_ok(cov, 0.5)
 
     def test_full_2d_grid_infeasible(self):
+        idx = np.stack(np.meshgrid(np.arange(32), np.arange(32), indexing="ij"), axis=-1)
         with pytest.raises(InfeasibleError):
-            greedy_cover(full_grid(5, dim=2), 0.5, 1.0)
+            greedy_cover(PointSet(2, 2.0**-5, idx.reshape(-1, 2), nominal_dim=2.0), 0.5, 1.0)
 
     def test_merging_kicks_in(self):
         # 16 adjacent cells at delta 2^-8 fit the s=0.5 budget exactly but
@@ -124,6 +125,13 @@ class TestExponentDomain:
     def test_dyadic_content_refuses(self, t):
         with pytest.raises(DomainError, match="finite and >= 0"):
             dyadic_content(cantor_1d(1 / 3, 4), t, 4)
+
+    def test_dyadic_content_refuses_a_level_off_the_lattice(self):
+        # a level finer than the lattice used to refine every cell below delta
+        p = cantor_1d(1 / 3, 4)
+        for level in (-1, p.level + 1):
+            with pytest.raises(RangeError, match=rf"max_level must lie in \[0, {p.level}\]"):
+                dyadic_content(p, 0.5, level)
 
 
 class TestValidateCovering:
@@ -199,7 +207,7 @@ class TestDyadicContent:
     def test_monotone_in_max_level(self):
         p = cantor_1d(1 / 3, 6)
         t = 0.63
-        vals = [dyadic_content(p, t, m) for m in range(0, p.level + 3)]
+        vals = [dyadic_content(p, t, m) for m in range(0, p.level + 1)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_ball_domain_set(self):

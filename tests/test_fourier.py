@@ -386,6 +386,12 @@ class TestGeometry:
         assert a == b and hash(a) == hash(b)
         assert a != build_geometry(CURVE, 2.0**-5)
 
+    def test_assignment_frames_and_box_ids_refuse_writes(self, geo16):
+        # the box ids are cached from the frames, so a write to either could leave them stale
+        for a in (geo16.assignment, geo16.frames, *geo16.envelope_boxes.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
     def test_envelope_box_ids(self, geo16):
         # dense ids 0..n-1 over every lattice point, rows of one uint16 block
         assert sorted(geo16.envelope_boxes) == [(0.25, i) for i in range(4)] + [(0.5, 0), (0.5, 1)]

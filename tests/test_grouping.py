@@ -22,6 +22,7 @@ cell, which sends every count with d >= 2 down the slab branch.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ def point_sets(draw, weighted=False, allow_empty=False):
     p = PointSet(d, 2.0**-k, idx, nominal_dim=float(d), domain=domain)
     if weighted:
         w = rng.integers(1, 4, size=len(p))
-        p = p.with_weights(w / w.sum())
+        p = replace(p, weights=w / w.sum())
     return p
 
 

@@ -18,6 +18,7 @@ from projlab.errors import (
 from projlab.fractal import PointSet, extract_delta_s_set, full_grid
 from projlab.incidence import (
     IncidenceConfig,
+    IncidenceMatrix,
     _offset_delta_s_sets,
     IncidenceSpec,
     SlabFamily,
@@ -41,7 +42,7 @@ def origin_ball(delta):
 
 def config_through_origin(delta, t=1.0, s=0.5):
     """Every direction holds one slab through the origin."""
-    net = direction_net(CURVE, delta, t, seed=0)
+    net = direction_net(delta, t, seed=0)
     fams = tuple(
         make_family(float(th), [0.0], delta=delta, s=s) for th in net.thetas
     )
@@ -81,7 +82,7 @@ class TestIncidenceCount:
         assert m.row_counts()[0] == len(cfg.net)
 
     def test_empty_families_empty_matrix(self):
-        net = direction_net(CURVE, 2.0**-4, 1.0, seed=0)
+        net = direction_net(2.0**-4, 1.0, seed=0)
         fams = tuple(
             make_family(float(th), [], delta=2.0**-4, s=0.5) for th in net.thetas
         )
@@ -152,7 +153,7 @@ def small_configs(draw):
     k = draw(st.integers(2, 4))
     delta = 2.0**-k
     n = 2**k
-    net = direction_net(CURVE, delta, draw(st.sampled_from([0.5, 1.0])), draw(st.integers(0, 9)))
+    net = direction_net(delta, draw(st.sampled_from([0.5, 1.0])), draw(st.integers(0, 9)))
     cells = draw(
         st.lists(st.tuples(*[st.integers(-n, n)] * 3), min_size=1, max_size=24, unique=True)
     )
@@ -191,7 +192,7 @@ class TestHeavySubset:
             assert len(heavy) == 1
 
     def test_empty_rows_dropped(self):
-        net = direction_net(CURVE, 2.0**-4, 1.0, seed=0)
+        net = direction_net(2.0**-4, 1.0, seed=0)
         fams = tuple(
             make_family(float(th), [], delta=2.0**-4, s=0.5) for th in net.thetas
         )
@@ -247,7 +248,7 @@ class TestVerifyBound:
             verify_incidence_bound(cfg, CURVE, epsilon=eps)
 
     def test_precondition_error_names_ball(self):
-        net = direction_net(CURVE, 2.0**-5, 0.5, seed=0)
+        net = direction_net(2.0**-5, 0.5, seed=0)
         fams = tuple(
             make_family(float(th), [0.5], delta=2.0**-5, s=0.5)
             for th in net.thetas
@@ -265,6 +266,20 @@ class TestCountMemo:
             m = incidence_count(cfg, curve)
             with pytest.raises(ValueError, match="read-only"):
                 m.hits[0, 0] = not m.hits[0, 0]
+
+    def test_the_matrix_keeps_its_own_copy(self):
+        h = np.zeros((2, 3), dtype=bool)
+        m = IncidenceMatrix(h)
+        h[0, 0] = True  # used to raise: the matrix froze the caller's array in place
+        assert m.total == 0
+
+    def test_the_net_thetas_refuse_writes(self):
+        # a write used to leave the memo's matrix stale and make replace() refuse the config
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=3))
+        m = incidence_count(cfg, named_curve("model"))
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.net.thetas[0] += 0.25
+        assert incidence_count(replace(cfg), named_curve("model")).hits.tobytes() == m.hits.tobytes()
 
     def test_replace_starts_with_an_empty_memo(self):
         cfg = config_through_origin(2.0**-4)
@@ -333,7 +348,7 @@ class TestConfigScale:
             random_admissible_config(IncidenceSpec(delta=2.0**-10, s=1.0, t=0.0, seed=0))
 
     def test_config_rejects_delta_one(self):
-        net = direction_net(CURVE, 1.0, 1.0, 0)
+        net = direction_net(1.0, 1.0, 0)
         fams = tuple(make_family(float(th), [0.0], delta=1.0, s=0.5) for th in net.thetas)
         with pytest.raises(DomainError, match="delta <= 1/2"):
             IncidenceConfig(net=net, families=fams, balls=origin_ball(1.0))
@@ -341,7 +356,7 @@ class TestConfigScale:
     def test_config_rejects_a_family_off_its_direction(self):
         # the count pairs family j with net.thetas[j], but the family's own
         # theta places its slabs, so the two must agree
-        net = direction_net(CURVE, 2.0**-4, 1.0, 0)
+        net = direction_net(2.0**-4, 1.0, 0)
         fams = [make_family(float(th), [0.0], delta=2.0**-4, s=0.5) for th in net.thetas]
         fams[3] = make_family(0.9, [0.0], delta=2.0**-4, s=0.5)
         with pytest.raises(ConfigurationError, match="family 3 sits at theta=0.9"):
@@ -374,7 +389,7 @@ def oracle_offset_delta_s_set(k, s, rng):
     """The generator's offsets by general extraction on an explicit full grid."""
     grid = full_grid(k + 1)
     w = rng.random(len(grid))
-    extracted = extract_delta_s_set(grid.with_weights(w / w.sum()), s, 1.0)
+    extracted = extract_delta_s_set(replace(grid, weights=w / w.sum()), s, 1.0)
     return np.sort(extracted.indices[:, 0] * extracted.delta * 2.0 - 1.0)
 
 

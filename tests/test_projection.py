@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestProjectLine:
     def test_weighted_and_unweighted_project_alike(self):
         idx = np.array([[0, 0, 4], [0, 0, -4], [3, 1, 0]])
         a = PointSet(3, 2.0**-4, idx, nominal_dim=0.0, domain="ball")
-        weighted = a.with_weights([0.5, 0.5, 0.0])
+        weighted = replace(a, weights=[0.5, 0.5, 0.0])
         for theta in (0.0, 0.4, 1.0):
             p = project_line(weighted, CURVE, theta)
             assert p.weights is None
@@ -122,7 +123,7 @@ def test_project_line_matches_sort_oracle(k, n, seed, zero_share, name, theta):
     assert_same_projection(project_line(a, curve, theta), oracle_project_line(a, curve, theta))
     w = rng.random(len(a)) * (rng.random(len(a)) >= zero_share)
     if w.sum() > 0:
-        weighted = a.with_weights(w / w.sum())
+        weighted = replace(a, weights=w / w.sum())
         assert_same_projection(
             project_line(weighted, curve, theta), oracle_project_line(a, curve, theta)
         )
