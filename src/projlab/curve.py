@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -19,100 +19,93 @@ from .dyadic import dyadic_level, spacing_scan
 from .errors import CapacityError, DomainError, InfeasibleError, NumericError
 from .fractal import CELL_CAP
 
-SQRT2 = math.sqrt(2.0)
-
-#: default central-difference step; balances truncation against round-off
-FD_STEP = 2.0 ** -20
-
 #: parameters on the uniform grid that `nondegeneracy_margin` samples
 MARGIN_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
 class Curve:
-    """A parametrized direction curve with optional closed-form derivatives.
-
-    `eval_fn` maps an array of parameters to unit vectors, shape (n, 3).
-    When `d1`/`d2` are None, derivatives fall back to central finite
-    differences with step `FD_STEP`.  Instances are immutable and safe to share.
+    """A direction curve: `eval_fn`, `d1` and `d2` map an array of parameters to
+    gamma, gamma' and gamma'' in closed form, each (n, 3).  Immutable and shareable.
     """
 
     label: str
     eval_fn: Callable[[np.ndarray], np.ndarray]
-    d1: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    d1: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray], np.ndarray]
 
     def points(self, thetas: np.ndarray) -> np.ndarray:
         return self.eval_fn(np.asarray(thetas, dtype=float))
 
     def deriv1(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if self.d1 is not None:
-            return self.d1(thetas)
-        return (self.eval_fn(thetas + FD_STEP) - self.eval_fn(thetas - FD_STEP)) / (2 * FD_STEP)
+        return self.d1(np.asarray(thetas, dtype=float))
 
     def deriv2(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if self.d2 is not None:
-            return self.d2(thetas)
-        # second differences divide by h^2, so the step widens to sqrt(h)
-        # to keep round-off at the same level as the first derivative
-        h2 = math.sqrt(FD_STEP)
-        return (
-            self.eval_fn(thetas + h2)
-            - 2 * self.eval_fn(thetas)
-            + self.eval_fn(thetas - h2)
-        ) / h2**2
+        return self.d2(np.asarray(thetas, dtype=float))
+
+
+def _cone(c: float, label: str) -> Curve:
+    """theta -> (cos theta, sin theta, c) / sqrt(1 + c^2), with det c / (1 + c^2)^(3/2)."""
+    norm = math.sqrt(1.0 + c * c)
+
+    def ev(t):
+        t = np.atleast_1d(t)
+        return np.stack([np.cos(t), np.sin(t), np.full(t.shape, c)], axis=-1) / norm
+
+    def d1(t):
+        t = np.atleast_1d(t)
+        return np.stack([-np.sin(t), np.cos(t), np.zeros(t.shape)], axis=-1) / norm
+
+    def d2(t):
+        t = np.atleast_1d(t)
+        return np.stack([-np.cos(t), -np.sin(t), np.zeros(t.shape)], axis=-1) / norm
+
+    return Curve(label, ev, d1, d2)
 
 
 @cache
 def model_curve() -> Curve:
     """The model curve theta -> (cos theta, sin theta, 1) / sqrt(2)."""
-
-    def ev(t):
-        t = np.atleast_1d(t)
-        return np.stack([np.cos(t), np.sin(t), np.ones_like(t)], axis=-1) / SQRT2
-
-    def d1(t):
-        t = np.atleast_1d(t)
-        return np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1) / SQRT2
-
-    def d2(t):
-        t = np.atleast_1d(t)
-        return np.stack([-np.cos(t), -np.sin(t), np.zeros_like(t)], axis=-1) / SQRT2
-
-    return Curve("model", ev, d1, d2)
+    return _cone(1.0, "model")
 
 
 @cache
 def great_circle() -> Curve:
     """Planar curve theta -> (cos theta, sin theta, 0); degenerate on purpose."""
-
-    def ev(t):
-        t = np.atleast_1d(t)
-        return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
-
-    def d1(t):
-        t = np.atleast_1d(t)
-        return np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)
-
-    def d2(t):
-        t = np.atleast_1d(t)
-        return np.stack([-np.cos(t), -np.sin(t), np.zeros_like(t)], axis=-1)
-
-    return Curve("greatcircle", ev, d1, d2)
+    return _cone(0.0, "greatcircle")
 
 
 @cache
 def helix_curve() -> Curve:
-    """Perturbed helix theta -> normalize(cos theta, sin theta, 1 + 0.2 theta)."""
+    """Perturbed helix theta -> r / N, r = (cos theta, sin theta, h), h = 1 + 0.2 theta.
+
+    N = sqrt(1 + h^2) and r . r' = 0.2 h, so gamma' = r'/N - r (0.2 h)/N^3 and
+    gamma'' = r''/N - 0.4 h r'/N^3 - r (0.04/N^3 - 0.12 h^2/N^5).
+    """
 
     def ev(t):
         t = np.atleast_1d(t)
         raw = np.stack([np.cos(t), np.sin(t), 1.0 + 0.2 * t], axis=-1)
         return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
-    return Curve("helix", ev)
+    def parts(t):
+        t = np.atleast_1d(t)
+        h = 1.0 + 0.2 * t
+        n = np.sqrt(1.0 + h * h)[:, None]
+        r = np.stack([np.cos(t), np.sin(t), h], axis=-1)
+        r1 = np.stack([-np.sin(t), np.cos(t), np.full(t.shape, 0.2)], axis=-1)
+        return h[:, None], n, r, r1
+
+    def d1(t):
+        h, n, r, r1 = parts(t)
+        return r1 / n - r * (0.2 * h) / n**3
+
+    def d2(t):
+        h, n, r, r1 = parts(t)
+        r2 = r * np.array([-1.0, -1.0, 0.0])
+        return r2 / n - 0.4 * h * r1 / n**3 - r * (0.04 / n**3 - 0.12 * h * h / n**5)
+
+    return Curve("helix", ev, d1, d2)
 
 
 #: one shared instance per name, built at import so that concurrent callers
@@ -155,16 +148,16 @@ def frame(curve: Curve, thetas):
 def nondegeneracy_margin(curve: Curve) -> float:
     """Min of |det(gamma, gamma', gamma'')| over MARGIN_SAMPLES uniform thetas in [0, 1].
 
-    A margin of 0 flags a degenerate curve.
+    det is the triple product gamma . (gamma' x gamma''), summed in a fixed
+    order with ufuncs.  A margin of 0 flags a degenerate curve.
     """
     thetas = np.linspace(0.0, 1.0, MARGIN_SAMPLES)
     g = curve.points(thetas)
-    g1 = curve.deriv1(thetas)
-    g2 = curve.deriv2(thetas)
-    mats = np.stack([g, g1, g2], axis=-2)
-    if not np.all(np.isfinite(mats)):
-        raise NumericError("non-finite derivative values on the sample grid")
-    return float(np.min(np.abs(np.linalg.det(mats))))
+    c = np.cross(curve.deriv1(thetas), curve.deriv2(thetas))
+    det = g[:, 0] * c[:, 0] + g[:, 1] * c[:, 1] + g[:, 2] * c[:, 2]
+    if not np.all(np.isfinite(det)):
+        raise NumericError("non-finite frame values on the sample grid")
+    return float(np.min(np.abs(det)))
 
 
 @dataclass(frozen=True)
@@ -209,14 +202,16 @@ def direction_net(delta: float, t: float, seed: int) -> DirectionNet:
     """Build a (delta, t)-net of direction parameters in [0, 1].
 
     For t = 1 the full delta-grid (both endpoints included) is returned.
-    For t < 1 a seeded greedy thinning of the grid is used: candidates are
+    For t < 1 it is the seeded greedy thinning of the grid: candidates are
     visited in a seeded random order and accepted while every enclosing
     aligned dyadic window of length 2^-l keeps at most ceil((2^-l/delta)^t)
-    accepted points.  The per-window caps form a laminar matroid, so the
-    achieved cardinality is the matroid rank regardless of seed.  The
-    window counts hold 2^(k+1) entries, so nets with 2^(k+1) > CELL_CAP
-    raise CapacityError before anything is allocated, and a net below the
-    target cardinality raises InfeasibleError.  No spacing scan runs here.
+    accepted points.  The caps form a laminar matroid, so the cardinality is
+    the matroid rank regardless of seed, and the greedy set is built
+    bottom-up: level by level, each window keeps as many of its two halves'
+    survivors as its cap allows, first visited first.  The permutation and its visiting
+    ranks hold 2^(k+1) entries, so nets with 2^(k+1) > CELL_CAP raise
+    CapacityError before anything is allocated; a net below the target
+    cardinality raises InfeasibleError.  No spacing scan runs here.
     """
     k = dyadic_level(delta)
     if not (0.0 <= t <= 1.0):
@@ -227,21 +222,16 @@ def direction_net(delta: float, t: float, seed: int) -> DirectionNet:
     if t == 1.0:
         thetas = np.arange(n + 1, dtype=np.int64) * delta
     else:
-        caps = [math.ceil((2 ** (k - l)) ** t) for l in range(k + 1)]
-        counts = [np.zeros(2**l, dtype=np.int64) for l in range(k + 1)]
-        rng = np.random.default_rng(seed)
-        chosen = []
-        for i in rng.permutation(n):
-            ok = True
-            for l in range(k + 1):
-                if counts[l][i >> (k - l)] >= caps[l]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(i)
-                for l in range(k + 1):
-                    counts[l][i >> (k - l)] += 1
-        thetas = np.sort(np.array(chosen, dtype=np.int64)) * delta
+        visit = np.empty(n, dtype=np.int64)
+        visit[np.random.default_rng(seed).permutation(n)] = np.arange(n)
+        keep = np.arange(n, dtype=np.int64)  # level k: one candidate per window, cap 1
+        for l in range(k - 1, -1, -1):
+            window = keep >> (k - l)
+            order = np.lexsort((visit[keep], window))
+            keep, window = keep[order], window[order]
+            rank = np.arange(keep.size) - np.searchsorted(window, window)
+            keep = keep[rank < math.ceil((2 ** (k - l)) ** t)]
+        thetas = np.sort(keep) * delta
 
     needed = (1.0 / k**2) * delta ** (-t) / 16.0 if k > 0 else 1.0
     if thetas.size < max(1.0, needed):

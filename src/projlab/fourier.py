@@ -271,7 +271,7 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
       the segment at theta_f lies within hi R_c of the segment at theta_c,
       so dist(theta_f) >= dist(theta_c) - hi R_c.  A point whose
       dist(theta_c) exceeds delta + hi R_c at every c is off the cone.
-      This needs no derivative, so it holds for finite-difference curves.
+      This needs no derivative.
     Both tests carry a relative and an absolute slack (_PRUNE_SLACK) far
     above the rounding of the squared distances, so no point whose computed
     fine minimum is at most delta^2 is dropped.  The survivors run the same

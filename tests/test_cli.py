@@ -58,6 +58,34 @@ DEFAULT_DIGESTS = {
     },
 }
 
+#: the same for `incidence --set 'curve="helix"'`, whose frames come from the
+#: helix's closed-form derivative (the CSV names no curve, so it matches the default's)
+HELIX_INCIDENCE_DIGESTS = {
+    "incidence.csv": "d6651d7b54ffe479d07a593413f9644b585f478b610bb10ea08376b110073379",
+    "incidence_summary.json": "ce49daddfc9316f92211e824bee38dce34c3df945357f9846abf172a09f28693",
+}
+
+#: one child per BLAS kernel: writes the default gen, cover and incidence
+#: outputs under argv[1] and prints the digests of a raw matvec (which shows
+#: whether the kernel took effect) and of each named curve's frame and margin
+KERNEL_CHILD = """
+import hashlib, json, sys
+import numpy as np
+from projlab.cli import main
+from projlab.curve import frame, named_curve, nondegeneracy_margin
+for command in ("gen", "cover", "incidence"):
+    assert main([command, "--out", f"{sys.argv[1]}/{command}"]) == 0
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+x = np.random.default_rng(0).random((100000, 3))
+thetas = np.linspace(0.0, 1.0, 257)
+curves = {}
+for name in ("model", "helix", "greatcircle"):
+    curve = named_curve(name)
+    curves[name] = digest(*frame(curve, thetas), nondegeneracy_margin(curve))
+print(json.dumps({"matvec": digest(x @ np.array([0.3, -0.7, 0.2])), "curves": curves}))
+"""
+
 
 class TestConfig:
     def test_defaults_filled(self):
@@ -298,10 +326,14 @@ class TestRun:
         assert run(command, raw, tmp_path) == 0
         assert {p.name for p in tmp_path.iterdir()} == files
 
-    @pytest.mark.parametrize("command", sorted(DEFAULT_DIGESTS))
-    def test_default_output_bytes_are_pinned(self, tmp_path, command):
-        assert run(command, {}, tmp_path) == 0
-        assert hash_dir(tmp_path) == DEFAULT_DIGESTS[command]
+    @pytest.mark.parametrize(
+        "command, raw, digests",
+        [pytest.param(c, {}, DEFAULT_DIGESTS[c], id=c) for c in sorted(DEFAULT_DIGESTS)]
+        + [pytest.param("incidence", {"curve": "helix"}, HELIX_INCIDENCE_DIGESTS, id="incidence-helix")],
+    )
+    def test_default_output_bytes_are_pinned(self, tmp_path, command, raw, digests):
+        assert run(command, raw, tmp_path) == 0
+        assert hash_dir(tmp_path) == digests
 
 
 #: small valid values per config key, so that a valid run takes milliseconds
@@ -389,6 +421,27 @@ class TestCliProcess:
                 assert r.returncode == 0, r.stderr
                 hashes.append(hash_dir(out))
             assert hashes[0] == hashes[1], command
+
+    def test_blas_kernel_does_not_change_bytes(self, tmp_path):
+        # sweep and decouple are left out: their np.polyfit bits move with the kernel
+        runs = {}
+        for kernel in ("Haswell", "Prescott"):
+            r = subprocess.run(
+                [sys.executable, "-c", KERNEL_CHILD, str(tmp_path / kernel)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+            )
+            if r.returncode < 0:
+                pytest.skip(f"the {kernel} kernel does not run on this CPU (signal {-r.returncode})")
+            assert r.returncode == 0, r.stderr
+            runs[kernel] = json.loads(r.stdout)
+        if runs["Haswell"]["matvec"] == runs["Prescott"]["matvec"]:
+            pytest.skip("a raw matvec has the same bits under both kernels here, so the test cannot tell them apart")
+        assert runs["Haswell"]["curves"] == runs["Prescott"]["curves"]
+        for command in ("gen", "cover", "incidence"):
+            haswell, prescott = (hash_dir(tmp_path / k / command) for k in runs)
+            assert haswell == prescott, command
 
     def test_bad_thread_count_exits_2_before_any_output(self, tmp_path):
         out = tmp_path / "o"

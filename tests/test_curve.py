@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from projlab.curve import (
     Curve,
     DirectionNet,
+    _cone,
     direction_net,
     frame,
     great_circle,
@@ -17,7 +18,7 @@ from projlab.curve import (
     nondegeneracy_margin,
     validate_direction_net,
 )
-from projlab.errors import DomainError, NumericError
+from projlab.errors import DomainError, InfeasibleError, NumericError
 
 
 def brute_force_spacing_ok(thetas, delta, t, cap):
@@ -33,6 +34,31 @@ def brute_force_spacing_ok(thetas, delta, t, cap):
     return True
 
 
+def greedy_net_oracle(delta, t, seed):
+    """The per-candidate greedy loop: accept while every enclosing window is under its cap."""
+    k = round(math.log2(1 / delta))
+    n = 2**k
+    if t == 1.0:
+        return np.arange(n + 1, dtype=np.int64) * delta
+    caps = [math.ceil((2 ** (k - l)) ** t) for l in range(k + 1)]
+    counts = [np.zeros(2**l, dtype=np.int64) for l in range(k + 1)]
+    chosen = []
+    for i in np.random.default_rng(seed).permutation(n):
+        if all(counts[l][i >> (k - l)] < caps[l] for l in range(k + 1)):
+            chosen.append(i)
+            for l in range(k + 1):
+                counts[l][i >> (k - l)] += 1
+    return np.sort(np.array(chosen, dtype=np.int64)) * delta
+
+
+def central_d1(curve, thetas, h=2.0**-20):
+    return (curve.eval_fn(thetas + h) - curve.eval_fn(thetas - h)) / (2 * h)
+
+
+def central_d2(curve, thetas, h=2.0**-10):
+    return (curve.eval_fn(thetas + h) - 2 * curve.eval_fn(thetas) + curve.eval_fn(thetas - h)) / h**2
+
+
 class TestEvalCurve:
     def test_model_at_zero(self):
         v = model_curve().points(np.array([0.0]))[0]
@@ -46,6 +72,32 @@ class TestEvalCurve:
         v = great_circle().points(np.array([0.3]))[0]
         assert v[2] == 0.0
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c, label", [(1.0, "model"), (0.0, "greatcircle")])
+    def test_cone_matches_the_literal_formulas_bit_for_bit(self, c, label):
+        t = np.linspace(0.0, 1.0, 2**15 + 1)
+        cos, sin, zero = np.cos(t), np.sin(t), np.zeros_like(t)
+        rows = [(cos, sin, np.full_like(t, c)), (-sin, cos, zero), (-cos, -sin, zero)]
+        if c == 1.0:  # the model curve: (cos, sin, 1) / sqrt(2)
+            want = [np.stack(r, axis=-1) / math.sqrt(2.0) for r in rows]
+        else:  # the great circle: (cos, sin, 0), no division
+            want = [np.stack(r, axis=-1) for r in rows]
+        want = [w.tobytes() for w in want]
+        for curve in (_cone(c, label), named_curve(label)):
+            assert curve.label == label
+            assert [f(t).tobytes() for f in (curve.points, curve.deriv1, curve.deriv2)] == want
+
+    def test_helix_derivatives_match_central_differences(self):
+        # observed gaps: 1.6e-10 on gamma' (step 2^-20) and 5.3e-8 on gamma''
+        # (step 2^-10, truncation about h^2/12 times the fourth derivative)
+        helix = helix_curve()
+        t = np.linspace(0.0, 1.0, 2**12 + 1)
+        assert np.max(np.abs(helix.deriv1(t) - central_d1(helix, t))) < 1e-9
+        assert np.max(np.abs(helix.deriv2(t) - central_d2(helix, t))) < 2e-7
+
+    def test_derivatives_are_required(self):
+        with pytest.raises(TypeError):
+            Curve("bare", model_curve().eval_fn)
 
     def test_unit_norm_grids(self):
         for curve, tol in [(model_curve(), 1e-10), (great_circle(), 1e-10), (helix_curve(), 1e-6)]:
@@ -66,12 +118,8 @@ class TestNondegeneracyMargin:
         assert nondegeneracy_margin(model_curve()) == pytest.approx(self.MODEL_MARGIN, abs=1e-9)
 
     def test_great_circle_degenerate(self):
-        assert nondegeneracy_margin(great_circle()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_finite_difference_frame_matches_closed_form(self):
-        closed = model_curve()
-        fd = Curve("model-fd", closed.eval_fn)  # d1/d2 omitted -> central differences
-        assert nondegeneracy_margin(fd) == pytest.approx(self.MODEL_MARGIN, abs=1e-4)
+        # gamma_z = 0 multiplies the only nonzero term of the triple product
+        assert nondegeneracy_margin(great_circle()) == 0.0
 
     def test_helix_is_admissible(self):
         assert nondegeneracy_margin(helix_curve()) > 0.01
@@ -124,6 +172,19 @@ class TestDirectionNet:
         assert net.thetas.tolist() == [0.0, 0.5, 1.0]
         with pytest.raises(ValueError, match="read-only"):
             net.thetas[0] = 0.25
+
+    @given(
+        st.integers(0, 9),
+        st.floats(0.0, 0.99) | st.sampled_from([0.0, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bottom_up_windows_give_the_greedy_net(self, k, t, seed):
+        want = greedy_net_oracle(2.0**-k, t, seed)
+        try:
+            got = direction_net(2.0**-k, t, seed).thetas
+        except InfeasibleError:  # the oracle has no target cardinality
+            return
+        assert got.tobytes() == want.tobytes()
 
     def test_nondyadic_delta_rejected(self):
         with pytest.raises(DomainError):
@@ -187,7 +248,7 @@ def test_frame_names_the_first_theta_without_a_tangent():
     def d1(t):  # gamma' vanishes at theta = 0.5 and 0.75
         return model.deriv1(t) * ((t != 0.5) & (t != 0.75))[:, None]
 
-    flat = Curve("flat", model.eval_fn, d1)
+    flat = Curve("flat", model.eval_fn, d1, model.d2)
     with pytest.raises(NumericError, match=r"'flat' has no tangent frame at theta=0.5$"):
         frame(flat, np.array([0.25, 0.5, 0.75, 0.0]))
     with pytest.raises(NumericError, match="theta=0.75"):
