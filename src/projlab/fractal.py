@@ -97,8 +97,10 @@ class PointSet:
 
     @cached_property
     def float_indices(self) -> np.ndarray:
-        """Read-only float64 copy of `indices`, made once per set (not a field)."""
-        out = self.indices.astype(np.float64)
+        """Read-only float64 copy of `indices`, transposed to C-contiguous shape
+        (ambient_dim, n) so each axis is one contiguous row; made once per set
+        (not a field)."""
+        out = np.ascontiguousarray(self.indices.T, dtype=np.float64)
         out.flags.writeable = False
         return out
 

@@ -38,28 +38,60 @@ class SweepRow:
     below_s: bool
 
 
+#: cells per block of the dense route: its three temporaries (the dot, one
+#: product, the intp indices) take 256 KB each and so stay in a 2 MiB L2 cache
+_BLOCK = 32768
+
+
+def _rounded_dot(x: np.ndarray, gamma: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """out = rint((x0 g0 + x1 g1) + x2 g2) for the (3, m) float rows x, in that order.
+
+    Each ufunc rounds once, so the bits do not depend on a BLAS kernel.
+    """
+    np.multiply(x[0], gamma[0], out=out)
+    np.multiply(x[1], gamma[1], out=tmp)
+    out += tmp
+    np.multiply(x[2], gamma[2], out=tmp)
+    out += tmp
+    return np.rint(out, out=out)
+
+
 def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     """Orthogonal projection x -> x . gamma(theta), snapped to a's lattice.
 
     Returns the projected set, one cell per occupied lattice point in
     lattice order, with no weights: the sweep's box counts read only the
     support.  All projected values of a unit-ball set satisfy |v| <= 1.
-    The cells come from one dense count over the projected index range
-    when that range is at most four times the number of cells, so memory
-    stays O(n); sparser sets (such as products of thin Cantor sets at
-    large k) sort their cells with `group_rows` instead.
+    delta is a power of two, so each cell is rint(i . gamma) for the set's
+    float indices i, summed as (i0 g0 + i1 g1) + i2 g2 with one ufunc per
+    step: unlike a BLAS matvec, whose kernel may fuse or reorder the sum,
+    this fixes every bit.  Every cell of a valid set of either domain has
+    |i| <= sqrt(3) 2^k, so |cell| <= R = isqrt(3 4^k) + 2.  When 2R + 1 is
+    at most 4n, the dense route projects _BLOCK cells at a time into
+    cache-sized buffers and marks each cell in one occupancy array of 2R + 1
+    flags; sparser sets (such as products of thin Cantor sets at large k)
+    project all cells at once and sort them with `group_rows`.  Both routes
+    give the same sorted cells, and the route depends on the level and n only.
     """
     if a.ambient_dim != 3:
         raise ConfigurationError("project_line expects a 3-D set")
     gamma = curve.points(np.array([theta]))[0]
-    # delta is a power of two, so this equals (idx * delta) @ gamma / delta;
-    # numpy would cast the int64 indices to the same floats on every call
-    col = np.round(a.float_indices @ gamma).astype(np.int64)
-    if len(col) and col.max() - col.min() < 4 * len(col):
-        lo = col.min()
-        cells = np.flatnonzero(np.bincount(col - lo)) + lo
+    x, n = a.float_indices, len(a)
+    bound = math.isqrt(3 * 4**a.level) + 2
+    if 2 * bound + 1 <= 4 * n:
+        occupied = np.zeros(2 * bound + 1, dtype=bool)
+        m = min(n, _BLOCK)
+        out, tmp, idx = np.empty(m), np.empty(m), np.empty(m, dtype=np.intp)
+        for lo in range(0, n, _BLOCK):
+            w = min(n - lo, _BLOCK)
+            v = _rounded_dot(x[:, lo : lo + w], gamma, out[:w], tmp[:w])
+            v += bound
+            np.copyto(idx[:w], v, casting="unsafe")  # exact: v holds integers
+            occupied[idx[:w]] = True
+        cells = np.flatnonzero(occupied) - bound
     else:
-        cells = col[group_rows(col[:, None])[0]]
+        cells = _rounded_dot(x, gamma, np.empty(n), np.empty(n)).astype(np.int64)
+        cells = cells[group_rows(cells[:, None])[0]]
     return PointSet(
         1, a.delta, cells[:, None], nominal_dim=min(1.0, a.nominal_dim), domain="ball"
     )

@@ -134,7 +134,8 @@ class TestReadOnly:
         assert "float_indices" not in vars(p)  # nothing is built with the set
         f = p.float_indices
         assert f.dtype == np.float64
-        assert f.tobytes() == p.indices.astype(float).tobytes()
+        assert f.shape == (2, 3) and f.flags.c_contiguous  # one contiguous row per axis
+        assert f.tobytes() == p.indices.T.astype(float).tobytes()
         assert p.float_indices is f
         with pytest.raises(ValueError, match="read-only"):
             f[0, 0] = 0.0

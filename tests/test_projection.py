@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projlab import projection
-from projlab.curve import frame, model_curve, named_curve
+from projlab.curve import Curve, frame, model_curve, named_curve
 from projlab.dyadic import group_rows
 from projlab.errors import CapacityError, DomainError, RangeError
 from projlab.fractal import PointSet, cantor_1d, full_grid, product_set
@@ -25,14 +26,57 @@ CURVE = model_curve()
 
 
 def oracle_project_line(a, curve, theta):
-    """The sort-based projection: the support, every duplicate merged by group_rows."""
-    gamma = curve.points(np.array([theta]))[0]
-    vals = a.values @ gamma
-    idx = np.round(vals / a.delta).astype(np.int64)[:, None]
-    first, _ = group_rows(idx)
+    """The projection in Python floats: each cell is round((x0*g0 + x1*g1) + x2*g2).
+
+    It shares no SIMD or BLAS code with `project_line`, and the sum order
+    and half-to-even rounding define the same bits.
+    """
+    g0, g1, g2 = curve.points(np.array([theta]))[0].tolist()
+    cells = sorted({round((x0 * g0 + x1 * g1) + x2 * g2) for x0, x1, x2 in a.indices.tolist()})
     return PointSet(
-        1, a.delta, idx[first], nominal_dim=min(1.0, a.nominal_dim), domain="ball"
+        1,
+        a.delta,
+        np.array(cells, dtype=np.int64).reshape(-1, 1),
+        nominal_dim=min(1.0, a.nominal_dim),
+        domain="ball",
     )
+
+
+def blas_project_line(a, curve, theta):
+    """The projection's former route: a BLAS matvec, then a dense count or a sort."""
+    gamma = curve.points(np.array([theta]))[0]
+    col = np.round(a.indices.astype(np.float64) @ gamma).astype(np.int64)
+    if len(col) and col.max() - col.min() < 4 * len(col):
+        lo = col.min()
+        cells = np.flatnonzero(np.bincount(col - lo)) + lo
+    else:
+        cells = col[group_rows(col[:, None])[0]]
+    return PointSet(
+        1, a.delta, cells[:, None], nominal_dim=min(1.0, a.nominal_dim), domain="ball"
+    )
+
+
+def constant_curve(direction):
+    """A curve that points in one direction for every theta (its derivatives are unused)."""
+    g = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+
+    def const(t):
+        return np.tile(g, (np.size(t), 1))
+
+    return Curve("constant", const, const, const)
+
+
+@pytest.fixture
+def sort_calls(monkeypatch):
+    """The row counts of every `group_rows` call `project_line` makes (the sort route)."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return group_rows(rows)
+
+    monkeypatch.setattr(projection, "group_rows", counted)
+    return calls
 
 
 def assert_same_projection(got, want):
@@ -162,6 +206,64 @@ class TestProjectLineRoutes:
             assert calls == [len(sparse)]
             calls.clear()
 
+    @pytest.mark.parametrize("n", [32767, 32768, 32769])
+    def test_block_edges(self, n, sort_calls):
+        # n cells on the x-axis at k = 15: the great circle at theta = 0 maps
+        # each to itself, so a cell lost at a block edge shows
+        k = 15
+        rows = np.zeros((n, 3), dtype=np.int64)
+        rows[:, 0] = np.arange(n) - 2 ** (k - 1)
+        a = PointSet(3, 2.0**-k, rows, nominal_dim=1.0, domain="ball")
+        p = project_line(a, named_curve("greatcircle"), 0.0)
+        assert p.indices[:, 0].tolist() == rows[:, 0].tolist()
+        for theta in (0.3, 0.9):
+            assert_same_projection(
+                project_line(a, CURVE, theta), oracle_project_line(a, CURVE, theta)
+            )
+        assert sort_calls == []
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_axis_cells_reach_the_bound(self, k, sort_calls):
+        # every cell of the three axes, |x_i| <= 2^k, projected along each axis
+        # and the diagonal; along an axis the ends land on -2^k and 2^k exactly
+        line = np.arange(-(2**k), 2**k + 1)
+        rows = np.unique(
+            np.concatenate([np.outer(line, e) for e in np.eye(3, dtype=np.int64)]), axis=0
+        )
+        a = PointSet(3, 2.0**-k, rows, nominal_dim=1.0, domain="ball")
+        for e in np.concatenate([np.eye(3), -np.eye(3)]):
+            p = project_line(a, constant_curve(e), 0.0)
+            assert p.indices[:, 0].tolist() == line.tolist()
+        for curve in (constant_curve([1, 1, 1]), CURVE, named_curve("helix")):
+            for theta in (0.0, 0.6):
+                assert_same_projection(
+                    project_line(a, curve, theta), oracle_project_line(a, curve, theta)
+                )
+        assert sort_calls == []
+
+    def test_cube_set_inside_the_ball(self, sort_calls):
+        k = 3
+        rows = np.argwhere(np.ones((2**k + 1,) * 3))
+        a = PointSet(3, 2.0**-k, rows[(rows**2).sum(axis=1) <= 4**k])  # cube domain
+        for name in ("model", "helix", "greatcircle"):
+            for theta in (0.0, 0.45, 1.0):
+                curve = named_curve(name)
+                assert_same_projection(
+                    project_line(a, curve, theta), oracle_project_line(a, curve, theta)
+                )
+        assert sort_calls == []
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_cube_corner_at_the_bound_raises(self, k, sort_calls):
+        # the corner (2^k, 2^k, 2^k) projects onto the diagonal at sqrt(3) 2^k,
+        # the largest value of a valid set, which the occupancy array still holds
+        edge = np.arange(2**k + 1)
+        rows = np.concatenate([np.stack([edge, edge, edge], axis=1), [[2**k, 0, 0]]])
+        a = PointSet(3, 2.0**-k, rows)
+        with pytest.raises(DomainError):
+            project_line(a, constant_curve([1, 1, 1]), 0.0)
+        assert sort_calls == []
+
     # two cells leave the index range sparse; the whole cube [0, 1]^3 fills it
     @pytest.mark.parametrize(
         "rows", [[[16, 16, 16], [0, 0, 0]], np.argwhere(np.ones((17, 17, 17)))]
@@ -170,6 +272,34 @@ class TestProjectLineRoutes:
         a = PointSet(3, 2.0**-4, rows)
         with pytest.raises(DomainError):
             project_line(a, CURVE, 0.3)
+
+
+@pytest.mark.parametrize("name", ["model", "helix", "greatcircle"])
+def test_project_line_matches_the_blas_route(name):
+    # the former matvec route, kept as an oracle, on the sweep's sets
+    curve = named_curve(name)
+    thin = cantor_1d(0.001, 3)
+    sets = [product_set(c, c, c) for c in (cantor_1d(1 / 3, 6), cantor_1d(1 / 4, 3), thin)]
+    for a in sets:
+        for theta in np.linspace(0.0, 1.0, 17):
+            assert_same_projection(
+                project_line(a, curve, theta), blas_project_line(a, curve, theta)
+            )
+
+
+def test_one_projection_allocates_under_one_mib():
+    # criterion 4's set; the former route allocated four 2 MB temporaries
+    c = cantor_1d(1 / 3, 6)
+    a = product_set(c, c, c)
+    a.float_indices
+    project_line(a, CURVE, 0.3)
+    tracemalloc.start()
+    try:
+        project_line(a, CURVE, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @given(
