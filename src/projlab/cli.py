@@ -283,7 +283,7 @@ def run_decouple(cfg: dict, out: Path, map_fn) -> dict:
         [(delta, t, seed, rep.lhs, rep.rhs, rep.ratio) for delta, seed, rep in results],
     )
     xs, means = _per_delta_means(results, lambda rep: rep.ratio)
-    slope = float(np.polyfit(xs, np.log2(means), 1)[0]) if len(xs) >= 2 else 0.0
+    slope = projection._line_fit(xs, np.log2(means))[0] if len(xs) >= 2 else 0.0
     return {
         "max_ratio": max(r.ratio for _, _, r in results),
         "fitted_exponent": slope,

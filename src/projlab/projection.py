@@ -112,6 +112,22 @@ def box_counts(p: PointSet, level: int) -> int:
     return len(group_rows(anc)[0])
 
 
+def _line_fit(xs, ys) -> tuple[float, float]:
+    """Least-squares line through (xs, ys): (slope, intercept), in closed form.
+
+    slope = sum dx (y - ybar) / sum dx^2 with dx = x - xbar, every sum a
+    correctly rounded `math.fsum`: unlike np.polyfit, which solves through
+    LAPACK, no BLAS kernel or summation order moves the bits.
+    """
+    xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - xbar for x in xs]
+    slope = math.fsum(dx * (y - ybar) for dx, y in zip(dxs, ys)) / math.fsum(
+        dx * dx for dx in dxs
+    )
+    return slope, ybar - slope * xbar
+
+
 def box_dimension(p: PointSet, r_min: float, r_max: float) -> DimensionFit:
     """Least-squares box-counting dimension over dyadic scales in [r_min, r_max]."""
     if len(p) == 0:
@@ -128,15 +144,11 @@ def box_dimension(p: PointSet, r_min: float, r_max: float) -> DimensionFit:
     counts = np.array([box_counts(p, int(m)) for m in ms], dtype=float)
     xs = ms.astype(float)  # log2(1/r)
     ys = np.log2(counts)
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = _line_fit(xs, ys)
     resid = ys - (slope * xs + intercept)
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DimensionFit(
-        counts=counts,
-        slope=float(slope),
-        r2=float(r2),
-    )
+    return DimensionFit(counts=counts, slope=slope, r2=r2)
 
 
 def theorem_bound(s: float, alpha: float) -> float:

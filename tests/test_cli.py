@@ -39,8 +39,7 @@ def hash_dir(path: Path) -> dict:
     }
 
 
-#: sha256 of each default output of the commands whose bytes no BLAS kernel
-#: tried moves; sweep and decouple are left out, since their np.polyfit bits do
+#: sha256 of each default output; no BLAS kernel tried moves them
 DEFAULT_DIGESTS = {
     "gen": {
         "gen.csv": "585a1e8bccde82e0c1f5cc66f70cb7f28437e4a19a1e423fb8a835d81d9e8b3e",
@@ -56,6 +55,15 @@ DEFAULT_DIGESTS = {
         "incidence_summary.json":
             "f6a00be5019818af8bfabc6006c154f0c1d84c0e94179bed09a2092f4449a958",
     },
+    "sweep": {
+        "sweep.csv": "7706f3d33f276e8c380e3f2a9ed59411c81617ebd991a408dee32ab34680a144",
+        "sweep_summary.json": "146af8fd8b797ec1bdefb5e676973167d595668462abd3a9b8f1793461b8b4d8",
+    },
+    "decouple": {
+        "decouple.csv": "655442444a4735e139a28d264968b4af189cfea1a9b0e6b8fd56e5adb9c1fa78",
+        "decouple_summary.json":
+            "25c762f99f62f7a7e8b2fde7d7d5278eef33585a19e7bdb311a0793571cb6ff5",
+    },
 }
 
 #: the same for `incidence --set 'curve="helix"'`, whose frames come from the
@@ -65,15 +73,15 @@ HELIX_INCIDENCE_DIGESTS = {
     "incidence_summary.json": "ce49daddfc9316f92211e824bee38dce34c3df945357f9846abf172a09f28693",
 }
 
-#: one child per BLAS kernel: writes the default gen, cover and incidence
-#: outputs under argv[1] and prints the digests of a raw matvec (which shows
+#: one child per BLAS kernel: writes the default output of every command
+#: under argv[1] and prints the digests of a raw matvec (which shows
 #: whether the kernel took effect) and of each named curve's frame and margin
 KERNEL_CHILD = """
 import hashlib, json, sys
 import numpy as np
-from projlab.cli import main
+from projlab.cli import COMMANDS, main
 from projlab.curve import frame, named_curve, nondegeneracy_margin
-for command in ("gen", "cover", "incidence"):
+for command in COMMANDS:
     assert main([command, "--out", f"{sys.argv[1]}/{command}"]) == 0
 def digest(*arrays):
     return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
@@ -423,7 +431,6 @@ class TestCliProcess:
             assert hashes[0] == hashes[1], command
 
     def test_blas_kernel_does_not_change_bytes(self, tmp_path):
-        # sweep and decouple are left out: their np.polyfit bits move with the kernel
         runs = {}
         for kernel in ("Haswell", "Prescott"):
             r = subprocess.run(
@@ -439,7 +446,7 @@ class TestCliProcess:
         if runs["Haswell"]["matvec"] == runs["Prescott"]["matvec"]:
             pytest.skip("a raw matvec has the same bits under both kernels here, so the test cannot tell them apart")
         assert runs["Haswell"]["curves"] == runs["Prescott"]["curves"]
-        for command in ("gen", "cover", "incidence"):
+        for command in COMMANDS:
             haswell, prescott = (hash_dir(tmp_path / k / command) for k in runs)
             assert haswell == prescott, command
 

@@ -321,6 +321,24 @@ def test_box_counts_1d_match_group_rows(k, n, seed, domain):
         assert box_counts(p, m) == len(group_rows(p.indices >> (k - m))[0])
 
 
+@given(
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    slope=st.floats(-3.0, 3.0),
+)
+def test_line_fit_matches_polyfit(n, seed, slope):
+    # np.polyfit, the former fit, is the oracle up to rounding; the correctly
+    # rounded sums make the fit's bits independent of the point order
+    rng = np.random.default_rng(seed)
+    xs = rng.permutation(np.arange(n) + rng.integers(-5, 6)).astype(float)
+    ys = slope * xs + rng.normal(0.0, 0.5, n)
+    got = projection._line_fit(xs, ys)
+    want = np.polyfit(xs, ys, 1)
+    assert got == pytest.approx(tuple(want), rel=1e-9, abs=1e-9)
+    order = rng.permutation(n)
+    assert projection._line_fit(xs[order], ys[order]) == got
+
+
 class TestBoxDimension:
     def test_only_sets_above_1d_are_grouped(self, monkeypatch):
         calls = []
