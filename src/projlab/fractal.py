@@ -36,7 +36,8 @@ class PointSet:
     sorted; coordinates are `indices * delta`.  `indices` and `weights` are
     read-only copies, so results memoised per set cannot go stale; one such
     result is `float_indices`, the float64 copy of the indices that every
-    projection of the set multiplies, built on first use.
+    projection of the set reads, built on first use and laid out as one
+    C-contiguous (ambient_dim, n) array, so each axis is one contiguous row.
     `nominal_dim` is declared dimension metadata (similarity dimension for
     the shipped generators).
     """
@@ -97,9 +98,7 @@ class PointSet:
 
     @cached_property
     def float_indices(self) -> np.ndarray:
-        """Read-only float64 copy of `indices`, transposed to C-contiguous shape
-        (ambient_dim, n) so each axis is one contiguous row; made once per set
-        (not a field)."""
+        """Read-only float64 copy of `indices.T`, made once per set (not a field)."""
         out = np.ascontiguousarray(self.indices.T, dtype=np.float64)
         out.flags.writeable = False
         return out

@@ -66,12 +66,14 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     float indices i, summed as (i0 g0 + i1 g1) + i2 g2 with one ufunc per
     step: unlike a BLAS matvec, whose kernel may fuse or reorder the sum,
     this fixes every bit.  Every cell of a valid set of either domain has
-    |i| <= sqrt(3) 2^k, so |cell| <= R = isqrt(3 4^k) + 2.  When 2R + 1 is
-    at most 4n, the dense route projects _BLOCK cells at a time into
-    cache-sized buffers and marks each cell in one occupancy array of 2R + 1
-    flags; sparser sets (such as products of thin Cantor sets at large k)
-    project all cells at once and sort them with `group_rows`.  Both routes
-    give the same sorted cells, and the route depends on the level and n only.
+    |i| <= sqrt(3) 2^k, so |cell| <= R = isqrt(3 4^k) + 2, the 2 covering
+    rint and round-off at every level the dense route reaches (k <= 24, as
+    n <= CELL_CAP).  When 2R + 1 is at most 4n, the dense route projects
+    _BLOCK cells at a time into cache-sized buffers and marks each cell in
+    one occupancy array of 2R + 1 flags; sparser sets (such as products of
+    thin Cantor sets at large k) project all cells at once and sort them
+    with `group_rows`.  Both routes give the same sorted cells, and the
+    route depends on the level and n only.
     """
     if a.ambient_dim != 3:
         raise ConfigurationError("project_line expects a 3-D set")
