@@ -6,8 +6,8 @@ The level-l ancestor of a level-k cell is `indices >> (k - l)` (a floor, so
 negative ball-domain indices need no shift), and every grouping of cells
 by equality or by ancestor goes through `group_rows`, which numbers the
 groups in lexicographic row order.  Two 1-D counts skip it:
-`projection.project_line` finds the occupied cells of a dense index range
-with `np.bincount`, and `projection.box_counts` counts the steps between
+`projection.project_line` marks the occupied cells of a dense index range
+in one bool array, and `projection.box_counts` counts the steps between
 the ancestors of sorted cells, which are sorted too.
 Every (delta, s) spacing check, of point sets, direction nets and cap
 subsets alike, is one `spacing_scan` over lattice rows given in any order.

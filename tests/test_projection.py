@@ -43,14 +43,9 @@ def oracle_project_line(a, curve, theta):
 
 
 def blas_project_line(a, curve, theta):
-    """The projection's former route: a BLAS matvec, then a dense count or a sort."""
+    """The projection's former route: the cells of a BLAS matvec (n, 3) @ (3,)."""
     gamma = curve.points(np.array([theta]))[0]
-    col = np.round(a.indices.astype(np.float64) @ gamma).astype(np.int64)
-    if len(col) and col.max() - col.min() < 4 * len(col):
-        lo = col.min()
-        cells = np.flatnonzero(np.bincount(col - lo)) + lo
-    else:
-        cells = col[group_rows(col[:, None])[0]]
+    cells = np.unique(np.round(a.indices.astype(np.float64) @ gamma).astype(np.int64))
     return PointSet(
         1, a.delta, cells[:, None], nominal_dim=min(1.0, a.nominal_dim), domain="ball"
     )
