@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import dyadic_level, spacing_scan
+from .dyadic import dot3, dyadic_level, spacing_scan
 from .errors import CapacityError, DomainError, InfeasibleError, NumericError
 from .fractal import CELL_CAP
 
@@ -127,15 +127,15 @@ def frame(curve: Curve, thetas):
     tangent = gamma' / |gamma'|, normal = gamma x tangent.  A scalar theta
     gives three 3-vectors, an array of n thetas three (n, 3) arrays whose
     rows are bit for bit the scalar frames: |gamma'| is the square root of
-    the fixed-order ufunc sum d0 d0 + d1 d1 + d2 d2, which gives the same
-    bits row by row and under every BLAS kernel.  Raises NumericError
+    `dot3` of gamma' with itself, which gives the same bits row by row and
+    under every BLAS kernel.  Raises NumericError
     naming the first theta where gamma' vanishes (no frame exists there).
     """
     th = np.asarray(thetas, dtype=float)
     flat = th.reshape(-1)
     g = curve.points(flat)
     d = curve.deriv1(flat)
-    n = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    n = np.sqrt(dot3(d.T, d.T))
     bad = ~(np.isfinite(n) & (n >= 1e-12))
     if bad.any():
         theta = flat[np.argmax(bad)]
@@ -148,13 +148,13 @@ def frame(curve: Curve, thetas):
 def nondegeneracy_margin(curve: Curve) -> float:
     """Min of |det(gamma, gamma', gamma'')| over MARGIN_SAMPLES uniform thetas in [0, 1].
 
-    det is the triple product gamma . (gamma' x gamma''), summed in a fixed
-    order with ufuncs.  A margin of 0 flags a degenerate curve.
+    det is the triple product gamma . (gamma' x gamma''), summed by `dot3`.
+    A margin of 0 flags a degenerate curve.
     """
     thetas = np.linspace(0.0, 1.0, MARGIN_SAMPLES)
     g = curve.points(thetas)
     c = np.cross(curve.deriv1(thetas), curve.deriv2(thetas))
-    det = g[:, 0] * c[:, 0] + g[:, 1] * c[:, 1] + g[:, 2] * c[:, 2]
+    det = dot3(g.T, c.T)
     if not np.all(np.isfinite(det)):
         raise NumericError("non-finite frame values on the sample grid")
     return float(np.min(np.abs(det)))

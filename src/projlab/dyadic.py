@@ -16,6 +16,7 @@ to its distinct coordinates), from one prefix-sum table built per scan; a
 grid above CELL_BUDGET cells is cut into axis-0 slabs first.  The witness
 is the lexicographically smallest anchored corner among the maxima, so it
 does not depend on the row order or on the branch taken.
+Every projection onto a direction, x -> x . v, is the one 3-term dot `dot3`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ def dyadic_level(delta: float) -> int:
     if mantissa != 0.5:
         raise DomainError(f"delta must be a power of two, got {delta}")
     return 1 - exponent
+
+
+def dot3(x, v, out=None, tmp=None) -> np.ndarray:
+    """(x[0] v[0] + x[1] v[1]) + x[2] v[2], one broadcasting ufunc per step.
+
+    x and v give their coordinates first: (3, n) rows and a 3-vector, say, or
+    a grid's axes as (m, 1, 1), (1, m, 1) and (1, 1, m) views, whose head is
+    summed at (m, m, 1).  Each ufunc rounds once, in this order, so no BLAS
+    kernel, which may fuse or reorder a matvec's sum, moves a bit.  `out`
+    and `tmp`, if given, hold the result and the products.
+    """
+    head = np.add(np.multiply(x[0], v[0], out=out), np.multiply(x[1], v[1], out=tmp), out=out)
+    return np.add(head, np.multiply(x[2], v[2], out=tmp), out=out)
 
 
 def max_window_count(indices: np.ndarray, length: float) -> tuple[int, int]:
@@ -111,7 +125,9 @@ def _cube_counter(rows: np.ndarray):
         def count_at(length):
             his = np.searchsorted(col0, xs + length, side="right").tolist()
             best, bwit = 0, (0,) * d
-            for x, lo, hi in zip(xs.tolist(), los, his):
+            for x, lo, hi, prev in zip(xs.tolist(), los, his, [-1] + his):
+                if hi == prev:
+                    continue  # a subset of the previous slab, which wins every tie
                 c, wit = max_cube_count(rows[lo:hi, 1:], length)
                 if c > best:
                     best, bwit = c, (x,) + wit

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .curve import Curve, direction_net, frame, nondegeneracy_margin
-from .dyadic import dyadic_level, group_rows, spacing_scan
+from .dyadic import dot3, dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -155,11 +155,15 @@ def _check_support(coeffs: np.ndarray, support: np.ndarray, what: str) -> None:
         raise PreconditionError(f"{what}: {leak:.3g} of the energy")
 
 
+def _grid_rows(r: np.ndarray) -> tuple:
+    """Rows of the C-ordered grid r x r x r as broadcasting views; `dot3` of them is (m, m, m)."""
+    return r[:, None, None], r[None, :, None], r[None, None, :]
+
+
 def frequency_lattice(M: int) -> np.ndarray:
     """All frequency lattice points, shape (M^3, 3), in FFT index order."""
-    xi = np.fft.fftfreq(M)
-    a, b, c = np.meshgrid(xi, xi, xi, indexing="ij")
-    return np.stack([a.ravel(), b.ravel(), c.ravel()], axis=1)
+    rows = _grid_rows(np.fft.fftfreq(M))
+    return np.stack([np.broadcast_to(r, (M,) * 3).ravel() for r in rows], axis=1)
 
 
 @dataclass(frozen=True)
@@ -180,19 +184,15 @@ class ConeGeometry:
     curve: Curve = field(compare=False)
     delta: float
     assignment: np.ndarray = field(compare=False)
-    frames: np.ndarray = field(compare=False)  # (n_directions, 3, 3): gamma, t, n rows
+    frames: np.ndarray = field(compare=False)  # (n_caps, 3, 3): gamma, t, n rows
 
     @property
     def M(self) -> int:
         return round(1.0 / self.delta)
 
     @property
-    def n_directions(self) -> int:
-        return self.M
-
-    @property
     def n_caps(self) -> int:
-        return self.n_directions
+        return self.M
 
     @property
     def s_values(self) -> tuple:
@@ -228,14 +228,14 @@ class ConeGeometry:
         M = self.M
         taus = [(s, ti) for s in self.s_values[:-1] for ti in range(round(1.0 / s))]
         ids = np.empty((len(taus), M**3), dtype=np.uint16)
-        axes = np.indices((M, M, M)).reshape(3, -1).astype(float) - M / 2
+        axes = _grid_rows(np.arange(M) - M / 2)
         for row, (s, ti) in zip(ids, taus):
             widths = (float(M), float(M * s), float(M * s * s))
             di = int((ti + 0.5) * s / self.delta)
             gam, tan, nor = self.frames[di]
             code = 0
             for e, w in zip((nor, tan, gam), widths):
-                b = np.floor((e @ axes + w / 2) / w).astype(np.int64)
+                b = np.floor((dot3(axes, e) + w / 2) / w).astype(np.int64).ravel()
                 lo = b.min()
                 code = code * (b.max() - lo + 1) + (b - lo)
             rank = np.cumsum(np.bincount(code) > 0) - 1
@@ -244,10 +244,10 @@ class ConeGeometry:
         return dict(zip(taus, ids))
 
 
-def _segment_dist2(points: np.ndarray, norms2: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Squared distance of each point to the radial segment [lo, hi] gamma (unit gamma)."""
+def _segment_dist2(points: np.ndarray, norms2: np.ndarray, gamma: np.ndarray, *bufs):
+    """Squared distance of the (3, n) points to the segment [lo, hi] gamma; bufs go to `dot3`."""
     lo, hi = FREQ_SCALE * RADIAL_FLOOR, FREQ_SCALE
-    p = points @ gamma
+    p = dot3(points, gamma, *bufs)
     return norms2 - p * p + (p - np.clip(p, lo, hi)) ** 2
 
 
@@ -304,13 +304,13 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     chord = np.linalg.norm(gammas - gammas[coarse[owner]], axis=1)
     reach = np.zeros(len(coarse))
     np.maximum.at(reach, owner, chord)
-    points, n2 = lattice[cand], norms2[cand]
-    near = np.zeros(len(cand), dtype=bool)
+    points, n2 = lattice[cand].T.copy(), norms2[cand]
+    near, bufs = np.zeros(len(cand), dtype=bool), (np.empty(len(cand)), np.empty(len(cand)))
     for gamma, r in zip(gammas[coarse], reach):
-        near |= _segment_dist2(points, n2, gamma) <= (delta + hi * r) ** 2 * (1 + rel) + tol
+        near |= _segment_dist2(points, n2, gamma, *bufs) <= (delta + hi * r) ** 2 * (1 + rel) + tol
     cand = cand[near]
 
-    points, n2 = lattice[cand], norms2[cand]
+    points, n2 = lattice[cand].T.copy(), norms2[cand]
     best = np.full(len(cand), np.inf)
     best_theta = np.zeros(len(cand))
     for theta, gamma in zip(thetas, gammas):
@@ -346,14 +346,13 @@ def tube_mask(M: int, gamma: np.ndarray, tangent: np.ndarray, normal: np.ndarray
     that every radial slot of the tube axis owns a lattice representative;
     the widening slack is absorbed into the finitely-overlapping constants.
     """
-    lattice = frequency_lattice(M)
-    u = lattice @ gamma
+    rows = _grid_rows(np.fft.fftfreq(M))  # frequency_lattice(M).T
     half = 1.0 / M + 1e-15
     return (
-        (np.abs(u) <= 0.5)
-        & (np.abs(lattice @ tangent) <= half)
-        & (np.abs(lattice @ normal) <= half)
-    )
+        (np.abs(dot3(rows, gamma)) <= 0.5)
+        & (np.abs(dot3(rows, tangent)) <= half)
+        & (np.abs(dot3(rows, normal)) <= half)
+    ).ravel()
 
 
 def tube_axis_points(M: int, gamma: np.ndarray):
@@ -370,8 +369,7 @@ def tube_axis_points(M: int, gamma: np.ndarray):
     flat = (idx[:, 0] * M + idx[:, 1]) * M + idx[:, 2]
     flat, keep = np.unique(flat, return_index=True)
     signed = np.round(targets[keep] * M).astype(np.int64) / M  # true lattice coords
-    u = signed @ gamma
-    return flat, u
+    return flat, dot3(signed.T, gamma)
 
 
 def synth_tube_function(family: SlabFamily, geometry: ConeGeometry) -> GridFunction:
@@ -430,7 +428,7 @@ def high_low_split(
     coeffs = f_theta.coeffs().ravel()
     mask = tube_mask(M, gamma, tan, nor)
     _check_support(coeffs, mask, "frequency support leaks outside the tube")
-    u = np.abs(frequency_lattice(M) @ gamma)
+    u = np.abs(dot3(_grid_rows(np.fft.fftfreq(M)), gamma)).ravel()
     lo, hi = 0.5 / K, 1.0 / K
     ramp = np.clip((u - lo) / (hi - lo), 0.0, 1.0)
     eta_high = np.sin(np.pi * ramp / 2) ** 2
@@ -512,7 +510,7 @@ def tspacing_subsample(geometry: ConeGeometry, t: float, seed: int) -> CapSubset
     on whatever subset it is given.
     """
     net = direction_net(geometry.delta, t, seed)
-    dirs = np.unique(np.minimum(net.indices, geometry.n_directions - 1))
+    dirs = np.unique(np.minimum(net.indices, geometry.n_caps - 1))
     return CapSubset(t=t, directions=dirs)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
-from .dyadic import dyadic_level, group_rows
+from .dyadic import dot3, dyadic_level, group_rows
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -174,11 +174,11 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
 
 
 def _count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
-    pts = cfg.balls.values
-    in_ball = np.linalg.norm(pts, axis=1) <= 1.0
+    pts = cfg.balls.float_indices * cfg.delta  # (3, n): the balls' coordinates as rows
+    in_ball = np.linalg.norm(pts, axis=0) <= 1.0
     hits = np.empty((len(cfg.balls), len(cfg.net)), dtype=bool)
     for j, (fam, gamma) in enumerate(zip(cfg.families, curve.points(cfg.net.thetas))):
-        hits[:, j] = _in_band(fam, pts @ gamma) & in_ball
+        hits[:, j] = _in_band(fam, dot3(pts, gamma)) & in_ball
     return IncidenceMatrix(hits)
 
 
@@ -365,7 +365,7 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
             pts = cs[:, None] * g + u[:, None] * tv + v[:, None] * nv
             idx = np.round(pts / spec.delta).astype(np.int64)
             snapped = idx * spec.delta
-            ok = _in_band(fam, snapped @ g) & (np.linalg.norm(snapped, axis=1) <= 0.98)
+            ok = _in_band(fam, dot3(snapped.T, g)) & (np.linalg.norm(snapped, axis=1) <= 0.98)
             found.append(idx[ok])
         stacked = np.concatenate(found)
         collected = stacked[group_rows(stacked)[0]]

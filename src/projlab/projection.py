@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve
-from .dyadic import dyadic_level, group_rows
+from .dyadic import dot3, dyadic_level, group_rows
 from .errors import CapacityError, ConfigurationError, RangeError
 from .fractal import CELL_CAP, PointSet
 
@@ -43,19 +43,6 @@ class SweepRow:
 _BLOCK = 32768
 
 
-def _rounded_dot(x: np.ndarray, gamma: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-    """out = rint((x0 g0 + x1 g1) + x2 g2) for the (3, m) float rows x, in that order.
-
-    Each ufunc rounds once, so the bits do not depend on a BLAS kernel.
-    """
-    np.multiply(x[0], gamma[0], out=out)
-    np.multiply(x[1], gamma[1], out=tmp)
-    out += tmp
-    np.multiply(x[2], gamma[2], out=tmp)
-    out += tmp
-    return np.rint(out, out=out)
-
-
 def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     """Orthogonal projection x -> x . gamma(theta), snapped to a's lattice.
 
@@ -63,10 +50,9 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     lattice order, with no weights: the sweep's box counts read only the
     support.  All projected values of a unit-ball set satisfy |v| <= 1.
     delta is a power of two, so each cell is rint(i . gamma) for the set's
-    float indices i, summed as (i0 g0 + i1 g1) + i2 g2 with one ufunc per
-    step: unlike a BLAS matvec, whose kernel may fuse or reorder the sum,
-    this fixes every bit.  Every cell of a valid set of either domain has
-    |i| <= sqrt(3) 2^k, so |cell| <= R = isqrt(3 4^k) + 2, the 2 covering
+    float indices i, i . gamma summed by `dot3` (so no BLAS kernel moves a
+    bit).  Every cell of a valid set of either domain has |i| <= sqrt(3) 2^k,
+    so |cell| <= R = isqrt(3 4^k) + 2, the 2 covering
     rint and round-off at every level the dense route reaches (k <= 24, as
     n <= CELL_CAP).  When 2R + 1 is at most 4n, the dense route projects
     _BLOCK cells at a time into cache-sized buffers and marks each cell in
@@ -86,13 +72,13 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
         out, tmp, idx = np.empty(m), np.empty(m), np.empty(m, dtype=np.intp)
         for lo in range(0, n, _BLOCK):
             w = min(n - lo, _BLOCK)
-            v = _rounded_dot(x[:, lo : lo + w], gamma, out[:w], tmp[:w])
+            v = np.rint(dot3(x[:, lo : lo + w], gamma, out[:w], tmp[:w]), out=out[:w])
             v += bound
             np.copyto(idx[:w], v, casting="unsafe")  # exact: v holds integers
             occupied[idx[:w]] = True
         cells = np.flatnonzero(occupied) - bound
     else:
-        cells = _rounded_dot(x, gamma, np.empty(n), np.empty(n)).astype(np.int64)
+        cells = np.rint(dot3(x, gamma, np.empty(n), np.empty(n))).astype(np.int64)
         cells = cells[group_rows(cells[:, None])[0]]
     return PointSet(
         1, a.delta, cells[:, None], nominal_dim=min(1.0, a.nominal_dim), domain="ball"

@@ -219,7 +219,7 @@ def test_criterion_6_fourier_identities():
         )
         worst["highlow"] = max(worst["highlow"], float(rel))
 
-        occupied = np.unique(geo.assignment[on]) % geo.n_directions
+        occupied = np.unique(geo.assignment[on]) % geo.n_caps
         sub = CapSubset(t=0.5, directions=np.array([int(occupied[0])]))
         gc = random_cap_function(geo, sub, seed=5)
         ratio = decoupling_ratio(gc, sub, geo).ratio

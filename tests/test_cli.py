@@ -75,12 +75,19 @@ HELIX_INCIDENCE_DIGESTS = {
 
 #: one child per BLAS kernel: writes the default output of every command
 #: under argv[1] and prints the digests of a raw matvec (which shows
-#: whether the kernel took effect) and of each named curve's frame and margin
+#: whether the kernel took effect), of each named curve's frame and margin,
+#: and of library results no command reaches: the assignment of the model
+#: curve turned 90 degrees about the x axis (the turn summed in a fixed
+#: order), a seeded cap function's envelope boxes and wave envelope at
+#: M = 32, a seeded config's incidence matrix, and a tube function's split
 KERNEL_CHILD = """
-import hashlib, json, sys
+import hashlib, json, math, sys
 import numpy as np
 from projlab.cli import COMMANDS, main
-from projlab.curve import frame, named_curve, nondegeneracy_margin
+from projlab.curve import Curve, frame, model_curve, named_curve, nondegeneracy_margin
+from projlab.fourier import (build_geometry, high_low_split, random_cap_function,
+    synth_tube_function, tspacing_subsample, wave_envelope_rhs)
+from projlab.incidence import IncidenceSpec, incidence_count, make_family, random_admissible_config
 for command in COMMANDS:
     assert main([command, "--out", f"{sys.argv[1]}/{command}"]) == 0
 def digest(*arrays):
@@ -91,7 +98,24 @@ curves = {}
 for name in ("model", "helix", "greatcircle"):
     curve = named_curve(name)
     curves[name] = digest(*frame(curve, thetas), nondegeneracy_margin(curve))
-print(json.dumps({"matvec": digest(x @ np.array([0.3, -0.7, 0.2])), "curves": curves}))
+w = x_ = 0.375 / math.sqrt(2 * 0.375**2)  # the unit quaternion (w, x, 0, 0)
+rot = np.array([[1.0, 0.0, 0.0], [0.0, 1 - 2 * x_ * x_, -2 * w * x_], [0.0, 2 * w * x_, 1 - 2 * x_ * x_]])
+def turn(a):
+    return np.stack([(a[:, 0] * r[0] + a[:, 1] * r[1]) + a[:, 2] * r[2] for r in rot], axis=1)
+m = model_curve()
+turned = Curve("turned", lambda t: turn(m.eval_fn(t)), lambda t: turn(m.d1(t)), lambda t: turn(m.d2(t)))
+geo = build_geometry(model_curve(), 2.0**-5)
+g = random_cap_function(geo, tspacing_subsample(geo, 0.5, 0), seed=0)
+rep = wave_envelope_rhs(g, geo)
+cfg = random_admissible_config(IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=0))
+f = synth_tube_function(make_family(0.1, [0.0, 0.25], delta=2.0**-5, s=0.5), geo)
+library = {
+    "turned_assignment": digest(build_geometry(turned, 2.0**-5).assignment),
+    "envelope": digest(*geo.envelope_boxes.values(), rep.total, rep.l4, *rep.per_s.values()),
+    "incidence": digest(cfg.balls.indices, incidence_count(cfg, named_curve("model")).hits),
+    "tube_split": digest(f.samples, *(h.samples for h in high_low_split(f, 0.1, 4, geo))),
+}
+print(json.dumps({"matvec": digest(x @ np.array([0.3, -0.7, 0.2])), "curves": curves, "library": library}))
 """
 
 
@@ -446,6 +470,7 @@ class TestCliProcess:
         if runs["Haswell"]["matvec"] == runs["Prescott"]["matvec"]:
             pytest.skip("a raw matvec has the same bits under both kernels here, so the test cannot tell them apart")
         assert runs["Haswell"]["curves"] == runs["Prescott"]["curves"]
+        assert runs["Haswell"]["library"] == runs["Prescott"]["library"]
         for command in COMMANDS:
             haswell, prescott = (hash_dir(tmp_path / k / command) for k in runs)
             assert haswell == prescott, command

@@ -585,6 +585,13 @@ def small_row_sets(draw):
 @given(small_row_sets())
 @example((np.array([[0, 0], [1, 6], [1, 5]]), 3))  # the witness slab's x-anchor holds no counted point
 @example((np.array([[2, 1, 0], [0, 1, 2], [1, 0, 2], [0, 2, 1]]), 2))  # ties at every side
+# diagonals and lines along small integer directions: runs of slabs that end
+# at the same row, which the slab branch skips after the first
+@example((np.array([[i, i, i] for i in range(8, -1, -1)]), 3))
+@example((np.array([[i, -i] for i in range(-4, 5)]), 3))
+@example((np.array([[2 * i, i] for i in range(5)]), 3))
+@example((np.array([[i, 2 * i, 3 * i] for i in range(-2, 3)]), 3))
+@example((np.array([[i, i, 2 * i] for i in range(9)]), 4))
 def test_max_cube_count_matches_brute_force_in_any_row_order(rows_k):
     rows, k = rows_k
     ordered = rows[np.lexsort(rows.T[::-1])]
