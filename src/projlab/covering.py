@@ -139,15 +139,21 @@ def validate_covering(c: Covering) -> CoveringReport:
 
     worst_condition3_ratio maximizes count / 2^((k-l)s) over every pair of
     levels l < k and every level-l lattice cube D (including levels coarser
-    than the covering's own range, down to l = 0).
+    than the covering's own range, down to l = 0).  One ascending pass over
+    the non-empty levels k marks the target cells inside a level-k cube and
+    groups the level-k cubes by level-l ancestor once per l < k; condition
+    (3) reads the group sizes, and disjointness asks whether a distinct
+    ancestor is itself a chosen level-l cube.
     """
     ks = sorted(k for k, idx in c.levels.items() if len(idx))
-    budget = c.budget_value()
-
-    # condition (3): for every pair l < k, group level-k cubes by level-l ancestor
-    worst, witness = 0.0, None
+    if c.target is not None and ks and ks[-1] > c.target.level:
+        raise InconsistencyError("covering finer than the target lattice")
+    covered = None if c.target is None else np.zeros(len(c.target), dtype=bool)
+    worst, witness, disjoint = 0.0, None, True
     for k in ks:
         idx = c.levels[k]
+        if covered is not None:
+            covered |= rows_in(c.target.indices >> (c.target.level - k), idx)
         for l in range(0, k):
             anc = idx >> (k - l)
             first, inv = group_rows(anc)
@@ -156,30 +162,14 @@ def validate_covering(c: Covering) -> CoveringReport:
             if ratio > worst:
                 worst = float(ratio)
                 witness = (l, k, tuple(anc[first[int(np.argmax(counts))]].tolist()))
+            # a nested pair adds no witness, as the ratio above set one at this k >= 1
+            if disjoint and l in ks:
+                disjoint = not rows_in(anc[first], c.levels[l]).any()
 
-    # disjointness: no chosen cube strictly inside another chosen cube; a nested
-    # pair adds no witness, as the scan above set one at its level k >= 1
-    disjoint = not any(
-        rows_in(c.levels[k] >> (k - l), c.levels[l]).any()
-        for i, l in enumerate(ks)
-        for k in ks[i + 1 :]
-    )
-
-    # cover check against the recorded target
-    cover_ok = True
-    if c.target is not None:
-        cells = c.target.indices
-        k_cell = c.target.level
-        covered = np.zeros(len(cells), dtype=bool)
-        for k in ks:
-            if k > k_cell:
-                raise InconsistencyError("covering finer than the target lattice")
-            covered |= rows_in(cells >> (k_cell - k), c.levels[k])
-        cover_ok = bool(covered.all())
-        if not cover_ok:
-            missing = cells[~covered][0]
-            witness = ("uncovered", tuple(missing.tolist()))
-
+    cover_ok = covered is None or bool(covered.all())
+    if not cover_ok:
+        witness = ("uncovered", tuple(c.target.indices[~covered][0].tolist()))
+    budget = c.budget_value()
     return CoveringReport(
         cover_ok=cover_ok,
         disjoint_ok=disjoint,

@@ -41,9 +41,9 @@ class SlabFamily:
     """All delta-slabs of one direction, cut off by the unit ball.
 
     A point x lies in the slab at offset c iff |x . gamma(theta) - c| <=
-    thickness/2 and |x| <= 1.  The spacing hypotheses on the offsets are
-    neither stored nor checked; the generator's offsets satisfy them by
-    construction.
+    thickness/2 and |x| <= 1.  Nothing here checks the offsets: `make_family`
+    sorts and range-checks offsets from outside, and the generator's offsets
+    are sorted, in [-1, 1] and (delta, s)-spaced by construction.
     """
 
     theta: float
@@ -342,7 +342,7 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     rng = np.random.default_rng(spec.seed)
     net = direction_net(spec.delta, spec.t, spec.seed)
     families = tuple(
-        make_family(float(theta), offsets, delta=spec.delta, s=spec.s)
+        SlabFamily(float(theta), spec.s, offsets, spec.delta)
         for theta, offsets in zip(net.thetas, _offset_delta_s_sets(k, spec.s, len(net), rng))
     )
     gammas, tangents, normals = frame(curve, net.thetas)

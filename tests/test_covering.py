@@ -1,18 +1,26 @@
 import math
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projlab.covering import (
+    BUDGET_SLACK,
     Covering,
+    CoveringReport,
     covering_from_json,
     covering_to_json,
     dyadic_content,
     greedy_cover,
     validate_covering,
 )
-from projlab.errors import ConfigurationError, DomainError, InfeasibleError, RangeError
+from projlab.dyadic import group_rows, rows_in
+from projlab.errors import (
+    ConfigurationError, DomainError, InconsistencyError, InfeasibleError, RangeError
+)
 from projlab.fractal import PointSet, cantor_1d, full_grid
 
 
@@ -161,6 +169,105 @@ class TestValidateCovering:
         cov = Covering(1, 1.0, 10.0, {1: np.array([[0]]), 3: np.array([[2]])})
         rep = validate_covering(cov)
         assert not rep.disjoint_ok
+
+
+def oracle_validate_covering(c):
+    """Three passes: condition (3) over every pair of levels, disjointness
+    over every pair of covering levels, then the cover check."""
+    ks = sorted(k for k, idx in c.levels.items() if len(idx))
+    budget = c.budget_value()
+
+    worst, witness = 0.0, None
+    for k in ks:
+        idx = c.levels[k]
+        for l in range(0, k):
+            anc = idx >> (k - l)
+            first, inv = group_rows(anc)
+            counts = np.bincount(inv)
+            ratio = counts.max() / 2.0 ** ((k - l) * c.s)
+            if ratio > worst:
+                worst = float(ratio)
+                witness = (l, k, tuple(anc[first[int(np.argmax(counts))]].tolist()))
+
+    disjoint = not any(
+        rows_in(c.levels[k] >> (k - l), c.levels[l]).any()
+        for i, l in enumerate(ks)
+        for k in ks[i + 1 :]
+    )
+
+    cover_ok = True
+    if c.target is not None:
+        cells = c.target.indices
+        k_cell = c.target.level
+        covered = np.zeros(len(cells), dtype=bool)
+        for k in ks:
+            if k > k_cell:
+                raise InconsistencyError("covering finer than the target lattice")
+            covered |= rows_in(cells >> (k_cell - k), c.levels[k])
+        cover_ok = bool(covered.all())
+        if not cover_ok:
+            missing = cells[~covered][0]
+            witness = ("uncovered", tuple(missing.tolist()))
+
+    return CoveringReport(
+        cover_ok=cover_ok,
+        disjoint_ok=disjoint,
+        budget_value=budget,
+        budget_ok=bool(budget <= c.epsilon + BUDGET_SLACK),
+        worst_condition3_ratio=worst,
+        witness=witness,
+    )
+
+
+#: finest level of the random coverings below
+FINEST = 7
+
+
+@st.composite
+def random_coverings(draw):
+    """Coverings of 1-3 dimensions on 1-4 levels in [0, 7], gaps allowed.
+
+    Every cube is the ancestor of a cell drawn at level 7, so cubes nest
+    across levels; a level may repeat a cube or be empty.  The target, when
+    there is one, mixes such cells with random ones, so some may be
+    uncovered, and its level may lie one below the covering's finest.
+    """
+    dim = draw(st.integers(1, 3))
+    cell = st.lists(st.integers(0, 2**FINEST - 1), min_size=dim, max_size=dim)
+    pool = np.array(draw(st.lists(cell, min_size=1, max_size=12)), dtype=np.int64)
+    levels = {}
+    for k in draw(st.lists(st.integers(0, FINEST), min_size=1, max_size=4, unique=True)):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+        if draw(st.sampled_from([False, False, False, True])):
+            picks = []
+        levels[k] = (pool[picks] >> (FINEST - k)).reshape(-1, dim)
+    s = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, float(dim)]), st.floats(0.0, dim)))
+    epsilon = draw(st.sampled_from([0.0, 0.5, 1.0, 10.0]))
+    target = None
+    if draw(st.sampled_from([True, True, False])):
+        k_cell = draw(st.integers(max(0, max(levels) - 1), FINEST))
+        extra = np.array(draw(st.lists(cell, max_size=6)), dtype=np.int64).reshape(-1, dim)
+        cells = np.concatenate([pool, extra]) >> (FINEST - k_cell)
+        target = PointSet(dim, 2.0**-k_cell, cells[group_rows(cells)[0]], nominal_dim=0.0)
+    return Covering(dim, s, epsilon, levels, target=target)
+
+
+@settings(max_examples=200)
+@given(random_coverings())
+@example(Covering(1, 1.0, 10.0, {1: np.array([[0]]), 3: np.array([[2]])}))
+@example(Covering(1, 1.0, 1.0, {2: np.array([[0], [1], [2]])}, target=full_grid(2)))
+@example(Covering(1, 1.0, 1.0, {3: np.array([[0]])}, target=full_grid(2)))
+def test_validate_covering_matches_three_pass_oracle(cov):
+    try:
+        want = oracle_validate_covering(cov)
+    except InconsistencyError:
+        with pytest.raises(InconsistencyError, match="finer than the target lattice"):
+            validate_covering(cov)
+        return
+    got = validate_covering(cov)
+    for f in fields(CoveringReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert type(getattr(got, f.name)) is type(getattr(want, f.name)), f.name
 
 
 class TestDyadicContent:

@@ -490,6 +490,29 @@ def test_generator_pinned_digests():
         assert h.hexdigest() == want, (s, t, k, seed)
 
 
+def test_generator_families_equal_make_family_of_their_offset_rows():
+    """Each family is `make_family` of its direction's row of the offsets block,
+    on the incidence bench's (s, t, k) classes at two seeds and the pinned specs."""
+    specs = [
+        (s, t, k, seed)
+        for s in (0.3, 0.5, 0.7)
+        for t in (0.3, 0.5, 0.7)
+        for k in (4, 5, 6, 7)
+        for seed in (0, 1)
+    ] + [spec[:4] for spec in PINNED_DIGESTS]
+    for s, t, k, seed in specs:
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-k, s=s, t=t, seed=seed))
+        rows = _offset_delta_s_sets(k, s, len(cfg.net), np.random.default_rng(seed))
+        assert len(cfg.families) == len(rows)
+        for theta, fam, row in zip(cfg.net.thetas, cfg.families, rows):
+            want = make_family(float(theta), row, delta=2.0**-k, s=s)
+            assert (fam.theta, fam.s, fam.thickness) == (want.theta, want.s, want.thickness)
+            assert type(fam.theta) is float
+            assert fam.offsets.dtype == want.offsets.dtype
+            assert fam.offsets.tobytes() == want.offsets.tobytes(), (s, t, k, seed)
+            assert not fam.offsets.flags.writeable
+
+
 class TestBallTarget:
     def test_tracks_the_bound_exponent(self):
         for s, t in [(0.3, 0.3), (0.5, 0.5), (0.7, 0.3)]:
