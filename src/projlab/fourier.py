@@ -49,12 +49,6 @@ RADIAL_FLOOR = 0.5
 #: fine direction samples per cap for the nearest-direction assignment
 FINE_PER_CAP = 4
 
-#: fine thetas per cell of build_geometry's coarse pruning pass
-_COARSE_STRIDE = 16
-
-#: (relative, absolute) slack of build_geometry's pruning tests, for rounding
-_PRUNE_SLACK = (1e-9, 1e-12)
-
 #: largest t-spacing constant `decoupling_ratio` accepts
 MAX_SPACING_CONSTANT = 64.0
 
@@ -160,12 +154,6 @@ def _grid_rows(r: np.ndarray) -> tuple:
     return r[:, None, None], r[None, :, None], r[None, None, :]
 
 
-def frequency_lattice(M: int) -> np.ndarray:
-    """All frequency lattice points, shape (M^3, 3), in FFT index order."""
-    rows = _grid_rows(np.fft.fftfreq(M))
-    return np.stack([np.broadcast_to(r, (M,) * 3).ravel() for r in rows], axis=1)
-
-
 @dataclass(frozen=True)
 class ConeGeometry:
     """Cap/plank hierarchy over the scaled cone plus the lattice assignment.
@@ -176,12 +164,13 @@ class ConeGeometry:
     (angular width s_min): sigma j is the run of caps j M s_min, ...,
     (j + 1) M s_min - 1, so a point's sigma is its cap // (M s_min), and
     consecutive sigmas nest into each tau_s.  The grid side, the direction
-    count and the dyadic s values follow from delta.  `build_geometry`
-    makes `assignment` and `frames` read-only, so `envelope_boxes`, built
-    from `frames` and read-only too, cannot go stale.
+    count and the dyadic s values follow from delta, and the arrays from
+    the curve and delta, so two geometries are equal when those two are.
+    `build_geometry` makes `assignment` and `frames` read-only, so
+    `envelope_boxes`, built from `frames` and read-only too, cannot go stale.
     """
 
-    curve: Curve = field(compare=False)
+    curve: Curve
     delta: float
     assignment: np.ndarray = field(compare=False)
     frames: np.ndarray = field(compare=False)  # (n_caps, 3, 3): gamma, t, n rows
@@ -244,39 +233,34 @@ class ConeGeometry:
         return dict(zip(taus, ids))
 
 
-def _segment_dist2(points: np.ndarray, norms2: np.ndarray, gamma: np.ndarray, *bufs):
-    """Squared distance of the (3, n) points to the segment [lo, hi] gamma; bufs go to `dot3`."""
+def _segment_dist2(points, norms2: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Squared distance of the points, coordinates first as `dot3` takes them, to [lo, hi] gamma."""
     lo, hi = FREQ_SCALE * RADIAL_FLOOR, FREQ_SCALE
-    p = dot3(points, gamma, *bufs)
+    p = dot3(points, gamma)
     return norms2 - p * p + (p - np.clip(p, lo, hi)) ** 2
 
 
 def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     """Assign every frequency lattice point near the cone to a unique cap.
 
-    For each lattice point the closest direction parameter is found on a
-    fine grid (FINE_PER_CAP samples per cap, ties to the lower index); the
-    point joins the cone neighbourhood when its distance to the radial
-    segment [lo, hi] gamma (lo = FREQ_SCALE * RADIAL_FLOOR, hi = FREQ_SCALE)
-    is at most delta, and its cap is the direction holding that parameter,
-    so the assignment is a partition by construction.
+    A lattice point joins the cone neighbourhood when its distance to the
+    radial segment [lo, hi] gamma(theta) (lo = FREQ_SCALE * RADIAL_FLOOR,
+    hi = FREQ_SCALE) is at most delta for some theta on a fine grid
+    (FINE_PER_CAP samples per cap); its cap is the direction holding the
+    closest such theta, the lowest one on ties, so the assignment is a
+    partition by construction.
 
-    The fine search runs only on points that can reach the cone:
-    - radial shell: every point of the segment has norm in [lo, hi], so the
-      distance is at least the gap between |xi| and [lo, hi], and a point
-      with |xi| outside [lo - delta, hi + delta] is off the cone;
-    - coarse angular pass: every _COARSE_STRIDE-th fine theta is a coarse
-      theta, and each fine theta belongs to its nearest one.  With R_c the
-      largest chord |gamma_f - gamma_c| over the fine samples of cell c,
-      the segment at theta_f lies within hi R_c of the segment at theta_c,
-      so dist(theta_f) >= dist(theta_c) - hi R_c.  A point whose
-      dist(theta_c) exceeds delta + hi R_c at every c is off the cone.
-      This needs no derivative.
-    Both tests carry a relative and an absolute slack (_PRUNE_SLACK) far
-    above the rounding of the squared distances, so no point whose computed
-    fine minimum is at most delta^2 is dropped.  The survivors run the same
-    fine loop, row by row, as the full lattice would, so their distances,
-    tie rule and caps, and hence the assignment, are the same bits.
+    Each fine theta measures only the lattice points of its segment's
+    bounding box, widened by one grid step and rounded out to whole steps,
+    [floor(min end) - 1, ceil(max end) + 1] per axis in grid steps, clipped
+    to the lattice.  A point within delta (one step) of the segment is
+    within one step of it on every axis, so it lies in the box with a step
+    to spare for rounding; and a theta farther than delta from a point is
+    never its closest theta.  Lattice coordinates are multiples of 1/M, so
+    their squared norms are exact and each (point, theta) distance has the
+    bits that a search over every point and theta gives.  One sort of the
+    kept (point, distance, theta index) entries picks each point's closest
+    theta.
     """
     k = dyadic_level(delta)
     M = 2**k
@@ -286,44 +270,31 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
         raise GeometryError(
             f"curve {curve.label!r} is degenerate; plank frames need gamma' x gamma != 0"
         )
-    lattice = frequency_lattice(M)
-    norms2 = np.sum(lattice**2, axis=1)
-
-    n_fine = FINE_PER_CAP * M
-    thetas = np.linspace(0.0, 1.0, n_fine + 1)
+    thetas = np.linspace(0.0, 1.0, FINE_PER_CAP * M + 1)
     gammas = curve.points(thetas)
+    ends = np.stack([FREQ_SCALE * RADIAL_FLOOR * gammas, FREQ_SCALE * gammas]) * M
+    first = np.clip(np.floor(ends.min(axis=0)) - 1, -M // 2, M // 2 - 1).astype(np.int64)
+    last = np.clip(np.ceil(ends.max(axis=0)) + 1, -M // 2, M // 2 - 1).astype(np.int64)
 
-    rel, tol = _PRUNE_SLACK
-    lo, hi = FREQ_SCALE * RADIAL_FLOOR, FREQ_SCALE
-    inner, outer = (lo - delta) ** 2 * (1 - rel) - tol, (hi + delta) ** 2 * (1 + rel) + tol
-    cand = np.flatnonzero((norms2 >= inner) & (norms2 <= outer))
+    flats, dists = [], []
+    for gamma, a, b in zip(gammas, first, last):
+        steps = [np.arange(u, v + 1) for u, v in zip(a, b)]
+        box = np.ix_(*[r / M for r in steps])
+        dist2 = _segment_dist2(box, dot3(box, box), gamma)
+        near = np.nonzero(dist2 <= delta**2)
+        flats.append(np.ravel_multi_index([r[n] for r, n in zip(steps, near)], (M,) * 3, "wrap"))
+        dists.append(dist2[near])
+    ti = np.repeat(np.arange(len(thetas)), [len(f) for f in flats])
+    flat, dist2 = np.concatenate(flats), np.concatenate(dists)
+    order = np.lexsort((ti, dist2, flat))
+    _, head = np.unique(flat[order], return_index=True)
+    closest = order[head]
 
-    coarse = np.arange(0, n_fine + 1, _COARSE_STRIDE)
-    nearest = (np.arange(n_fine + 1) + _COARSE_STRIDE // 2) // _COARSE_STRIDE
-    owner = np.minimum(nearest, len(coarse) - 1)
-    chord = np.linalg.norm(gammas - gammas[coarse[owner]], axis=1)
-    reach = np.zeros(len(coarse))
-    np.maximum.at(reach, owner, chord)
-    points, n2 = lattice[cand].T.copy(), norms2[cand]
-    near, bufs = np.zeros(len(cand), dtype=bool), (np.empty(len(cand)), np.empty(len(cand)))
-    for gamma, r in zip(gammas[coarse], reach):
-        near |= _segment_dist2(points, n2, gamma, *bufs) <= (delta + hi * r) ** 2 * (1 + rel) + tol
-    cand = cand[near]
+    assignment = np.full(M**3, -1, dtype=np.int32)
+    caps = (thetas[ti[closest]] / delta).astype(np.int64)
+    assignment[flat[closest]] = np.minimum(caps, M - 1)
 
-    points, n2 = lattice[cand].T.copy(), norms2[cand]
-    best = np.full(len(cand), np.inf)
-    best_theta = np.zeros(len(cand))
-    for theta, gamma in zip(thetas, gammas):
-        dist2 = _segment_dist2(points, n2, gamma)
-        best_theta = np.where(dist2 < best, theta, best_theta)
-        best = np.minimum(best, dist2)
-
-    on_cone = best <= delta**2
-    assignment = np.full(len(lattice), -1, dtype=np.int32)
-    assignment[cand[on_cone]] = np.minimum((best_theta[on_cone] / delta).astype(np.int64), M - 1)
-
-    dir_thetas = np.minimum((np.arange(M) + 0.5) * delta, 1.0)
-    frames = np.stack(frame(curve, dir_thetas), axis=1)
+    frames = np.stack(frame(curve, (np.arange(M) + 0.5) * delta), axis=1)
     assignment.flags.writeable = frames.flags.writeable = False
     return ConeGeometry(curve=curve, delta=delta, assignment=assignment, frames=frames)
 
@@ -346,7 +317,7 @@ def tube_mask(M: int, gamma: np.ndarray, tangent: np.ndarray, normal: np.ndarray
     that every radial slot of the tube axis owns a lattice representative;
     the widening slack is absorbed into the finitely-overlapping constants.
     """
-    rows = _grid_rows(np.fft.fftfreq(M))  # frequency_lattice(M).T
+    rows = _grid_rows(np.fft.fftfreq(M))
     half = 1.0 / M + 1e-15
     return (
         (np.abs(dot3(rows, gamma)) <= 0.5)

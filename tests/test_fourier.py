@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +28,6 @@ from projlab.fourier import (
     cap_restrict,
     choose_K,
     decoupling_ratio,
-    frequency_lattice,
     high_low_split,
     l4_norm,
     random_cap_function,
@@ -39,6 +39,15 @@ from projlab.fourier import (
 from projlab.incidence import make_family
 
 CURVE = model_curve()
+
+#: q = (cos a, 0, sin a, 0) turns by 2a about the y axis: pi/4 puts gamma(0) on a coordinate axis
+EIGHTH = (math.cos(math.pi / 8), math.sin(math.pi / 8))
+
+
+def frequency_lattice(M):
+    """All frequency lattice points, shape (M^3, 3), in FFT index order."""
+    rows = np.meshgrid(*[np.fft.fftfreq(M)] * 3, indexing="ij")
+    return np.stack([r.ravel() for r in rows], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -334,9 +343,30 @@ class TestGeometryOracle:
         q=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
     )
     @example(M=32, q=(0.375, 0.375, 0.0, 0.0))  # 90 degrees about x: a matvec oracle failed here
+    # gamma(0) on the x or z axis, where a segment's box is clipped at +-M/2
+    @example(M=16, q=(EIGHTH[0], 0.0, EIGHTH[1], 0.0))
+    @example(M=32, q=(EIGHTH[0], 0.0, EIGHTH[1], 0.0))
+    @example(M=16, q=(EIGHTH[0], 0.0, -EIGHTH[1], 0.0))
+    @example(M=32, q=(EIGHTH[0], 0.0, -EIGHTH[1], 0.0))
+    @example(M=16, q=(EIGHTH[1], 0.0, EIGHTH[0], 0.0))
+    @example(M=32, q=(EIGHTH[1], 0.0, EIGHTH[0], 0.0))
     def test_rotated_model_curves_match_full_loop(self, M, q):
         c = rotated_model_curve(q)
         assert np.array_equal(build_geometry(c, 1.0 / M).assignment, oracle_assignment(c, 1.0 / M))
+
+    @pytest.mark.parametrize("M", [16, 32])
+    def test_ties_go_to_the_lowest_theta(self, M):
+        # the model cone run twice: theta and theta + 1/2 give the same bits, so every point ties
+        m = model_curve()
+        c = Curve(
+            "twice",
+            lambda t: m.eval_fn(2 * (t % 0.5)),
+            lambda t: 2 * m.d1(2 * (t % 0.5)),
+            lambda t: 4 * m.d2(2 * (t % 0.5)),
+        )
+        a = build_geometry(c, 1.0 / M).assignment
+        assert np.array_equal(a, oracle_assignment(c, 1.0 / M))
+        assert (a >= 0).any() and a.max() < M // 2
 
     def test_pinned_assignment_at_128(self):
         # sha256 of the full loop's assignment (int32); that loop takes 20-30 s on 2 vCPUs
@@ -345,6 +375,25 @@ class TestGeometryOracle:
         assert hashlib.sha256(a.tobytes()).hexdigest() == (
             "c82a12ebf5d4fe3ababa3aeab940440e76c7c51076e4e6305c4aa9cddccfb5dc"
         )
+
+    def test_pinned_helix_assignment_at_128(self):
+        # sha256 of the assignment (int32) that the coarse-pruned search gave before the box pass
+        a = build_geometry(helix_curve(), 2.0**-7).assignment
+        assert a.dtype == np.int32 and int(np.sum(a >= 0)) == 2273
+        assert hashlib.sha256(a.tobytes()).hexdigest() == (
+            "9851418ff27e22cbf4c4b6bf057958f30150c32eec7cbe752db14da144208afd"
+        )
+
+    def test_one_build_allocates_under_four_mib(self):
+        # M = 64: the radial shell and the coarse pass peaked at 18.5 MiB, the box pass at 1.8 MiB
+        build_geometry(CURVE, 2.0**-6)
+        tracemalloc.start()
+        try:
+            build_geometry(CURVE, 2.0**-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestGeometry:
@@ -390,6 +439,11 @@ class TestGeometry:
         assert "envelope_boxes" in vars(a)
         assert a == b and hash(a) == hash(b)
         assert a != build_geometry(CURVE, 2.0**-5)
+
+    def test_equality_compares_the_curve(self):
+        a, b = build_geometry(model_curve(), 2.0**-4), build_geometry(helix_curve(), 2.0**-4)
+        assert not np.array_equal(a.assignment, b.assignment)
+        assert a != b and len({a, b}) == 2
 
     def test_assignment_frames_and_box_ids_refuse_writes(self, geo16):
         # the box ids are cached from the frames, so a write to either could leave them stale
