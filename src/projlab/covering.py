@@ -110,16 +110,16 @@ def greedy_cover(
             f"finest-level budget {finest_budget:.4g} exceeds epsilon={epsilon}; "
             f"the set looks at least {s}-dimensional at delta=2^-{k_max}"
         )
-    cells, levels = x.indices, {}
+    alive, levels = np.ones(len(x), dtype=bool), {}
     for l in range(min_level + 1, k_max):  # merge targets, coarse to fine
-        anc = cells >> (k_max - l)
-        first, inv = group_rows(anc)
-        over = np.bincount(inv) > 2.0 ** ((k_max - l) * s) + BUDGET_SLACK
+        nodes, inverse, _ = x.tree[l]
+        counts = np.bincount(inverse[alive], minlength=len(nodes))
+        over = counts > 2.0 ** ((k_max - l) * s) + BUDGET_SLACK
         if over.any():
-            levels[l] = anc[first[over]]  # distinct, in lexicographic order
-            cells = cells[~over[inv]]  # the cells keep x's lexicographic order
-    if len(cells):
-        levels[k_max] = cells
+            levels[l] = nodes[over]  # distinct, in lexicographic order
+            alive &= ~over[inverse]
+    if alive.any():
+        levels[k_max] = x.indices[alive]  # in x's lexicographic order
     cov = Covering(x.ambient_dim, s, epsilon, levels, target=x)
     report = validate_covering(cov)
     if not report.cover_ok or not report.disjoint_ok:
@@ -142,8 +142,8 @@ def validate_covering(c: Covering) -> CoveringReport:
     than the covering's own range, down to l = 0).  One ascending pass over
     the non-empty levels k marks the target cells inside a level-k cube and
     groups the level-k cubes by level-l ancestor once per l < k; condition
-    (3) reads the group sizes, and disjointness asks whether a distinct
-    ancestor is itself a chosen level-l cube.
+    (3) reads the group sizes, and disjointness asks whether a level lists
+    a cube twice or a distinct ancestor is itself a chosen level-l cube.
     """
     ks = sorted(k for k, idx in c.levels.items() if len(idx))
     if c.target is not None and ks and ks[-1] > c.target.level:
@@ -152,6 +152,7 @@ def validate_covering(c: Covering) -> CoveringReport:
     worst, witness, disjoint = 0.0, None, True
     for k in ks:
         idx = c.levels[k]
+        disjoint = disjoint and len(group_rows(idx)[0]) == len(idx)
         if covered is not None:
             covered |= rows_in(c.target.indices >> (c.target.level - k), idx)
         for l in range(0, k):
@@ -194,17 +195,11 @@ def dyadic_content(x: PointSet, t: float, max_level: int) -> float:
     k = x.level
     if not 0 <= max_level <= k:
         raise RangeError(f"max_level must lie in [0, {k}], got {max_level}")
-    if len(x) == 0:
-        return 0.0
-    nodes = x.indices >> (k - max_level)
-    nodes = nodes[group_rows(nodes)[0]]
-    content = np.full(len(nodes), (2.0**-max_level) ** t)
+    tree = x.tree
+    content = np.full(len(tree[max_level].nodes), (2.0**-max_level) ** t)
     for l in range(max_level - 1, -1, -1):
-        parents = nodes >> 1
-        first, inv = group_rows(parents)
-        sums = np.bincount(inv, weights=content)
+        sums = np.bincount(tree[l + 1].up, weights=content)
         content = np.minimum((2.0**-l) ** t, sums)
-        nodes = parents[first]
     return float(content.sum())
 
 

@@ -5,7 +5,10 @@ can work on integer lattice indices and stay free of float round-off.
 The level-l ancestor of a level-k cell is `indices >> (k - l)` (a floor, so
 negative ball-domain indices need no shift), and every grouping of cells
 by equality or by ancestor goes through `group_rows`, which numbers the
-groups in lexicographic row order.  Two 1-D counts skip it:
+groups in lexicographic row order.  A point set's cells are grouped by
+ancestor once, bottom-up, in `fractal.PointSet.tree`; outside it only
+`covering.validate_covering` (a covering's cubes) and `projection.box_counts`
+above 1-D group shifted rows.  Two 1-D counts skip `group_rows`:
 `projection.project_line` marks the occupied cells of a dense index range
 in one bool array, and `projection.box_counts` counts the steps between
 the ancestors of sorted cells, which are sorted too.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,6 +28,14 @@ from .errors import (
 CELL_CAP = 2**24
 
 
+class TreeLevel(NamedTuple):
+    """Level l of `PointSet.tree`; every array is read-only."""
+
+    nodes: np.ndarray  #: (m, ambient_dim) distinct level-l ancestors, lexicographic
+    inverse: np.ndarray  #: (n,) each cell's node
+    up: Optional[np.ndarray]  #: (m,) each node's level-(l - 1) parent; None at l = 0
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A finite subset of the delta-lattice in [0,1]^d or the unit ball.
@@ -37,7 +45,8 @@ class PointSet:
     read-only copies, so results memoised per set cannot go stale; one such
     result is `float_indices`, the float64 copy of the indices that every
     projection of the set reads, built on first use and laid out as one
-    C-contiguous (ambient_dim, n) array, so each axis is one contiguous row.
+    C-contiguous (ambient_dim, n) array, so each axis is one contiguous row;
+    another is `tree`, the set's dyadic tree.
     `nominal_dim` is declared dimension metadata (similarity dimension for
     the shipped generators).
     """
@@ -103,6 +112,26 @@ class PointSet:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def tree(self) -> tuple:
+        """The set's dyadic tree, one `TreeLevel` per l = 0..level, made once per set.
+
+        Level l's nodes are the distinct `indices >> (level - l)`, numbered
+        as `group_rows` numbers them.  It is built bottom-up: the leaf level
+        is the sorted, distinct `indices` themselves, and each coarser level
+        groups only the nodes of the level below.
+        """
+        nodes, inverse, levels = self.indices, np.arange(len(self)), []
+        for _ in range(self.level):
+            parents = nodes >> 1
+            first, up = group_rows(parents)
+            levels.append(TreeLevel(nodes, inverse, up))
+            nodes, inverse = parents[first], up[inverse]
+        levels.append(TreeLevel(nodes, inverse, None))
+        for a in (a for level in levels for a in level if a is not None):
+            a.flags.writeable = False
+        return tuple(reversed(levels))
+
 
 def frostman_constant(p: PointSet) -> float:
     """Mass-concentration constant of the aligned dyadic-cube scan.
@@ -116,11 +145,9 @@ def frostman_constant(p: PointSet) -> float:
     a = p.nominal_dim
     if not np.isfinite(a):
         raise ConfigurationError("frostman_constant needs nominal_dim metadata")
-    k = p.level
     worst = 0.0
-    for l in range(k + 1):
-        _, inv = group_rows(p.indices >> (k - l))
-        mass = np.bincount(inv, weights=p.weights)
+    for l, level in enumerate(p.tree):
+        mass = np.bincount(level.inverse, weights=p.weights)
         worst = max(worst, float(mass.max()) / (2.0 ** (-l)) ** a)
     return worst
 
@@ -248,13 +275,10 @@ def extract_delta_s_set(p: PointSet, s: float, content_estimate: float) -> Point
 
     w = p.weights if p.weights is not None else np.full(n, 1.0)
 
-    # Bottom-up: the nodes of level l are the groups of level-l ancestors,
-    # numbered in lexicographic order; level k's nodes are the cells.
+    # Bottom-up over the set's tree; level k's nodes are the cells.
     caps = [math.ceil((2 ** (k - l)) ** s) for l in range(k + 1)]
-    groups = [group_rows(p.indices >> (k - l)) for l in range(k + 1)]
-    # parent[l][i] is the level-(l-1) node above level-l node i
-    parent = [None] + [groups[l - 1][1][groups[l][0]] for l in range(1, k + 1)]
-    weight = [np.bincount(inv, weights=w) for _, inv in groups]
+    parent = [level.up for level in p.tree]
+    weight = [np.bincount(level.inverse, weights=w) for level in p.tree]
     rank = [None] * k + [np.ones(n, dtype=np.int64)]
     for l in range(k - 1, -1, -1):
         child_rank_sum = np.bincount(parent[l + 1], weights=rank[l + 1]).astype(np.int64)

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 from functools import lru_cache
@@ -170,10 +171,17 @@ class TestValidateCovering:
         rep = validate_covering(cov)
         assert not rep.disjoint_ok
 
+    @pytest.mark.parametrize("k,cubes", [(2, [[1], [1]]), (0, [[0], [0]]), (3, [[1], [4], [1]])])
+    def test_cube_listed_twice_flagged(self, k, cubes):
+        payload = {"s": 0.5, "epsilon": 10.0, "levels": [{"k": k, "cubes": cubes}]}
+        rep = validate_covering(covering_from_json(json.dumps(payload), 1))
+        assert not rep.disjoint_ok
+
 
 def oracle_validate_covering(c):
     """Three passes: condition (3) over every pair of levels, disjointness
-    over every pair of covering levels, then the cover check."""
+    within each covering level and over every pair of them, then the cover
+    check."""
     ks = sorted(k for k, idx in c.levels.items() if len(idx))
     budget = c.budget_value()
 
@@ -189,7 +197,8 @@ def oracle_validate_covering(c):
                 worst = float(ratio)
                 witness = (l, k, tuple(anc[first[int(np.argmax(counts))]].tolist()))
 
-    disjoint = not any(
+    repeats = any(len(group_rows(c.levels[k])[0]) < len(c.levels[k]) for k in ks)
+    disjoint = not repeats and not any(
         rows_in(c.levels[k] >> (k - l), c.levels[l]).any()
         for i, l in enumerate(ks)
         for k in ks[i + 1 :]

@@ -19,10 +19,16 @@ branches: the dense count on the compressed grid and, above
 `dyadic.CELL_BUDGET` grid cells, the axis-0 slab recursion.  The scan
 tests run each input once at the real budget and once at a budget of one
 cell, which sends every count with d >= 2 down the slab branch.
+
+`PointSet.tree` must equal, at every level, `group_rows` of the shifted
+indices, and a static check keeps every other grouping of right-shifted
+rows out of `src/projlab`, except in the few functions it names.
 """
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +36,12 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from projlab import dyadic
+from projlab import dyadic, fractal
 from projlab.covering import (
     BUDGET_SLACK,
     Covering,
     CoveringReport,
+    dyadic_content,
     greedy_cover,
     validate_covering,
 )
@@ -144,9 +151,10 @@ def oracle_validate_covering(c):
                 worst = float(ratio)
                 witness = (l, k, tuple(u[int(np.argmax(counts))].tolist()))
 
-    # disjointness: no chosen cube strictly inside another chosen cube
-    disjoint = True
+    # disjointness: no level lists a cube twice, and no chosen cube lies
+    # strictly inside another chosen cube
     chosen_sets = {k: set(map(tuple, c.levels[k].tolist())) for k in ks}
+    disjoint = all(len(chosen_sets[k]) == len(c.levels[k]) for k in ks)
     for i, l in enumerate(ks):
         for k in ks[i + 1 :]:
             for cube in chosen_sets[k]:
@@ -500,6 +508,7 @@ def coverings(draw):
 
 
 @given(coverings())
+@example(Covering(1, 0.5, 10.0, {2: np.array([[1], [1]])}))
 def test_validate_covering_matches_oracle(cov):
     assert _outcome(validate_covering, cov) == _outcome(oracle_validate_covering, cov)
 
@@ -530,6 +539,115 @@ def test_frostman_constant_matches_tuple_masses(p):
             mass[tuple(row)] = mass.get(tuple(row), 0.0) + w
         worst = max(worst, max(mass.values()) / (2.0**-l) ** p.nominal_dim)
     assert frostman_constant(p) == worst
+
+
+@given(point_sets(allow_empty=True))
+@example(PointSet(2, 1.0, np.array([[0, 1], [1, 0]])))  # level 0: the tree is its leaves
+@example(PointSet(3, 0.25, np.zeros((0, 3), dtype=np.int64), domain="ball"))
+def test_tree_levels_are_the_groups_of_the_ancestors(p):
+    k = p.level
+    assert len(p.tree) == k + 1
+    for l, (nodes, inverse, up) in enumerate(p.tree):
+        anc = p.indices >> (k - l)
+        first, want = group_rows(anc)
+        assert np.array_equal(nodes, anc[first])
+        assert np.array_equal(inverse, want)
+        arrays = [nodes, inverse]
+        if l == 0:
+            assert up is None
+        else:
+            assert np.array_equal(up[inverse], p.tree[l - 1].inverse)
+            arrays.append(up)
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_tree_is_built_once_for_all_its_readers(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return group_rows(rows)
+
+    c = cantor_1d(1 / 3, 3)
+    p = product_set(c, c, c)
+    monkeypatch.setattr(fractal, "group_rows", counted)
+    cov = greedy_cover(p, 1.5, 4.0, min_level=0)
+    assert sorted(cov.levels) == [2, 5]  # a merge, so greedy_cover read a coarse level
+    content = dyadic_content(p, 1.5, p.level)
+    sub = extract_delta_s_set(p, 1.0, content)
+    frostman_constant(p)
+    # one group_rows per coarse level, each over the nodes of the level below,
+    # then the one in the constructor of the extracted set
+    assert calls == [len(level.nodes) for level in p.tree[:0:-1]] + [len(sub)]
+    assert calls == [512, 512, 125, 64, 8, 128]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "projlab"
+
+#: the functions that may still group right-shifted rows: the tree itself, the
+#: covering check's grouping of covering cubes (which are no set's cells), and
+#: box_counts of a set above 1-D, which groups one level only
+SHIFTED_GROUPING_ALLOWED = {"PointSet.tree", "validate_covering", "box_counts"}
+
+
+def shifted_groupings(source: str) -> list:
+    """(function, line) of every `group_rows` call on a right-shifted array.
+
+    An argument is right-shifted when it holds a `>>`, or is a name that the
+    same function assigns from an expression holding one.
+    """
+
+    def shifts(node):
+        return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.RShift) for n in ast.walk(node))
+
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                shifted = {
+                    t.id
+                    for a in ast.walk(child)
+                    if isinstance(a, ast.Assign) and shifts(a.value)
+                    for target in a.targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Name)
+                }
+                for call in ast.walk(child):
+                    callee = getattr(call, "func", None)
+                    if getattr(callee, "id", getattr(callee, "attr", None)) != "group_rows":
+                        continue
+                    if any(shifts(a) or getattr(a, "id", None) in shifted for a in call.args):
+                        found.append((name, call.lineno))
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source,names",
+    [
+        ("def f(p, k, l):\n    return group_rows(p.indices >> (k - l))\n", ["f"]),
+        ("def f(x):\n    anc = x >> 1\n    first, inv = group_rows(anc)\n", ["f"]),
+        ("def f(x):\n    anc = (x >> 1)[:, :2]\n    return dyadic.group_rows(anc)\n", ["f"]),
+        ("class P:\n    def tree(self):\n        return group_rows(self.i >> 1)\n", ["P.tree"]),
+        ("def f(x):\n    y = x >> 1\n    return group_rows(x)  # x >> 1\n", []),
+        ("def f(x):\n    return group_rows(x)\n\ndef g(x):\n    x = x >> 1\n", []),
+    ],
+)
+def test_shifted_groupings_finds_groupings_of_ancestors(source, names):
+    assert [name for name, _ in shifted_groupings(source)] == names
+
+
+def test_ancestor_groupings_only_in_the_tree():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = {(f.name, name, line) for f in files for name, line in shifted_groupings(f.read_text())}
+    assert {site for site in found if site[1] not in SHIFTED_GROUPING_ALLOWED} == set()
+    assert {name for _, name, _ in found} == SHIFTED_GROUPING_ALLOWED
 
 
 SPACING_EXPONENTS = st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.7, 2.5])
