@@ -19,7 +19,9 @@ to its distinct coordinates), from one prefix-sum table built per scan; a
 grid above CELL_BUDGET cells is cut into axis-0 slabs first.  The witness
 is the lexicographically smallest anchored corner among the maxima, so it
 does not depend on the row order or on the branch taken.
-Every projection onto a direction, x -> x . v, is the one 3-term dot `dot3`.
+Every projection onto a direction, x -> x . v, is the one 3-term dot `dot3`,
+and a pass that batches such dots over many points or directions works in
+blocks of at most `_BLOCK` entries, never on one whole-batch gather.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ def dyadic_level(delta: float) -> int:
     if mantissa != 0.5:
         raise DomainError(f"delta must be a power of two, got {delta}")
     return 1 - exponent
+
+
+#: entries per block of a batched pass over points or directions: a block's
+#: float64 temporaries take 256 KB each and so stay in a 2 MiB L2 cache
+_BLOCK = 32768
 
 
 def dot3(x, v, out=None, tmp=None) -> np.ndarray:

@@ -318,9 +318,14 @@ def tube_mask(M: int, gamma: np.ndarray, tangent: np.ndarray, normal: np.ndarray
     the widening slack is absorbed into the finitely-overlapping constants.
     """
     rows = _grid_rows(np.fft.fftfreq(M))
-    half = 1.0 / M + 1e-15
+    return _in_tube(rows, np.abs(dot3(rows, gamma)), tangent, normal)
+
+
+def _in_tube(rows: tuple, radial: np.ndarray, tangent: np.ndarray, normal: np.ndarray):
+    """`tube_mask` from the grid's rows and their |xi . gamma|, flattened."""
+    half = 1.0 / rows[0].size + 1e-15
     return (
-        (np.abs(dot3(rows, gamma)) <= 0.5)
+        (radial <= 0.5)
         & (np.abs(dot3(rows, tangent)) <= half)
         & (np.abs(dot3(rows, normal)) <= half)
     ).ravel()
@@ -397,9 +402,11 @@ def high_low_split(
     M = f_theta.M
     gamma, tan, nor = frame(geometry.curve, theta)
     coeffs = f_theta.coeffs().ravel()
-    mask = tube_mask(M, gamma, tan, nor)
+    rows = _grid_rows(np.fft.fftfreq(M))
+    radial = np.abs(dot3(rows, gamma))  # shared by the tube test and the ramp
+    mask = _in_tube(rows, radial, tan, nor)
     _check_support(coeffs, mask, "frequency support leaks outside the tube")
-    u = np.abs(dot3(_grid_rows(np.fft.fftfreq(M)), gamma)).ravel()
+    u = radial.ravel()
     lo, hi = 0.5 / K, 1.0 / K
     ramp = np.clip((u - lo) / (hi - lo), 0.0, 1.0)
     eta_high = np.sin(np.pi * ramp / 2) ** 2

@@ -121,12 +121,14 @@ class PointSet:
         is the sorted, distinct `indices` themselves, and each coarser level
         groups only the nodes of the level below.
         """
-        nodes, inverse, levels = self.indices, np.arange(len(self)), []
+        leaf = np.arange(len(self))
+        nodes, inverse, levels = self.indices, leaf, []
         for _ in range(self.level):
             parents = nodes >> 1
             first, up = group_rows(parents)
             levels.append(TreeLevel(nodes, inverse, up))
-            nodes, inverse = parents[first], up[inverse]
+            # up after the identity is up itself: level k - 1 shares level k's array
+            nodes, inverse = parents[first], up if inverse is leaf else up[inverse]
         levels.append(TreeLevel(nodes, inverse, None))
         for a in (a for level in levels for a in level if a is not None):
             a.flags.writeable = False

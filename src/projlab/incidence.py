@@ -5,6 +5,9 @@ and a set of lattice balls.  Counting is exhaustive (every ball against
 every family via binary search over slab offsets) and yields the
 incidence relation as one dense boolean array of #balls x #directions
 bytes, whose per-ball and per-direction counts everything on top reads.
+Counting and the generator's ball placement batch their dots over
+directions in blocks of at most `dyadic._BLOCK` entries; only the slab
+lookups, which need each family's own offsets, run per direction.
 
 Everything lives in one picture, the unit one: balls are delta-lattice
 cells inside the unit ball and slabs keep their own thickness.  The
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
-from .dyadic import dot3, dyadic_level, group_rows
+from .dyadic import _BLOCK, dot3, dyadic_level, group_rows
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -175,10 +178,15 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
 
 def _count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     pts = cfg.balls.float_indices * cfg.delta  # (3, n): the balls' coordinates as rows
+    n = pts.shape[1]
     in_ball = np.linalg.norm(pts, axis=0) <= 1.0
-    hits = np.empty((len(cfg.balls), len(cfg.net)), dtype=bool)
-    for j, (fam, gamma) in enumerate(zip(cfg.families, curve.points(cfg.net.thetas))):
-        hits[:, j] = _in_band(fam, dot3(pts, gamma)) & in_ball
+    gammas = curve.points(cfg.net.thetas)
+    hits = np.empty((n, len(cfg.net)), dtype=bool)
+    step = max(1, _BLOCK // max(n, 1))  # directions per dot: _BLOCK entries, or one direction
+    for lo in range(0, len(gammas), step):
+        proj = dot3(pts[:, None, :], gammas[lo : lo + step].T[:, :, None])  # (directions, n)
+        for j, row in enumerate(proj, lo):
+            hits[:, j] = _in_band(cfg.families[j], row) & in_ball
     return IncidenceMatrix(hits)
 
 
@@ -320,17 +328,100 @@ def ball_target(delta: float, s: float, t: float) -> int:
     return max(1, round(2.0**-4 * delta ** -(2 + s - 2 * t)))
 
 
+def _runs(counts: list) -> list:
+    """End positions of the runs of consecutive counts whose sums fit in
+    _BLOCK; a count above _BLOCK is a run by itself."""
+    ends, total = [], 0
+    for i, c in enumerate(counts):
+        if total and total + c > _BLOCK:
+            ends.append(i)
+            total = 0
+        total += c
+    return ends + [len(counts)]
+
+
+def _place_run(rng, js, cs: list, frames: tuple, offsets, families: tuple, delta: float):
+    """Draw, place and band-test the balls of one run of directions.
+
+    Direction js[i] takes cs[i] draws in the generator's stream order (its
+    offset picks, then u, then v), and each ball is offset * gamma + u *
+    tangent + v * normal snapped to the delta-lattice.  The run is placed in
+    slices of at most _BLOCK balls, each with one gather per frame vector,
+    summed in the same order and so to the same bits as one direction at a
+    time.  Returns the cells within 0.98 of the origin whose snapped
+    projection still lies in a slab of their direction, in draw order.
+    """
+    draws = [
+        d
+        for c in cs
+        for d in (
+            rng.integers(0, offsets.shape[1], size=c),
+            rng.uniform(-0.7, 0.7, size=c),
+            rng.uniform(-0.7, 0.7, size=c),
+        )
+    ]
+    pick, u, v = (np.concatenate(draws[i::3]) for i in range(3))
+    del draws  # its pieces would otherwise double the draws' memory through the placement
+    rows = np.repeat(js, cs)
+    idx = np.empty((rows.size, 3), dtype=np.int64)
+    proj, ok = np.empty(rows.size), np.empty(rows.size, dtype=bool)
+    gammas, tangents, normals = frames
+    for lo in range(0, rows.size, _BLOCK):
+        sl = slice(lo, lo + _BLOCK)
+        r = rows[sl]
+        gamma = gammas[r]
+        pts = offsets[r, pick[sl]][:, None] * gamma
+        part = tangents[r]
+        part *= u[sl, None]
+        pts += part
+        part = normals[r]
+        part *= v[sl, None]
+        pts += part
+        pts /= delta
+        np.copyto(idx[sl], np.rint(pts, out=pts), casting="unsafe")  # exact: integers
+        snapped = np.multiply(idx[sl], delta, out=pts)
+        proj[sl] = dot3(snapped.T, gamma.T)
+        ok[sl] = np.linalg.norm(snapped, axis=1) <= 0.98
+    lo = 0
+    for j, c in zip(js.tolist(), cs):  # each family's own offsets
+        ok[lo : lo + c] &= _in_band(families[j], proj[lo : lo + c])
+        lo += c
+    return idx[ok]
+
+
+def _sample_cells(rng, want: int, frames: tuple, offsets, families: tuple, delta: float):
+    """Up to `want` distinct ball cells in lexicographic order, from at most 64 attempts."""
+    collected = np.zeros((0, 3), dtype=np.int64)
+    for _attempt in range(64):
+        if len(collected) >= want:
+            break
+        batch = max(64, 2 * (want - len(collected)))
+        counts = np.bincount(rng.integers(0, len(families), size=batch), minlength=len(families))
+        dirs = np.flatnonzero(counts)  # the drawn directions, ascending
+        counts = counts[dirs].tolist()
+        found, start = [collected], 0
+        for end in _runs(counts):
+            js, cs = dirs[start:end], counts[start:end]
+            found.append(_place_run(rng, js, cs, frames, offsets, families, delta))
+            start = end
+        stacked = np.concatenate(found)
+        collected = stacked[group_rows(stacked)[0]]
+    return collected[:want]
+
+
 def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     """Generate a seeded admissible configuration with heavy balls.
 
     Slab offsets per direction come from a (delta, s)-set on [-1, 1]
     (hypothesis (2) holds by construction); candidate balls are sampled
     directly on slab planes so each meets at least one slab, then filtered
-    through heavy_subset so the verify precondition holds.  The returned
-    config's memo already holds the heavy balls' incidence matrix under the
-    spec's named curve.  A delta above 1/2 or a seed that is not an integer
-    >= 0 raises DomainError.  An offset draw or a first ball batch larger
-    than CELL_CAP raises CapacityError before it is allocated.
+    through heavy_subset so the verify precondition holds.  Each attempt
+    draws a batch of directions and places their balls in runs of
+    consecutive directions of at most _BLOCK draws (`_place_run`).  The
+    returned config's memo already holds the heavy balls' incidence matrix
+    under the spec's named curve.  A delta above 1/2 or a seed that is not
+    an integer >= 0 raises DomainError.  An offset draw or a first ball
+    batch larger than CELL_CAP raises CapacityError before it is allocated.
     """
     curve = named_curve(spec.curve)
     k = dyadic_level(spec.delta)
@@ -341,37 +432,16 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(spec.seed)
     net = direction_net(spec.delta, spec.t, spec.seed)
+    offsets = _offset_delta_s_sets(k, spec.s, len(net), rng)
     families = tuple(
-        SlabFamily(float(theta), spec.s, offsets, spec.delta)
-        for theta, offsets in zip(net.thetas, _offset_delta_s_sets(k, spec.s, len(net), rng))
+        SlabFamily(float(theta), spec.s, row, spec.delta) for theta, row in zip(net.thetas, offsets)
     )
-    gammas, tangents, normals = frame(curve, net.thetas)
     want = ball_target(spec.delta, spec.s, spec.t)
     if 2 * want > CELL_CAP:
         raise CapacityError(f"a first batch of {2 * want} ball draws exceeds the cap {CELL_CAP}")
-    collected = np.zeros((0, 3), dtype=np.int64)  # distinct, lexicographic order
-    for _attempt in range(64):
-        if len(collected) >= want:
-            break
-        batch = max(64, 2 * (want - len(collected)))
-        js = rng.integers(0, len(net), size=batch)
-        found = [collected]
-        for j, count in zip(*np.unique(js, return_counts=True)):
-            fam = families[j]
-            g, tv, nv = gammas[j], tangents[j], normals[j]
-            cs = fam.offsets[rng.integers(0, len(fam), size=count)]
-            u = rng.uniform(-0.7, 0.7, size=count)
-            v = rng.uniform(-0.7, 0.7, size=count)
-            pts = cs[:, None] * g + u[:, None] * tv + v[:, None] * nv
-            idx = np.round(pts / spec.delta).astype(np.int64)
-            snapped = idx * spec.delta
-            ok = _in_band(fam, dot3(snapped.T, g)) & (np.linalg.norm(snapped, axis=1) <= 0.98)
-            found.append(idx[ok])
-        stacked = np.concatenate(found)
-        collected = stacked[group_rows(stacked)[0]]
-    if len(collected) == 0:
+    cells = _sample_cells(rng, want, frame(curve, net.thetas), offsets, families, spec.delta)
+    if len(cells) == 0:
         raise InfeasibleError("failed to sample any admissible ball")
-    cells = collected[:want]
     balls = PointSet(3, spec.delta, cells, domain="ball", nominal_dim=3.0)
     cfg = IncidenceConfig(net=net, families=families, balls=balls)
     matrix = incidence_count(cfg, curve)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve
-from .dyadic import dot3, dyadic_level, group_rows
+from .dyadic import _BLOCK, dot3, dyadic_level, group_rows
 from .errors import CapacityError, ConfigurationError, RangeError
 from .fractal import CELL_CAP, PointSet
 
@@ -36,11 +36,6 @@ class SweepRow:
     est_dim: float
     r2: float
     below_s: bool
-
-
-#: cells per block of the dense route: its three temporaries (the dot, one
-#: product, the intp indices) take 256 KB each and so stay in a 2 MiB L2 cache
-_BLOCK = 32768
 
 
 def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:

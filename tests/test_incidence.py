@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projlab import incidence
-from projlab.curve import Curve, direction_net, model_curve, named_curve
+from projlab.curve import Curve, direction_net, frame, model_curve, named_curve
+from projlab.dyadic import dot3, dyadic_level, group_rows
 from projlab.errors import (
     CapacityError,
     ConfigurationError,
     DomainError,
+    InfeasibleError,
     NumericError,
     PreconditionError,
 )
@@ -22,6 +25,7 @@ from projlab.incidence import (
     _offset_delta_s_sets,
     IncidenceSpec,
     SlabFamily,
+    _in_band,
     ball_target,
     heavy_subset,
     heavy_threshold,
@@ -32,6 +36,8 @@ from projlab.incidence import (
 )
 
 CURVE = model_curve()
+#: the batch bound the library ships with, before any test patches it
+BLOCK = incidence._BLOCK
 
 
 def origin_ball(delta):
@@ -520,3 +526,164 @@ class TestBallTarget:
                 n = ball_target(2.0**-k, s, t)
                 ideal = 2.0**-4 * 2.0 ** (k * (2 + s - 2 * t))
                 assert n == max(1, round(ideal))
+
+
+# ----------------------------------------------------------------------------
+# the per-direction loops that the batched sampler and count replaced, as oracles
+
+
+def loop_count(cfg, curve):
+    """The incidence matrix one direction at a time: a `dot3` and a band test each."""
+    pts = cfg.balls.float_indices * cfg.delta
+    in_ball = np.linalg.norm(pts, axis=0) <= 1.0
+    hits = np.empty((len(cfg.balls), len(cfg.net)), dtype=bool)
+    for j, (fam, gamma) in enumerate(zip(cfg.families, curve.points(cfg.net.thetas))):
+        hits[:, j] = _in_band(fam, dot3(pts, gamma)) & in_ball
+    return hits
+
+
+def loop_sampler(spec):
+    """`random_admissible_config` placing and band-testing one direction at a time.
+
+    Returns the config of the sampled cells (before the heavy filter), the
+    heavy cells, their rows of the incidence matrix and, per attempt, the
+    draw count of each drawn direction in ascending direction order.
+    """
+    curve = named_curve(spec.curve)
+    k = dyadic_level(spec.delta)
+    rng = np.random.default_rng(spec.seed)
+    net = direction_net(spec.delta, spec.t, spec.seed)
+    families = tuple(
+        SlabFamily(float(theta), spec.s, offsets, spec.delta)
+        for theta, offsets in zip(net.thetas, _offset_delta_s_sets(k, spec.s, len(net), rng))
+    )
+    gammas, tangents, normals = frame(curve, net.thetas)
+    want = ball_target(spec.delta, spec.s, spec.t)
+    collected = np.zeros((0, 3), dtype=np.int64)
+    attempts = []
+    for _attempt in range(64):
+        if len(collected) >= want:
+            break
+        batch = max(64, 2 * (want - len(collected)))
+        js = rng.integers(0, len(net), size=batch)
+        found = [collected]
+        dirs, counts = np.unique(js, return_counts=True)
+        attempts.append(counts.tolist())
+        for j, count in zip(dirs, counts):
+            fam = families[j]
+            g, tv, nv = gammas[j], tangents[j], normals[j]
+            cs = fam.offsets[rng.integers(0, len(fam), size=count)]
+            u = rng.uniform(-0.7, 0.7, size=count)
+            v = rng.uniform(-0.7, 0.7, size=count)
+            pts = cs[:, None] * g + u[:, None] * tv + v[:, None] * nv
+            idx = np.round(pts / spec.delta).astype(np.int64)
+            snapped = idx * spec.delta
+            ok = _in_band(fam, dot3(snapped.T, g)) & (np.linalg.norm(snapped, axis=1) <= 0.98)
+            found.append(idx[ok])
+        stacked = np.concatenate(found)
+        collected = stacked[group_rows(stacked)[0]]
+    if len(collected) == 0:
+        raise InfeasibleError("failed to sample any admissible ball")
+    balls = PointSet(3, spec.delta, collected[:want], domain="ball", nominal_dim=3.0)
+    cfg = IncidenceConfig(net=net, families=families, balls=balls)
+    hits = loop_count(cfg, curve)
+    heavy = np.count_nonzero(hits, axis=1) >= heavy_threshold(cfg)
+    if not heavy.any():
+        raise InfeasibleError("no sampled ball clears the heavy threshold")
+    return cfg, cfg.balls.indices[heavy], hits[heavy], attempts
+
+
+def placement_slices(counts, block):
+    """The slices one attempt is placed in: runs of consecutive direction
+    counts summing to at most `block` (a larger count is a run by itself),
+    each cut into slices of at most `block` balls."""
+    slices, run = 0, 0
+    for c in counts:
+        if run and run + c > block:
+            slices += -(-run // block)
+            run = 0
+        run += c
+    return slices + -(-run // block)
+
+
+#: _BLOCK = 1 places one ball per slice, 5 cuts most runs into several slices
+#: and many attempts into several runs, 64 makes most runs one direction
+@pytest.mark.parametrize("block", [1, 5, 64, BLOCK])
+@given(
+    st.integers(3, 6),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["model", "helix"]),
+)
+def test_batched_sampler_and_count_match_the_per_direction_loops(block, k, s, t, seed, curve):
+    spec = IncidenceSpec(delta=2.0**-k, s=s, t=t, seed=seed, curve=curve)
+    try:
+        want = loop_sampler(spec)
+    except InfeasibleError as e:
+        want = e
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "_BLOCK", block)
+        if isinstance(want, InfeasibleError):
+            with pytest.raises(InfeasibleError, match=str(want)):
+                random_admissible_config(spec)
+            return
+        cfg = random_admissible_config(spec)
+        fresh = incidence_count(replace(cfg), named_curve(curve))
+        sampled = incidence_count(want[0], named_curve(curve))
+    want_cfg, cells, hits, _ = want
+    assert cfg.net.indices.tobytes() == want_cfg.net.indices.tobytes()
+    assert [f.offsets.tobytes() for f in cfg.families] == [
+        f.offsets.tobytes() for f in want_cfg.families
+    ]
+    assert cfg.balls.indices.dtype == cells.dtype
+    assert cfg.balls.indices.tobytes() == cells.tobytes()
+    for m in (cfg._counts[named_curve(curve)], fresh):
+        assert m.hits.shape == hits.shape and m.hits.tobytes() == hits.tobytes()
+    assert sampled.hits.tobytes() == loop_count(want_cfg, named_curve(curve)).tobytes()
+
+
+@pytest.mark.parametrize("block", [5, BLOCK])
+def test_a_bench_item_makes_one_dot_per_slice_and_per_direction_block(monkeypatch, block):
+    """On the incidence bench's (k, s, t) = (6, 0.5, 0.5) class the sampler
+    makes one `dot3` per placement slice and the count one per block of
+    max(1, _BLOCK // n) directions: 2 calls on these seeds, where one
+    direction at a time made 16 (8 directions, one attempt)."""
+    calls = []
+
+    def counting_dot3(x, v, *args):
+        calls.append(np.ndim(x))  # the sampler dots (3, w) rows, the count (3, 1, n)
+        return dot3(x, v, *args)
+
+    monkeypatch.setattr(incidence, "dot3", counting_dot3)
+    monkeypatch.setattr(incidence, "_BLOCK", block)
+    model = named_curve("model")
+    for seed in range(5):
+        spec = IncidenceSpec(delta=2.0**-6, s=0.5, t=0.5, seed=seed)
+        sampled, _, _, attempts = loop_sampler(spec)
+        calls.clear()
+        cfg = random_admissible_config(spec)
+        verify_incidence_bound(cfg, model)
+        n, J = len(sampled.balls), len(cfg.net)
+        assert calls.count(2) == sum(placement_slices(c, block) for c in attempts)
+        assert calls.count(3) == -(-J // max(1, block // n))
+        assert len(calls) == calls.count(2) + calls.count(3)
+        if block == BLOCK:
+            assert calls == [2] * len(attempts) + [3]
+
+
+def test_sampler_peak_memory_is_bounded():
+    """delta = 2^-7, s = 1, t = 0.2 draws 37,640 balls over 3 directions in
+    runs of at most _BLOCK.  Its tracemalloc peak is 4.3 MiB; placing a
+    whole attempt in one gather reads 6.4 MiB, and the per-direction loop
+    that kept each attempt's arrays to the end read 6.3 MiB."""
+    spec = IncidenceSpec(delta=2.0**-7, s=1.0, t=0.2, seed=0)
+    random_admissible_config(spec)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        cfg = random_admissible_config(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(cfg.net), len(cfg.balls)) == (3, 18820)
+    assert peak < 5.0 * 2**20
