@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,6 +27,10 @@ from .fractal import PointSet
 #: slack for budget comparisons in double precision
 BUDGET_SLACK = 1e-12
 
+#: largest level a covering may name: cantor_1d's largest; validating a
+#: level of 64 or more would shift int64 indices by 64 bits or more
+MAX_LEVEL = 62
+
 
 def _check_exponents(s: float, epsilon: float, ambient_dim: int) -> None:
     """Raise DomainError unless 0 <= s <= ambient_dim and epsilon is finite."""
@@ -38,7 +43,10 @@ class Covering:
     """Per-level lists of dyadic cube indices plus the (s, epsilon) contract.
 
     `levels` maps level k -> integer index array of shape (n_k, dim); the
-    cube with index i at level k is prod_j [i_j 2^-k, (i_j+1) 2^-k).
+    cube with index i at level k is prod_j [i_j 2^-k, (i_j+1) 2^-k).  Each
+    key must be an integer (not a bool) in 0..MAX_LEVEL and each array's
+    rows integers of ambient_dim entries, else ConfigurationError; keys are
+    stored as ints, arrays as int64, and an empty level as (0, dim).
     """
 
     ambient_dim: int
@@ -49,6 +57,20 @@ class Covering:
 
     def __post_init__(self):
         _check_exponents(self.s, self.epsilon, self.ambient_dim)
+        levels = {}
+        for k, cubes in self.levels.items():
+            rows = np.asarray(cubes)
+            if rows.shape[:1] == (0,):
+                rows = np.empty((0, self.ambient_dim), np.int64)
+            integer_rows = rows.dtype.kind == "i" and rows.shape[1:] == (self.ambient_dim,)
+            integer_key = isinstance(k, numbers.Integral) and not isinstance(k, bool)
+            if not (integer_key and 0 <= k <= MAX_LEVEL and integer_rows):
+                raise ConfigurationError(
+                    f"level {k!r} needs 0 <= k <= {MAX_LEVEL} and rows of "
+                    f"{self.ambient_dim} integers"
+                )
+            levels[int(k)] = rows.astype(np.int64, copy=False)
+        object.__setattr__(self, "levels", levels)
 
     def budget_value(self) -> float:
         return float(
@@ -207,11 +229,6 @@ def dyadic_content(x: PointSet, t: float, max_level: int) -> float:
 # serialization
 
 
-#: largest level a loaded covering may name: cantor_1d's largest; validating a
-#: level of 64 or more would shift int64 indices by 64 bits or more
-MAX_LEVEL = 62
-
-
 def covering_to_json(c: Covering) -> str:
     payload = {
         "s": c.s,
@@ -227,23 +244,17 @@ def covering_to_json(c: Covering) -> str:
 
 def covering_from_json(text: str, ambient_dim: int) -> Covering:
     """Read a `covering_to_json` payload; a malformed one raises ConfigurationError,
-    as do a repeated level, a level above MAX_LEVEL and an s or epsilon that
+    as do a repeated level and a level, cube row, s or epsilon that
     `Covering` refuses."""
     try:
         payload = json.loads(text)
         s, epsilon = float(payload["s"]), float(payload["epsilon"])
         levels = {}
         for entry in payload["levels"]:
-            k, cubes = entry["k"], entry["cubes"]
-            rows = np.asarray(cubes) if len(cubes) else np.empty((0, ambient_dim), np.int64)
-            integer_rows = rows.dtype.kind == "i" and rows.shape == (len(cubes), ambient_dim)
-            if type(k) is not int or not 0 <= k <= MAX_LEVEL or not integer_rows:
-                raise ValueError(
-                    f"level {k!r} needs 0 <= k <= {MAX_LEVEL} and rows of {ambient_dim} integers"
-                )
+            k = entry["k"]
             if k in levels:
                 raise ValueError(f"level {k} is listed twice")
-            levels[k] = rows.astype(np.int64, copy=False)
+            levels[k] = entry["cubes"]
         return Covering(ambient_dim, s, epsilon, levels)
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigurationError(f"malformed covering JSON: {exc!r}") from None

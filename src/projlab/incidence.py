@@ -100,7 +100,8 @@ class IncidenceConfig:
     net: DirectionNet
     families: tuple
     balls: PointSet
-    # incidence matrices by curve, filled by incidence_count; replace() starts empty
+    # incidence matrices by curve, filled by incidence_count and by the generator;
+    # replace() starts empty
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -171,34 +172,34 @@ def incidence_count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
     """
     m = cfg._counts.get(curve)
     if m is None:
-        m = _count(cfg, curve)
+        pts = cfg.balls.float_indices * cfg.delta  # (3, n): the balls' coordinates as rows
+        m = IncidenceMatrix(_hits(pts, cfg.families, curve.points(cfg.net.thetas)))
         cfg._counts[curve] = m
     return m
 
 
-def _count(cfg: IncidenceConfig, curve: Curve) -> IncidenceMatrix:
-    pts = cfg.balls.float_indices * cfg.delta  # (3, n): the balls' coordinates as rows
+def _hits(pts: np.ndarray, families: tuple, gammas: np.ndarray) -> np.ndarray:
+    """Bool (n, J) hits[i, j]: point i of the (3, n) `pts` lies in the unit
+    ball and in a slab of families[j], which sits at direction gammas[j]."""
     n = pts.shape[1]
     in_ball = np.linalg.norm(pts, axis=0) <= 1.0
-    gammas = curve.points(cfg.net.thetas)
-    hits = np.empty((n, len(cfg.net)), dtype=bool)
+    hits = np.empty((n, len(families)), dtype=bool)
     step = max(1, _BLOCK // max(n, 1))  # directions per dot: _BLOCK entries, or one direction
     for lo in range(0, len(gammas), step):
         proj = dot3(pts[:, None, :], gammas[lo : lo + step].T[:, :, None])  # (directions, n)
         for j, row in enumerate(proj, lo):
-            hits[:, j] = _in_band(cfg.families[j], row) & in_ball
-    return IncidenceMatrix(hits)
+            hits[:, j] = _in_band(families[j], row) & in_ball
+    return hits
 
 
-def heavy_threshold(cfg: IncidenceConfig) -> float:
-    k = dyadic_level(cfg.delta)
-    return len(cfg.net) / k**2
+def heavy_threshold(net: DirectionNet) -> float:
+    """The fewest directions a heavy ball meets: (log2 1/delta)^-2 * #Theta."""
+    return len(net) / dyadic_level(net.delta) ** 2
 
 
 def heavy_subset(m: IncidenceMatrix, cfg: IncidenceConfig) -> PointSet:
     """Balls meeting at least (log2 1/delta)^-2 * #Theta slabs."""
-    thr = heavy_threshold(cfg)
-    keep = m.row_counts() >= thr
+    keep = m.row_counts() >= heavy_threshold(cfg.net)
     return replace(cfg.balls, indices=cfg.balls.indices[keep], weights=None)
 
 
@@ -224,7 +225,7 @@ def verify_incidence_bound(
     to overflow or to zero raises NumericError.
     """
     m = incidence_count(cfg, curve)
-    thr = heavy_threshold(cfg)
+    thr = heavy_threshold(cfg.net)
     counts = m.row_counts()
     bad = np.nonzero(counts < thr)[0]
     if bad.size:
@@ -290,11 +291,12 @@ def _offset_delta_s_sets(k: int, s: float, n_sets: int, rng) -> np.ndarray:
       bincount over its grouping, so every heavier-child comparison sees
       the same bits;
     - within a parent of budget b the heavier child (ties go to the lower
-      index) takes min(r, b) and the other min(2r, b) - min(r, b), the
-      general routine's clamped cumulative sum of the children's ranks.
+      index) takes min(r, b) and the other the rest, b - min(r, b): the
+      general routine's clamped cumulative sum of the children's ranks,
+      min(2r, b) in all, is b, as b <= rank_{l-1} <= 2 rank_l.
 
-    Budgets split without loss (b <= rank_{l-1} <= 2 rank_l), so every row
-    selects exactly rank_0 leaves and the result has shape (n_sets, rank_0).
+    So budgets split without loss, every row selects exactly rank_0 leaves
+    and the result has shape (n_sets, rank_0).
     The general routine's InfeasibleError cannot fire here: for
     0 <= s <= 1, cap_l <= 2^s cap_{l+1} rounded up <= 2 cap_{l+1}, so
     rank_l = cap_l, and cap_0 = ceil(2^(Ks)) >= max(1, 2^(Ks)/64).
@@ -317,8 +319,8 @@ def _offset_delta_s_sets(k: int, s: float, n_sets: int, rng) -> np.ndarray:
         weight = np.bincount(node, weights=w, minlength=n_sets << l).reshape(n_sets, -1)
         left_heavy = weight[:, 0::2] >= weight[:, 1::2]
         heavy = np.minimum(rank[l], budgets)
-        split = np.stack([heavy, np.minimum(2 * rank[l], budgets) - heavy], axis=-1)
-        budgets = np.where(left_heavy[..., None], split, split[..., ::-1]).reshape(n_sets, -1)
+        left = np.where(left_heavy, heavy, budgets - heavy)
+        budgets = np.stack([left, budgets - left], axis=-1).reshape(n_sets, -1)
     chosen = np.nonzero(budgets)[1].reshape(n_sets, rank[0])
     return chosen * 2.0**-K * 2.0 - 1.0
 
@@ -414,13 +416,15 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
 
     Slab offsets per direction come from a (delta, s)-set on [-1, 1]
     (hypothesis (2) holds by construction); candidate balls are sampled
-    directly on slab planes so each meets at least one slab, then filtered
-    through heavy_subset so the verify precondition holds.  Each attempt
+    directly on slab planes so each meets at least one slab.  Each attempt
     draws a batch of directions and places their balls in runs of
     consecutive directions of at most _BLOCK draws (`_place_run`).  The
-    returned config's memo already holds the heavy balls' incidence matrix
-    under the spec's named curve.  A delta above 1/2 or a seed that is not
-    an integer >= 0 raises DomainError.  An offset draw or a first ball
+    sampled cells, sorted and distinct, are counted once against the
+    frame's gammas, and only the rows that reach `heavy_threshold` become
+    the config's balls, so the verify precondition holds; the config's memo
+    already holds their rows of the count under the spec's named curve.  A
+    delta above 1/2 or a seed that is not an integer >= 0 raises
+    DomainError.  An offset draw or a first ball
     batch larger than CELL_CAP raises CapacityError before it is allocated.
     """
     curve = named_curve(spec.curve)
@@ -439,15 +443,15 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     want = ball_target(spec.delta, spec.s, spec.t)
     if 2 * want > CELL_CAP:
         raise CapacityError(f"a first batch of {2 * want} ball draws exceeds the cap {CELL_CAP}")
-    cells = _sample_cells(rng, want, frame(curve, net.thetas), offsets, families, spec.delta)
+    frames = frame(curve, net.thetas)
+    cells = _sample_cells(rng, want, frames, offsets, families, spec.delta)
     if len(cells) == 0:
         raise InfeasibleError("failed to sample any admissible ball")
-    balls = PointSet(3, spec.delta, cells, domain="ball", nominal_dim=3.0)
-    cfg = IncidenceConfig(net=net, families=families, balls=balls)
-    matrix = incidence_count(cfg, curve)
-    heavy = heavy_subset(matrix, cfg)
-    if len(heavy) == 0:
+    hits = _hits(cells.T * spec.delta, families, frames[0])  # the bits of float_indices * delta
+    heavy = np.count_nonzero(hits, axis=1) >= heavy_threshold(net)
+    if not heavy.any():
         raise InfeasibleError("no sampled ball clears the heavy threshold")
-    out = replace(cfg, balls=heavy)
-    out._counts[curve] = IncidenceMatrix(matrix.hits[matrix.row_counts() >= heavy_threshold(cfg)])
-    return out
+    balls = PointSet(3, spec.delta, cells[heavy], domain="ball", nominal_dim=3.0)
+    cfg = IncidenceConfig(net=net, families=families, balls=balls)
+    cfg._counts[curve] = IncidenceMatrix(hits[heavy])
+    return cfg

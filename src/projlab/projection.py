@@ -83,12 +83,13 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
 def box_counts(p: PointSet, level: int) -> int:
     """Number of aligned dyadic cubes of side 2^-level meeting the set.
 
-    In 1-D the ancestors of the sorted cells are sorted too, so the count is
-    the number of steps between neighbours, plus one for a non-empty set.
+    RangeError unless 0 <= level <= p.level.  In 1-D the ancestors of the
+    sorted cells are sorted too, so the count is the number of steps between
+    neighbours, plus one for a non-empty set.
     """
     k = p.level
-    if level > k:
-        raise RangeError("cannot count boxes below the lattice scale")
+    if not 0 <= level <= k:
+        raise RangeError(f"box level must lie in [0, {k}], got {level}")
     anc = p.indices >> (k - level)
     if p.ambient_dim == 1:
         return int(np.count_nonzero(np.diff(anc[:, 0]))) + (len(anc) > 0)

@@ -123,6 +123,25 @@ class TestExponentDomain:
         with pytest.raises(DomainError, match="need 0 <= s <= 1"):
             Covering(1, s, epsilon, {3: np.array([[1]])})
 
+    @pytest.mark.parametrize(
+        "dim, levels",
+        [
+            (1, {2: np.array([0, 1])}),  # raised a bare TypeError in validate_covering
+            (2, {2: np.array([[0, 1, 2]])}),  # a 3-wide row validated without error
+            (1, {-1: np.array([[0]])}),  # so did a level of -1
+        ],
+        ids=["flat_cubes", "wide_row", "negative_level"],
+    )
+    def test_covering_refuses_malformed_levels(self, dim, levels):
+        with pytest.raises(ConfigurationError, match="needs 0 <= k <= 62 and rows of"):
+            Covering(dim, 0.5, 1.0, levels)
+
+    def test_covering_stores_int_levels_and_empty_rows(self):
+        cov = Covering(2, 0.5, 1.0, {np.int64(3): np.array([[1, 2]], np.int32), 2: []})
+        assert [type(k) for k in cov.levels] == [int, int]
+        assert cov.levels[3].dtype == np.int64 and cov.levels[2].shape == (0, 2)
+        assert cov.levels[2].dtype == np.int64
+
     def test_edges_accepted(self):
         # s = 0 and s = ambient_dim are inside the domain; one cube's worst
         # ratio is 1 / 2^s, at its parent

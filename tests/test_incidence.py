@@ -315,20 +315,45 @@ class TestCountMemo:
                 assert kept.hits.shape == fresh.hits.shape == (len(cfg.balls), len(cfg.net))
                 assert kept.hits.dtype == fresh.hits.dtype == bool
                 assert np.array_equal(kept.hits, fresh.hits)
-                assert np.all(kept.row_counts() >= heavy_threshold(cfg))
+                assert np.all(kept.row_counts() >= heavy_threshold(cfg.net))
 
     def test_a_bench_shaped_item_counts_once(self, monkeypatch):
         counted = []
-        count = incidence._count
-        monkeypatch.setattr(
-            incidence, "_count", lambda cfg, curve: counted.append(cfg) or count(cfg, curve)
-        )
+        count = incidence._hits
+        monkeypatch.setattr(incidence, "_hits", lambda *args: counted.append(args) or count(*args))
         model = named_curve("model")
         cfg = random_admissible_config(IncidenceSpec(delta=2.0**-6, s=0.5, t=0.5, seed=5))
         m = incidence_count(cfg, model)
         verify_incidence_bound(cfg, model)
         assert len(counted) == 1
         assert m is cfg._counts[model]
+
+    def test_the_generator_builds_each_object_once(self, monkeypatch):
+        """One point set, one config, one curve evaluation and one count per
+        generated config; the generator used to build the point set and the
+        config twice, for all sampled cells and again for the heavy ones, and
+        to evaluate the curve again for the count."""
+        built = {"PointSet": 0, "IncidenceConfig": 0, "points": 0, "hits": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(PointSet, "__post_init__", counting("PointSet", PointSet.__post_init__))
+        monkeypatch.setattr(
+            IncidenceConfig,
+            "__post_init__",
+            counting("IncidenceConfig", IncidenceConfig.__post_init__),
+        )
+        monkeypatch.setattr(Curve, "points", counting("points", Curve.points))
+        monkeypatch.setattr(incidence, "_hits", counting("hits", incidence._hits))
+        model = named_curve("model")
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-6, s=0.5, t=0.5, seed=5))
+        verify_incidence_bound(cfg, model)
+        assert built == {"PointSet": 1, "IncidenceConfig": 1, "points": 1, "hits": 1}
 
 
 class TestConfigScale:
@@ -587,7 +612,7 @@ def loop_sampler(spec):
     balls = PointSet(3, spec.delta, collected[:want], domain="ball", nominal_dim=3.0)
     cfg = IncidenceConfig(net=net, families=families, balls=balls)
     hits = loop_count(cfg, curve)
-    heavy = np.count_nonzero(hits, axis=1) >= heavy_threshold(cfg)
+    heavy = np.count_nonzero(hits, axis=1) >= heavy_threshold(cfg.net)
     if not heavy.any():
         raise InfeasibleError("no sampled ball clears the heavy threshold")
     return cfg, cfg.balls.indices[heavy], hits[heavy], attempts

@@ -372,6 +372,14 @@ class TestBoxDimension:
         fit = box_dimension(p, 4 * p.delta, 2.0**-1)
         assert np.all(np.diff(fit.counts) >= 0)  # N grows as r shrinks
 
+    def test_box_counts_refuse_a_level_off_the_lattice(self):
+        # level -1 used to count cubes of side 2: 8 for this product of three
+        p = product_set(cantor_1d(1 / 3, 3), cantor_1d(1 / 3, 3), cantor_1d(1 / 3, 3))
+        for level in (-1, p.level + 1):
+            with pytest.raises(RangeError, match=rf"box level must lie in \[0, {p.level}\]"):
+                box_counts(p, level)
+        assert box_counts(p, 0) == 8  # recentred on the origin: one unit cube per octant
+
     def test_too_few_scales(self):
         with pytest.raises(RangeError):
             box_dimension(full_grid(4), 2.0**-3, 2.0**-2)
