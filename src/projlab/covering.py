@@ -14,11 +14,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .dyadic import group_rows, rows_in
+from .dyadic import _readonly, _Record, group_rows, rows_in
 from .errors import (
     ConfigurationError, DomainError, InconsistencyError, InfeasibleError, RangeError
 )
@@ -38,24 +39,27 @@ def _check_exponents(s: float, epsilon: float, ambient_dim: int) -> None:
         raise DomainError(f"need 0 <= s <= {ambient_dim} and finite epsilon, got {s}, {epsilon}")
 
 
-@dataclass(frozen=True)
-class Covering:
+@dataclass(frozen=True, eq=False)
+class Covering(_Record):
     """Per-level lists of dyadic cube indices plus the (s, epsilon) contract.
 
     `levels` maps level k -> integer index array of shape (n_k, dim); the
     cube with index i at level k is prod_j [i_j 2^-k, (i_j+1) 2^-k).  Each
-    key must be an integer (not a bool) in 0..MAX_LEVEL and each array's
-    rows integers of ambient_dim entries, else ConfigurationError; keys are
-    stored as ints, arrays as int64, and an empty level as (0, dim).
+    key must be an integer (not a bool) in 0..MAX_LEVEL and each array's rows
+    integers of ambient_dim >= 1 entries, else ConfigurationError; `levels` is
+    kept as a read-only map of int keys to read-only int64 arrays, (0, dim) if empty.
     """
 
     ambient_dim: int
     s: float
     epsilon: float
-    levels: dict
+    levels: MappingProxyType
     target: Optional[PointSet] = field(default=None, compare=False)
+    _report: Optional[CoveringReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.ambient_dim < 1:
+            raise ConfigurationError(f"ambient_dim must be at least 1, got {self.ambient_dim}")
         _check_exponents(self.s, self.epsilon, self.ambient_dim)
         levels = {}
         for k, cubes in self.levels.items():
@@ -69,8 +73,8 @@ class Covering:
                     f"level {k!r} needs 0 <= k <= {MAX_LEVEL} and rows of "
                     f"{self.ambient_dim} integers"
                 )
-            levels[int(k)] = rows.astype(np.int64, copy=False)
-        object.__setattr__(self, "levels", levels)
+            levels[int(k)] = _readonly(rows.astype(np.int64, copy=False))
+        object.__setattr__(self, "levels", MappingProxyType(levels))
 
     def budget_value(self) -> float:
         return float(
@@ -166,7 +170,10 @@ def validate_covering(c: Covering) -> CoveringReport:
     groups the level-k cubes by level-l ancestor once per l < k; condition
     (3) reads the group sizes, and disjointness asks whether a level lists
     a cube twice or a distinct ancestor is itself a chosen level-l cube.
+    The report is made once per covering and kept in it (a `replace` copy has none).
     """
+    if c._report is not None:
+        return c._report
     ks = sorted(k for k, idx in c.levels.items() if len(idx))
     if c.target is not None and ks and ks[-1] > c.target.level:
         raise InconsistencyError("covering finer than the target lattice")
@@ -193,14 +200,15 @@ def validate_covering(c: Covering) -> CoveringReport:
     if not cover_ok:
         witness = ("uncovered", tuple(c.target.indices[~covered][0].tolist()))
     budget = c.budget_value()
-    return CoveringReport(
+    object.__setattr__(c, "_report", CoveringReport(
         cover_ok=cover_ok,
         disjoint_ok=disjoint,
         budget_value=budget,
         budget_ok=bool(budget <= c.epsilon + BUDGET_SLACK),
         worst_condition3_ratio=worst,
         witness=witness,
-    )
+    ))
+    return c._report
 
 
 def dyadic_content(x: PointSet, t: float, max_level: int) -> float:

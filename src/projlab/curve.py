@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import dot3, dyadic_level, spacing_scan
+from .dyadic import _readonly, _Record, dot3, dyadic_level, spacing_scan
 from .errors import CapacityError, DomainError, InfeasibleError, NumericError
 from .fractal import CELL_CAP
 
@@ -160,8 +160,8 @@ def nondegeneracy_margin(curve: Curve) -> float:
     return float(np.min(np.abs(det)))
 
 
-@dataclass(frozen=True)
-class DirectionNet:
+@dataclass(frozen=True, eq=False)
+class DirectionNet(_Record):
     """A delta-separated set of parameters meant to satisfy a (delta, t) law.
 
     The spacing constant C in #(net points in a window of length r) <=
@@ -174,9 +174,7 @@ class DirectionNet:
     thetas: np.ndarray
 
     def __post_init__(self):
-        thetas = np.array(self.thetas)  # a copy: the caller's array stays writable
-        thetas.flags.writeable = False
-        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "thetas", _readonly(self.thetas))
 
     def __len__(self) -> int:
         return int(self.thetas.size)

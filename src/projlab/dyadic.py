@@ -22,15 +22,48 @@ does not depend on the row order or on the branch taken.
 Every projection onto a direction, x -> x . v, is the one 3-term dot `dot3`,
 and a pass that batches such dots over many points or directions works in
 blocks of at most `_BLOCK` entries, never on one whole-batch gather.
+Records that hold arrays lock them by `_readonly` and compare by `_Record`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import DomainError
+
+
+def _readonly(a) -> np.ndarray:
+    """`a` if it is read-only and owns its data, else a read-only copy of it."""
+    a = np.asarray(a)
+    if a.flags.writeable or a.base is not None:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+def _same(a, b) -> bool:
+    """Field equality for `_Record`: arrays by dtype, shape and content, mappings key by key."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is b or (type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b))
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a is b or a == b
+
+
+class _Record:
+    """Base of the eq=False frozen dataclasses that hold arrays: equal by `_same`, unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = (f.name for f in fields(self) if f.compare)
+        return all(_same(getattr(self, n), getattr(other, n)) for n in compared)
 
 
 def dyadic_level(delta: float) -> int:

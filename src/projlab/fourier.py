@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .curve import Curve, direction_net, frame, nondegeneracy_margin
-from .dyadic import dot3, dyadic_level, group_rows, spacing_scan
+from .dyadic import _readonly, _Record, dot3, dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -75,8 +75,8 @@ def _synthesize(coeffs: np.ndarray, lines: np.ndarray, stage: np.ndarray, out: n
     return out
 
 
-@dataclass(frozen=True)
-class GridFunction:
+@dataclass(frozen=True, eq=False)
+class GridFunction(_Record):
     """Complex function on the periodic grid [0, M)^3 with unit spacing.
 
     `samples` is read-only: a writable array (or a view) from the caller is
@@ -90,12 +90,9 @@ class GridFunction:
     def __post_init__(self):
         if self.M not in GRID_SIZES:
             raise CapacityError(f"grid side must be one of {GRID_SIZES}, got {self.M}")
+        object.__setattr__(self, "samples", _readonly(self.samples))
         if self.samples.shape != (self.M,) * 3:
             raise ConfigurationError("samples must have shape (M, M, M)")
-        if self.samples.flags.writeable or self.samples.base is not None:
-            samples = self.samples.copy()  # the caller's array stays theirs
-            samples.flags.writeable = False
-            object.__setattr__(self, "samples", samples)
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
@@ -166,14 +163,18 @@ class ConeGeometry:
     consecutive sigmas nest into each tau_s.  The grid side, the direction
     count and the dyadic s values follow from delta, and the arrays from
     the curve and delta, so two geometries are equal when those two are.
-    `build_geometry` makes `assignment` and `frames` read-only, so
-    `envelope_boxes`, built from `frames` and read-only too, cannot go stale.
+    `assignment` and `frames` are read-only, so `envelope_boxes`, built from
+    `frames` and read-only too, cannot go stale.
     """
 
     curve: Curve
     delta: float
     assignment: np.ndarray = field(compare=False)
     frames: np.ndarray = field(compare=False)  # (n_caps, 3, 3): gamma, t, n rows
+
+    def __post_init__(self):
+        object.__setattr__(self, "assignment", _readonly(self.assignment))
+        object.__setattr__(self, "frames", _readonly(self.frames))
 
     @property
     def M(self) -> int:
@@ -456,8 +457,8 @@ def cap_restrict(g: GridFunction, cap_id: int, geometry: ConeGeometry) -> GridFu
     return GridFunction.from_coeffs(coeffs.reshape((g.M,) * 3))
 
 
-@dataclass(frozen=True)
-class CapSubset:
+@dataclass(frozen=True, eq=False)
+class CapSubset(_Record):
     """Distinct direction indices of selected caps, meant to form a (delta, t)-set.
 
     The spacing constant is not stored: `decoupling_ratio` scans for it.
@@ -467,11 +468,12 @@ class CapSubset:
     directions: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.directions)
+        d = _readonly(self.directions)
         if d.ndim != 1 or np.unique(d).size != d.size:
             raise ConfigurationError("cap directions must be a 1-D array of distinct indices")
         if not np.issubdtype(d.dtype, np.integer):
             raise ConfigurationError(f"cap directions must be integers, got dtype {d.dtype}")
+        object.__setattr__(self, "directions", d)
 
     def __len__(self) -> int:
         return int(self.directions.size)

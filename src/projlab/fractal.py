@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dyadic import dyadic_level, group_rows, spacing_scan
+from .dyadic import _Record, dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -36,8 +36,8 @@ class TreeLevel(NamedTuple):
     up: Optional[np.ndarray]  #: (m,) each node's level-(l - 1) parent; None at l = 0
 
 
-@dataclass(frozen=True)
-class PointSet:
+@dataclass(frozen=True, eq=False)
+class PointSet(_Record):
     """A finite subset of the delta-lattice in [0,1]^d or the unit ball.
 
     `indices` has shape (n, ambient_dim) and is kept lexicographically
@@ -46,7 +46,7 @@ class PointSet:
     result is `float_indices`, the float64 copy of the indices that every
     projection of the set reads, built on first use and laid out as one
     C-contiguous (ambient_dim, n) array, so each axis is one contiguous row;
-    another is `tree`, the set's dyadic tree.
+    another is `tree`, the set's dyadic tree.  Sets compare by content.
     `nominal_dim` is declared dimension metadata (similarity dimension for
     the shipped generators).
     """

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curve import Curve, DirectionNet, direction_net, frame, named_curve
-from .dyadic import _BLOCK, dot3, dyadic_level, group_rows
+from .dyadic import _BLOCK, _readonly, _Record, dot3, dyadic_level, group_rows
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -39,8 +39,8 @@ from .fractal import CELL_CAP, PointSet
 FITTED_C_CEILING = 2.0**16
 
 
-@dataclass(frozen=True)
-class SlabFamily:
+@dataclass(frozen=True, eq=False)
+class SlabFamily(_Record):
     """All delta-slabs of one direction, cut off by the unit ball.
 
     A point x lies in the slab at offset c iff |x . gamma(theta) - c| <=
@@ -55,9 +55,7 @@ class SlabFamily:
     thickness: float
 
     def __post_init__(self):
-        offsets = np.array(self.offsets)  # a copy: the caller's array stays writable
-        offsets.flags.writeable = False
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "offsets", _readonly(self.offsets))
 
     def __len__(self) -> int:
         return int(self.offsets.size)
@@ -77,14 +75,14 @@ def _in_band(fam: SlabFamily, proj: np.ndarray) -> np.ndarray:
 def make_family(theta: float, offsets, delta: float, s: float) -> SlabFamily:
     """The family of delta-slabs at the given offsets, sorted.
 
-    Offsets must satisfy |offset| <= 1 and delta must be a power of two;
+    Offsets must be 1-D with |offset| <= 1 and delta must be a power of two;
     the family's thickness is delta.  No spacing scan runs here.
     """
     dyadic_level(delta)
-    offs = np.sort(np.asarray(offsets, dtype=float))
-    if not np.all(np.abs(offs) <= 1.0):  # also catches NaN
-        raise ConfigurationError("slab offsets must satisfy |offset| <= 1")
-    return SlabFamily(theta=theta, s=s, offsets=offs, thickness=delta)
+    offs = np.asarray(offsets, dtype=float)
+    if offs.ndim != 1 or not np.all(np.abs(offs) <= 1.0):  # also catches NaN
+        raise ConfigurationError("slab offsets must be a 1-D array with |offset| <= 1")
+    return SlabFamily(theta=theta, s=s, offsets=np.sort(offs), thickness=delta)
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ class IncidenceConfig:
     The scale delta and the net exponent t are the net's, and delta must be
     at most 1/2 (the heavy threshold divides by log2(1/delta)^2); the balls
     must sit on the same delta-lattice, every family must share one s, and
-    family j must sit at the net's direction j.
+    family j must sit at the net's direction j; `families` is kept as a tuple.
     """
 
     net: DirectionNet
@@ -105,6 +103,7 @@ class IncidenceConfig:
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "families", tuple(self.families))
         if self.net.delta > 0.5:
             raise DomainError(f"incidence configs need delta <= 1/2, got {self.net.delta}")
         if len(self.families) != len(self.net):
@@ -135,17 +134,14 @@ class IncidenceConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class IncidenceMatrix:
+class IncidenceMatrix(_Record):
     """Ball-direction relation: hits[i, j] is true when ball i meets a slab
     of direction j."""
 
     hits: np.ndarray  # bool, shape (#balls, #directions)
 
     def __post_init__(self):
-        # a config's memo hands the same array to every caller; the caller's stays writable
-        hits = np.array(self.hits)
-        hits.flags.writeable = False
-        object.__setattr__(self, "hits", hits)
+        object.__setattr__(self, "hits", _readonly(self.hits))
 
     @property
     def total(self) -> int:

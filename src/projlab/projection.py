@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve
-from .dyadic import _BLOCK, dot3, dyadic_level, group_rows
+from .dyadic import _BLOCK, _readonly, _Record, dot3, dyadic_level, group_rows
 from .errors import CapacityError, ConfigurationError, RangeError
 from .fractal import CELL_CAP, PointSet
 
@@ -21,13 +21,16 @@ from .fractal import CELL_CAP, PointSet
 DEFAULT_MARGIN = 0.1
 
 
-@dataclass(frozen=True)
-class DimensionFit:
+@dataclass(frozen=True, eq=False)
+class DimensionFit(_Record):
     """Box-counting fit: slope of log2 N(r) against log2(1/r)."""
 
     counts: np.ndarray  # N(r) at dyadic r, descending; non-decreasing as r shrinks
     slope: float
     r2: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", _readonly(self.counts))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from projlab import covering
 from projlab.covering import (
     BUDGET_SLACK,
     Covering,
@@ -136,6 +137,22 @@ class TestExponentDomain:
         with pytest.raises(ConfigurationError, match="needs 0 <= k <= 62 and rows of"):
             Covering(dim, 0.5, 1.0, levels)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_covering_refuses_a_dimension_below_one(self, dim):
+        # dimension 0 at s = 0 reached validate_covering and died in lexsort with a TypeError
+        with pytest.raises(ConfigurationError, match="ambient_dim must be at least 1"):
+            Covering(dim, 0.0, 1.0, {1: np.zeros((2, max(dim, 0)), np.int64)})
+
+    def test_covering_keeps_a_read_only_copy_of_its_levels(self):
+        # the covering kept the caller's array itself, writable
+        mine = np.array([[0], [3]])
+        cov = Covering(1, 0.5, 1.0, {2: mine})
+        assert cov.levels[2] is not mine and not cov.levels[2].flags.writeable
+        mine[0, 0] = 1
+        assert cov.levels[2].tolist() == [[0], [3]]
+        with pytest.raises(TypeError):
+            cov.levels[3] = np.array([[0]])
+
     def test_covering_stores_int_levels_and_empty_rows(self):
         cov = Covering(2, 0.5, 1.0, {np.int64(3): np.array([[1, 2]], np.int32), 2: []})
         assert [type(k) for k in cov.levels] == [int, int]
@@ -195,6 +212,22 @@ class TestValidateCovering:
         payload = {"s": 0.5, "epsilon": 10.0, "levels": [{"k": k, "cubes": cubes}]}
         rep = validate_covering(covering_from_json(json.dumps(payload), 1))
         assert not rep.disjoint_ok
+
+
+def test_a_covering_is_validated_once(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return group_rows(rows)
+
+    monkeypatch.setattr(covering, "group_rows", counted)
+    cov = greedy_cover(corners_2d(6), 0.5, 1.0)
+    n = len(calls)
+    assert n > 0  # greedy_cover's own check
+    report = validate_covering(cov)
+    assert validate_covering(cov) is report and len(calls) == n
+    assert validate_covering(replace(cov)) == report and len(calls) == 2 * n
 
 
 def oracle_validate_covering(c):

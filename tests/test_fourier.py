@@ -746,6 +746,15 @@ class TestTspacing:
         assert spacing_scan(sub.directions[:, None], 6, 0.5)[0] <= 64
 
 
+def test_cap_subset_from_a_list(geo16):
+    # a list passed the checks but was kept as it was: len() and
+    # decoupling_ratio raised a bare AttributeError
+    caps = CapSubset(t=0.5, directions=[1, 5])
+    assert len(caps) == 2 and caps.directions.tolist() == [1, 5]
+    report = decoupling_ratio(random_cap_function(geo16, caps, seed=0), caps, geo16)
+    assert report.n_caps == 2 and report.ratio > 0
+
+
 class TestCapRange:
     @pytest.mark.parametrize("directions", [[-1, 3], [3, 99], [16]])
     def test_directions_outside_geometry_rejected(self, geo16, directions):

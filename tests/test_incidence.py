@@ -74,6 +74,13 @@ class TestSlabFamilies:
         mine[0] = 0.0  # the caller's array stays writable
         assert fam.offsets.tolist() == [-0.25, 0.5]
 
+    @pytest.mark.parametrize("offsets", [[[0.1, 0.2], [0.3, 0.4]], 0.5])
+    def test_offsets_must_be_one_row(self, offsets):
+        # a 2-D block was accepted, and the first band test died in searchsorted
+        # with a bare ValueError ("object too deep for desired array")
+        with pytest.raises(ConfigurationError, match="1-D"):
+            make_family(0.0, offsets, delta=2.0**-3, s=0.5)
+
     @pytest.mark.parametrize("offsets", [[], [0.0]])
     def test_family_delta_must_be_dyadic(self, offsets):
         # the scan used to be the only check, and it skipped empty families
@@ -286,6 +293,20 @@ class TestCountMemo:
         with pytest.raises(ValueError, match="read-only"):
             cfg.net.thetas[0] += 0.25
         assert incidence_count(replace(cfg), named_curve("model")).hits.tobytes() == m.hits.tobytes()
+
+    def test_the_config_keeps_its_own_families(self):
+        # a config kept the caller's list, so replacing a family after a count
+        # left the memo reading 7 hits in that column where a fresh count read 0
+        model = named_curve("model")
+        cfg = random_admissible_config(IncidenceSpec(delta=2.0**-5, s=0.5, t=0.5, seed=1))
+        families = list(cfg.families)
+        mine = IncidenceConfig(cfg.net, families, cfg.balls)
+        m = incidence_count(mine, model)
+        j = int(np.argmax(m.col_counts()))
+        assert m.col_counts()[j] == 7
+        families[j] = make_family(families[j].theta, [], delta=2.0**-5, s=0.5)
+        assert mine.families == cfg.families and mine == cfg
+        assert incidence_count(replace(mine), model) == m
 
     def test_replace_starts_with_an_empty_memo(self):
         cfg = config_through_origin(2.0**-4)
