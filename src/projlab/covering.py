@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import _readonly, _Record, group_rows, rows_in
+from .dyadic import _integer_level, _readonly, _Record, ancestor_tree, group_rows, rows_in
 from .errors import (
     ConfigurationError, DomainError, InconsistencyError, InfeasibleError, RangeError
 )
@@ -46,8 +46,9 @@ class Covering(_Record):
     `levels` maps level k -> integer index array of shape (n_k, dim); the
     cube with index i at level k is prod_j [i_j 2^-k, (i_j+1) 2^-k).  Each
     key must be an integer (not a bool) in 0..MAX_LEVEL and each array's rows
-    integers of ambient_dim >= 1 entries, else ConfigurationError; `levels` is
-    kept as a read-only map of int keys to read-only int64 arrays, (0, dim) if empty.
+    integers of ambient_dim >= 1 entries, and a target must have that dimension,
+    else ConfigurationError; `levels` is kept as a read-only map of int keys
+    to read-only int64 arrays, (0, dim) if empty.
     """
 
     ambient_dim: int
@@ -60,6 +61,10 @@ class Covering(_Record):
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise ConfigurationError(f"ambient_dim must be at least 1, got {self.ambient_dim}")
+        if self.target is not None and self.target.ambient_dim != self.ambient_dim:
+            raise ConfigurationError(
+                f"a {self.ambient_dim}-D covering cannot cover a {self.target.ambient_dim}-D target"
+            )
         _check_exponents(self.s, self.epsilon, self.ambient_dim)
         levels = {}
         for k, cubes in self.levels.items():
@@ -117,13 +122,14 @@ def greedy_cover(
     level j would exchange nothing.
 
     Raises DomainError unless 0 <= s <= x.ambient_dim and epsilon is
-    finite.  Raises InfeasibleError when the finest cover already exceeds
+    finite, and RangeError unless min_level is an integer in 0..k_max - 1.
+    Raises InfeasibleError when the finest cover already exceeds
     the budget (the set is at least s-dimensional at this resolution) or
     when a counting violation at a level at or below min_level cannot be
     fixed inside the permitted range.
     """
     _check_exponents(s, epsilon, x.ambient_dim)
-    k_max = x.level
+    k_max, min_level = x.level, _integer_level("min_level", min_level)
     if min_level < 0:
         raise RangeError(f"min_level must be >= 0, got {min_level}")
     if min_level >= k_max:
@@ -138,7 +144,7 @@ def greedy_cover(
         )
     alive, levels = np.ones(len(x), dtype=bool), {}
     for l in range(min_level + 1, k_max):  # merge targets, coarse to fine
-        nodes, inverse, _ = x.tree[l]
+        nodes, inverse = x.tree[l].nodes, x.tree[l].inverse
         counts = np.bincount(inverse[alive], minlength=len(nodes))
         over = counts > 2.0 ** ((k_max - l) * s) + BUDGET_SLACK
         if over.any():
@@ -166,10 +172,10 @@ def validate_covering(c: Covering) -> CoveringReport:
     worst_condition3_ratio maximizes count / 2^((k-l)s) over every pair of
     levels l < k and every level-l lattice cube D (including levels coarser
     than the covering's own range, down to l = 0).  One ascending pass over
-    the non-empty levels k marks the target cells inside a level-k cube and
-    groups the level-k cubes by level-l ancestor once per l < k; condition
-    (3) reads the group sizes, and disjointness asks whether a level lists
-    a cube twice or a distinct ancestor is itself a chosen level-l cube.
+    the non-empty levels k reads the target's tree for the cells inside a
+    level-k cube and the `ancestor_tree` of the distinct level-k cubes for
+    condition (3), duplicates counted, and for disjointness: whether a level
+    lists a cube twice or a tree node is itself a chosen cube of its level.
     The report is made once per covering and kept in it (a `replace` copy has none).
     """
     if c._report is not None:
@@ -181,20 +187,19 @@ def validate_covering(c: Covering) -> CoveringReport:
     worst, witness, disjoint = 0.0, None, True
     for k in ks:
         idx = c.levels[k]
-        disjoint = disjoint and len(group_rows(idx)[0]) == len(idx)
+        first, inverse = group_rows(idx)
+        disjoint = disjoint and len(first) == len(idx)
         if covered is not None:
-            covered |= rows_in(c.target.indices >> (c.target.level - k), idx)
-        for l in range(0, k):
-            anc = idx >> (k - l)
-            first, inv = group_rows(anc)
-            counts = np.bincount(inv)
+            covered |= rows_in(c.target.tree[k].nodes, idx)[c.target.tree[k].inverse]
+        for l, level in enumerate(ancestor_tree(idx[first], k)[:k]):
+            counts = np.bincount(level.inverse[inverse])
             ratio = counts.max() / 2.0 ** ((k - l) * c.s)
             if ratio > worst:
                 worst = float(ratio)
-                witness = (l, k, tuple(anc[first[int(np.argmax(counts))]].tolist()))
+                witness = (l, k, tuple(level.nodes[int(np.argmax(counts))].tolist()))
             # a nested pair adds no witness, as the ratio above set one at this k >= 1
             if disjoint and l in ks:
-                disjoint = not rows_in(anc[first], c.levels[l]).any()
+                disjoint = not rows_in(level.nodes, c.levels[l]).any()
 
     cover_ok = covered is None or bool(covered.all())
     if not cover_ok:
@@ -217,12 +222,12 @@ def dyadic_content(x: PointSet, t: float, max_level: int) -> float:
     Bottom-up tree recursion content(node) = min(r^t, sum children); an
     upper bound for the t-dimensional Hausdorff content up to the usual
     lattice-versus-ball constant.  t must be finite and >= 0 (else
-    DomainError), and 0 <= max_level <= x.level, as no cube finer than the
-    lattice carries information (else RangeError).
+    DomainError), and max_level an integer in 0..x.level, as no cube finer
+    than the lattice carries information (else RangeError).
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"exponent t must be finite and >= 0, got {t}")
-    k = x.level
+    k, max_level = x.level, _integer_level("max_level", max_level)
     if not 0 <= max_level <= k:
         raise RangeError(f"max_level must lie in [0, {k}], got {max_level}")
     tree = x.tree

@@ -3,15 +3,13 @@
 All scale arithmetic in the library runs on exact powers of two, so scans
 can work on integer lattice indices and stay free of float round-off.
 The level-l ancestor of a level-k cell is `indices >> (k - l)` (a floor, so
-negative ball-domain indices need no shift), and every grouping of cells
-by equality or by ancestor goes through `group_rows`, which numbers the
-groups in lexicographic row order.  A point set's cells are grouped by
-ancestor once, bottom-up, in `fractal.PointSet.tree`; outside it only
-`covering.validate_covering` (a covering's cubes) and `projection.box_counts`
-above 1-D group shifted rows.  Two 1-D counts skip `group_rows`:
-`projection.project_line` marks the occupied cells of a dense index range
-in one bool array, and `projection.box_counts` counts the steps between
-the ancestors of sorted cells, which are sorted too.
+negative ball-domain indices need no shift).  Cells are grouped by equality
+through `group_rows`, which numbers the groups in lexicographic row order,
+and by ancestor through one bottom-up `ancestor_tree` of distinct sorted
+rows: a point set's `tree`, or one level of a covering's cubes.  Two 1-D
+counts group nothing: `projection.project_line` marks the occupied cells of
+a dense index range in one bool array, and `projection.box_counts` counts
+the steps between the ancestors of sorted cells, which are sorted too.
 Every (delta, s) spacing check, of point sets, direction nets and cap
 subsets alike, is one `spacing_scan` over lattice rows given in any order.
 It counts every window at once on the rows' compressed grid (each axis cut
@@ -28,12 +26,13 @@ Records that hold arrays lock them by `_readonly` and compare by `_Record`.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 
 def _readonly(a) -> np.ndarray:
@@ -78,6 +77,13 @@ def dyadic_level(delta: float) -> int:
     if mantissa != 0.5:
         raise DomainError(f"delta must be a power of two, got {delta}")
     return 1 - exponent
+
+
+def _integer_level(name: str, level) -> int:
+    """`level` as an int; RangeError unless it is an integer (numpy's included, a bool not)."""
+    if not isinstance(level, numbers.Integral) or isinstance(level, bool):
+        raise RangeError(f"{name} must be an integer, got {level!r}")
+    return int(level)
 
 
 #: entries per block of a batched pass over points or directions: a block's
@@ -254,9 +260,10 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(rows.T[::-1])  # stable, so each group starts at its lowest index
     sorted_rows = rows[order]
     starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
+    # array methods: the wrappers np.any and np.cumsum cost a third of a call on few rows
+    (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1, out=starts[1:])
     inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
+    inverse[order] = starts.cumsum() - 1
     return order[starts], inverse
 
 
@@ -266,3 +273,32 @@ def rows_in(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     hit = np.zeros(len(inverse) + 1, dtype=bool)
     hit[inverse[len(rows):]] = True
     return hit[inverse[: len(rows)]]
+
+
+@dataclass(frozen=True, eq=False)
+class TreeLevel(_Record):
+    """Level l of an `ancestor_tree`; every array is read-only."""
+
+    nodes: np.ndarray  #: (m, d) distinct level-l ancestors, lexicographic
+    inverse: np.ndarray  #: (n,) each leaf row's node
+    up: np.ndarray | None  #: (m,) each node's level-(l - 1) parent; None at l = 0
+
+
+def ancestor_tree(rows: np.ndarray, depth: int) -> tuple:
+    """The dyadic tree of distinct, lexicographically sorted level-`depth` rows.
+
+    One `TreeLevel` per l = 0..depth, built bottom-up: level l's nodes are the
+    distinct `rows >> (depth - l)` in `group_rows` order, grouped from level l + 1's.
+    """
+    leaf = np.arange(len(rows))
+    nodes, inverse, levels = _readonly(rows), leaf, []
+    for _ in range(depth):
+        parents = nodes >> 1
+        first, up = group_rows(parents)
+        levels.append(TreeLevel(nodes, inverse, up))
+        # up after the identity is up itself: level depth - 1 shares level depth's array
+        nodes, inverse = parents[first], up if inverse is leaf else up[inverse]
+    levels.append(TreeLevel(nodes, inverse, None))
+    for a in (a for lv in levels for a in (lv.nodes, lv.inverse, lv.up) if a is not None):
+        a.flags.writeable = False
+    return tuple(reversed(levels))

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .dyadic import _Record, dyadic_level, group_rows, spacing_scan
+from .dyadic import _Record, ancestor_tree, dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -26,14 +26,6 @@ from .errors import (
 
 #: hard cap on cells per PointSet (desk-scale budget)
 CELL_CAP = 2**24
-
-
-class TreeLevel(NamedTuple):
-    """Level l of `PointSet.tree`; every array is read-only."""
-
-    nodes: np.ndarray  #: (m, ambient_dim) distinct level-l ancestors, lexicographic
-    inverse: np.ndarray  #: (n,) each cell's node
-    up: Optional[np.ndarray]  #: (m,) each node's level-(l - 1) parent; None at l = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,25 +106,8 @@ class PointSet(_Record):
 
     @cached_property
     def tree(self) -> tuple:
-        """The set's dyadic tree, one `TreeLevel` per l = 0..level, made once per set.
-
-        Level l's nodes are the distinct `indices >> (level - l)`, numbered
-        as `group_rows` numbers them.  It is built bottom-up: the leaf level
-        is the sorted, distinct `indices` themselves, and each coarser level
-        groups only the nodes of the level below.
-        """
-        leaf = np.arange(len(self))
-        nodes, inverse, levels = self.indices, leaf, []
-        for _ in range(self.level):
-            parents = nodes >> 1
-            first, up = group_rows(parents)
-            levels.append(TreeLevel(nodes, inverse, up))
-            # up after the identity is up itself: level k - 1 shares level k's array
-            nodes, inverse = parents[first], up if inverse is leaf else up[inverse]
-        levels.append(TreeLevel(nodes, inverse, None))
-        for a in (a for level in levels for a in level if a is not None):
-            a.flags.writeable = False
-        return tuple(reversed(levels))
+        """The set's dyadic tree, `ancestor_tree(indices, level)`, made once per set."""
+        return ancestor_tree(self.indices, self.level)
 
 
 def frostman_constant(p: PointSet) -> float:

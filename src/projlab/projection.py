@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Curve
-from .dyadic import _BLOCK, _readonly, _Record, dot3, dyadic_level, group_rows
+from .dyadic import _BLOCK, _integer_level, _readonly, _Record, dot3, dyadic_level, group_rows
 from .errors import CapacityError, ConfigurationError, RangeError
 from .fractal import CELL_CAP, PointSet
 
@@ -86,17 +86,17 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
 def box_counts(p: PointSet, level: int) -> int:
     """Number of aligned dyadic cubes of side 2^-level meeting the set.
 
-    RangeError unless 0 <= level <= p.level.  In 1-D the ancestors of the
-    sorted cells are sorted too, so the count is the number of steps between
-    neighbours, plus one for a non-empty set.
+    RangeError unless level is an integer in 0..p.level.  In 1-D the
+    ancestors of the sorted cells are sorted too, so the count is the number
+    of steps between neighbours, plus one for a non-empty set.
     """
-    k = p.level
+    k, level = p.level, _integer_level("box level", level)
     if not 0 <= level <= k:
         raise RangeError(f"box level must lie in [0, {k}], got {level}")
-    anc = p.indices >> (k - level)
     if p.ambient_dim == 1:
-        return int(np.count_nonzero(np.diff(anc[:, 0]))) + (len(anc) > 0)
-    return len(group_rows(anc)[0])
+        anc = p.indices[:, 0] >> (k - level)
+        return int(np.count_nonzero(np.diff(anc))) + (len(anc) > 0)
+    return len(p.tree[level].nodes)
 
 
 def _line_fit(xs, ys) -> tuple[float, float]:

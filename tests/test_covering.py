@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from projlab import covering
+from projlab import covering, dyadic
 from projlab.covering import (
     BUDGET_SLACK,
     Covering,
@@ -24,6 +24,7 @@ from projlab.errors import (
     ConfigurationError, DomainError, InconsistencyError, InfeasibleError, RangeError
 )
 from projlab.fractal import PointSet, cantor_1d, full_grid
+from projlab.projection import box_counts
 
 
 def corners_2d(k):
@@ -179,6 +180,36 @@ class TestExponentDomain:
                 dyadic_content(p, 0.5, level)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, level: box_counts(p, level),
+        lambda p, level: dyadic_content(p, 0.5, level),
+        lambda p, level: greedy_cover(p, 0.7, 4.0, level),
+    ],
+    ids=["box_counts", "dyadic_content", "greedy_cover"],
+)
+@pytest.mark.parametrize("level", [2.0, 1.5, "2", True, np.float64(2.0)])
+def test_a_level_that_is_no_integer_is_refused(call, level):
+    # each call used to die with a bare TypeError, or to count at a float level
+    with pytest.raises(RangeError, match="must be an integer"):
+        call(cantor_1d(1 / 3, 4), level)
+
+
+@pytest.mark.parametrize("level", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_numpy_integer_levels_give_the_int_results(level):
+    p = cantor_1d(1 / 3, 4)
+    assert box_counts(p, level) == box_counts(p, 2)
+    assert dyadic_content(p, 0.5, level) == dyadic_content(p, 0.5, 2)
+    assert greedy_cover(p, 0.7, 4.0, level) == greedy_cover(p, 0.7, 4.0, 2)
+
+
+def test_a_target_of_another_dimension_is_refused():
+    # validate_covering used to die inside np.concatenate with a bare ValueError
+    with pytest.raises(ConfigurationError, match="1-D target"):
+        Covering(2, 0.5, 1.0, {1: [[0, 0]]}, target=cantor_1d(1 / 3, 3))
+
+
 class TestValidateCovering:
     def test_root_cube_covering(self):
         p = full_grid(4)
@@ -228,6 +259,23 @@ def test_a_covering_is_validated_once(monkeypatch):
     report = validate_covering(cov)
     assert validate_covering(cov) is report and len(calls) == n
     assert validate_covering(replace(cov)) == report and len(calls) == 2 * n
+
+
+def test_validate_covering_groups_each_level_once_then_only_distinct_nodes(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return group_rows(rows)
+
+    cubes = {1: [[0, 0], [0, 0]], 4: [[0, 0], [1, 1], [1, 1], [3, 2], [8, 8], [9, 9]]}
+    cov = Covering(2, 0.5, 10.0, cubes)
+    monkeypatch.setattr(covering, "group_rows", counted)
+    monkeypatch.setattr(dyadic, "group_rows", counted)
+    report = validate_covering(cov)
+    assert not report.disjoint_ok  # a cube listed twice, so no nesting test runs
+    # per level: its cubes once, then the distinct nodes of levels k, k - 1, ..., 1
+    assert calls == [2, 1, 6, 5, 3, 2, 2]
 
 
 def oracle_validate_covering(c):

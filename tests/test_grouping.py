@@ -20,9 +20,10 @@ branches: the dense count on the compressed grid and, above
 tests run each input once at the real budget and once at a budget of one
 cell, which sends every count with d >= 2 down the slab branch.
 
-`PointSet.tree` must equal, at every level, `group_rows` of the shifted
-indices, and a static check keeps every other grouping of right-shifted
-rows out of `src/projlab`, except in the few functions it names.
+`dyadic.ancestor_tree`, and so `PointSet.tree`, must equal, at every
+level, `group_rows` of the shifted rows, and a static check keeps every
+other `group_rows` or `rows_in` call on right-shifted rows out of
+`src/projlab`: the tree builder is the only one left.
 """
 
 import ast
@@ -47,6 +48,7 @@ from projlab.covering import (
 )
 from projlab.curve import DirectionNet, validate_direction_net
 from projlab.dyadic import (
+    ancestor_tree,
     dyadic_level,
     group_rows,
     max_cube_count,
@@ -547,7 +549,8 @@ def test_frostman_constant_matches_tuple_masses(p):
 def test_tree_levels_are_the_groups_of_the_ancestors(p):
     k = p.level
     assert len(p.tree) == k + 1
-    for l, (nodes, inverse, up) in enumerate(p.tree):
+    for l, level in enumerate(p.tree):
+        nodes, inverse, up = level.nodes, level.inverse, level.up
         anc = p.indices >> (k - l)
         first, want = group_rows(anc)
         assert np.array_equal(nodes, anc[first])
@@ -561,6 +564,35 @@ def test_tree_levels_are_the_groups_of_the_ancestors(p):
         assert not any(a.flags.writeable for a in arrays)
 
 
+@st.composite
+def distinct_rows(draw):
+    """Distinct, lexicographically sorted rows in 1-D to 3-D, negative ones included, and a depth."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 6))
+    coord = st.integers(-(2**depth), 2**depth)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), unique_by=tuple, max_size=40))
+    rows = np.array(sorted(rows), dtype=np.int64).reshape(-1, d)
+    return rows, depth
+
+
+@given(distinct_rows())
+@example((np.array([[-3, 0], [-1, 2], [0, -1]]), 2))
+@example((np.zeros((0, 3), dtype=np.int64), 3))
+def test_ancestor_tree_levels_are_the_groups_of_the_shifted_rows(rows_depth):
+    rows, depth = rows_depth
+    tree = ancestor_tree(rows, depth)
+    assert len(tree) == depth + 1
+    assert np.array_equal(tree[depth].nodes, rows)
+    for l, level in enumerate(tree):
+        first, inverse = group_rows(rows >> (depth - l))
+        assert np.array_equal(level.nodes, (rows >> (depth - l))[first])
+        assert np.array_equal(level.inverse, inverse)
+        if l == 0:
+            assert level.up is None
+        else:
+            assert np.array_equal(level.up[level.inverse], tree[l - 1].inverse)
+
+
 def test_tree_is_built_once_for_all_its_readers(monkeypatch):
     calls = []
 
@@ -570,28 +602,36 @@ def test_tree_is_built_once_for_all_its_readers(monkeypatch):
 
     c = cantor_1d(1 / 3, 3)
     p = product_set(c, c, c)
+    monkeypatch.setattr(dyadic, "group_rows", counted)
     monkeypatch.setattr(fractal, "group_rows", counted)
-    cov = greedy_cover(p, 1.5, 4.0, min_level=0)
-    assert sorted(cov.levels) == [2, 5]  # a merge, so greedy_cover read a coarse level
     content = dyadic_content(p, 1.5, p.level)
     sub = extract_delta_s_set(p, 1.0, content)
     frostman_constant(p)
+    n = len(calls)
+    cov = greedy_cover(p, 1.5, 4.0, min_level=0)
+    assert sorted(cov.levels) == [2, 5]  # a merge, so greedy_cover read a coarse level
+    # greedy_cover groups only in its own check, which groups covering cubes
+    # and reads the target's tree: a second check makes the same calls
+    m = len(calls)
+    validate_covering(replace(cov))
+    assert calls[n:m] == calls[m:]
     # one group_rows per coarse level, each over the nodes of the level below,
     # then the one in the constructor of the extracted set
-    assert calls == [len(level.nodes) for level in p.tree[:0:-1]] + [len(sub)]
-    assert calls == [512, 512, 125, 64, 8, 128]
+    assert calls[:n] == [len(level.nodes) for level in p.tree[:0:-1]] + [len(sub)]
+    assert calls[:n] == [512, 512, 125, 64, 8, 128]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "projlab"
 
-#: the functions that may still group right-shifted rows: the tree itself, the
-#: covering check's grouping of covering cubes (which are no set's cells), and
-#: box_counts of a set above 1-D, which groups one level only
-SHIFTED_GROUPING_ALLOWED = {"PointSet.tree", "validate_covering", "box_counts"}
+#: the one function that may group right-shifted rows: the tree builder
+SHIFTED_GROUPING_ALLOWED = {"ancestor_tree"}
+
+#: the calls that group rows, by equality or by membership
+GROUPING_CALLS = {"group_rows", "rows_in"}
 
 
 def shifted_groupings(source: str) -> list:
-    """(function, line) of every `group_rows` call on a right-shifted array.
+    """(function, line) of every `group_rows` or `rows_in` call on a right-shifted array.
 
     An argument is right-shifted when it holds a `>>`, or is a name that the
     same function assigns from an expression holding one.
@@ -618,7 +658,7 @@ def shifted_groupings(source: str) -> list:
                 }
                 for call in ast.walk(child):
                     callee = getattr(call, "func", None)
-                    if getattr(callee, "id", getattr(callee, "attr", None)) != "group_rows":
+                    if getattr(callee, "id", getattr(callee, "attr", None)) not in GROUPING_CALLS:
                         continue
                     if any(shifts(a) or getattr(a, "id", None) in shifted for a in call.args):
                         found.append((name, call.lineno))
@@ -636,6 +676,9 @@ def shifted_groupings(source: str) -> list:
         ("class P:\n    def tree(self):\n        return group_rows(self.i >> 1)\n", ["P.tree"]),
         ("def f(x):\n    y = x >> 1\n    return group_rows(x)  # x >> 1\n", []),
         ("def f(x):\n    return group_rows(x)\n\ndef g(x):\n    x = x >> 1\n", []),
+        ("def f(c, k):\n    return rows_in(c.indices >> (c.level - k), c.cubes)\n", ["f"]),
+        ("def f(x, t):\n    anc = x >> 2\n    return dyadic.rows_in(t, anc)\n", ["f"]),
+        ("def f(x, t):\n    return rows_in(x, t)\n", []),
     ],
 )
 def test_shifted_groupings_finds_groupings_of_ancestors(source, names):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from projlab import projection
+from projlab import dyadic, projection
 from projlab.curve import Curve, frame, model_curve, named_curve
 from projlab.dyadic import group_rows
 from projlab.errors import CapacityError, DomainError, RangeError
@@ -342,7 +342,7 @@ class TestBoxDimension:
             calls.append(rows.shape[1])
             return group_rows(rows)
 
-        monkeypatch.setattr(projection, "group_rows", counted)
+        monkeypatch.setattr(dyadic, "group_rows", counted)
         c = cantor_1d(1 / 3, 3)
         box_dimension(c, 4 * c.delta, 2.0**-1)
         assert calls == []  # 1-D counts come from sorted ancestors

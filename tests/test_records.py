@@ -106,6 +106,22 @@ def test_library_made_records_hold_read_only_arrays():
     assert not any(a.flags.writeable for a in held)
 
 
+def test_tree_levels_compare_by_content():
+    # levels used to be tuples of arrays, whose == raised ValueError
+    tree = cantor_1d(1 / 3, 3).tree
+    assert tree == cantor_1d(1 / 3, 3).tree
+    assert tree[2] == cantor_1d(1 / 3, 3).tree[2]
+    moved = cantor_1d(1 / 3, 3).indices.copy()
+    moved[0] += 1  # cell 0 -> 1: a sibling, so every coarser level stays the same
+    changed = PointSet(1, 2.0**-5, moved).tree
+    assert [a == b for a, b in zip(tree, changed, strict=True)] == [True] * 5 + [False]
+    dropped = PointSet(1, 2.0**-5, moved[1:]).tree
+    assert not any(a == b for a, b in zip(tree, dropped, strict=True))
+    assert tree[0] != tree[1]  # up is None at level 0 only
+    with pytest.raises(TypeError):
+        hash(tree[2])
+
+
 #: the annotations of a field that holds an array, or may
 ARRAY_FIELD = {np.ndarray, "np.ndarray", "Optional[np.ndarray]", "np.ndarray | None"}
 
