@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .curve import Curve, direction_net, frame, nondegeneracy_margin
-from .dyadic import _readonly, _Record, dot3, dyadic_level, group_rows, spacing_scan
+from .dyadic import _BLOCK, _readonly, _Record, dot3, dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -53,26 +53,62 @@ FINE_PER_CAP = 4
 MAX_SPACING_CONSTANT = 64.0
 
 
-def _synthesize(coeffs: np.ndarray, lines: np.ndarray, stage: np.ndarray, out: np.ndarray):
-    """Write sum_xi coeffs(xi) exp(2 pi i xi.x) into out: the bytes of ifftn(coeffs) * M^3.
+def _stage(M: int, dtype) -> np.ndarray:
+    """A zeroed (M, jb, M) buffer for `_synthesize`: jb = min(M, _BLOCK // M^2) j-columns.
 
-    `lines` holds the flat indices i M + j, sorted and distinct, of every
-    (i, j) line on axis 2 where coeffs may be nonzero; `stage` is a zeroed
-    complex (M, M, M) buffer.  ifftn runs axis 2, then 1, then 0, one line
-    at a time, and the transform of a zero line is exactly 0, so only those
-    lines run on axis 2 and only their i slabs on axis 1.  The passes run
-    unscaled (norm="forward"): ifftn's 1/M per axis and the factor M^3 are
-    powers of two, so leaving both out keeps the bits.  Unless out is stage,
-    the slab rows of stage go back to 0, so the next call can reuse it.
+    That is the whole grid at M = 16 and 32, 8 columns at M = 64 and 2 at
+    M = 128, so one chunk holds at most _BLOCK entries from M = 32 on.
     """
-    M = coeffs.shape[0]
-    stage.reshape(M * M, M)[lines] = np.fft.ifft(coeffs.reshape(M * M, M)[lines], norm="forward")
-    slabs = np.unique(lines // M)
-    stage[slabs] = np.fft.ifft(stage[slabs], axis=1, norm="forward")
-    np.fft.ifft(stage, axis=0, norm="forward", out=out)
-    if out is not stage:
-        stage[slabs] = 0
-    return out
+    return np.zeros((M, min(M, _BLOCK // (M * M)), M), dtype=dtype)
+
+
+def _runs(keys: np.ndarray) -> tuple:
+    """(distinct keys, each key's index among them) of a sorted 1-D integer array."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new], new.cumsum() - 1
+
+
+def _synthesize(rows: np.ndarray, lines: np.ndarray, out: np.ndarray, stage: np.ndarray, res=None):
+    """Write sum_xi c(xi) exp(2 pi i xi.x), the bytes of ifftn(c) * M^3, into out.
+
+    c is zero but on the (i, j) lines of axis 2 whose flat indices i M + j
+    are `lines`, sorted and distinct; `rows[n]` is c on line `lines[n]`.
+    ifftn runs axis 2, then 1, then 0, one line at a time, and the
+    transform of a zero line is exactly 0, so axis 2 runs on those lines
+    only and axis 1 on their i slabs only, held compactly.  Axis 0 runs on
+    chunks of jb j-columns of the (M, jb, M) `stage` (see `_stage`): its
+    slab rows are overwritten for each chunk, its other rows stay 0, and
+    the slab rows go back to 0 at the end, so the next call can reuse it.
+    Each chunk goes straight to out[:, j:j + jb]: a complex out gets the
+    samples; a real out gets their squared moduli through `res`, a complex
+    buffer shaped as stage.  The passes run unscaled (norm="forward"):
+    ifftn's 1/M per axis and the factor M^3 are powers of two, so leaving
+    both out keeps the bits.
+    """
+    M, jb = out.shape[0], stage.shape[1]
+    slabs, at = _runs(lines // M)
+    slab = np.zeros((slabs.size, M, M), dtype=stage.dtype)
+    slab[at, lines % M] = np.fft.ifft(rows, norm="forward")
+    np.fft.ifft(slab, axis=1, norm="forward", out=slab)
+    for j in range(0, M, jb):
+        stage[slabs] = slab[:, j : j + jb]
+        dest = out[:, j : j + jb]
+        if res is None:
+            np.fft.ifft(stage, axis=0, norm="forward", out=dest)
+        else:
+            np.fft.ifft(stage, axis=0, norm="forward", out=res)
+            np.square(np.abs(res, out=dest), out=dest)
+    stage[slabs] = 0
+
+
+def _check_shape(M, shape: tuple, what: str) -> None:
+    """CapacityError unless M is in GRID_SIZES, ConfigurationError unless shape is (M, M, M)."""
+    if M not in GRID_SIZES:
+        raise CapacityError(f"grid side must be one of {GRID_SIZES}, got {M}")
+    if shape != (M,) * 3:
+        raise ConfigurationError(f"{what} must have shape (M, M, M)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +124,8 @@ class GridFunction(_Record):
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.M not in GRID_SIZES:
-            raise CapacityError(f"grid side must be one of {GRID_SIZES}, got {self.M}")
+        _check_shape(self.M, np.shape(self.samples), "samples")
         object.__setattr__(self, "samples", _readonly(self.samples))
-        if self.samples.shape != (self.M,) * 3:
-            raise ConfigurationError("samples must have shape (M, M, M)")
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
@@ -110,10 +143,18 @@ class GridFunction(_Record):
 
     @staticmethod
     def from_coeffs(coeffs: np.ndarray) -> "GridFunction":
-        """The samples np.fft.ifftn(coeffs) * M^3, synthesised in place and kept uncopied."""
-        M = coeffs.shape[0]
-        a = np.zeros(coeffs.shape, dtype=np.result_type(coeffs, 1j))  # ifft's output dtype
-        _synthesize(coeffs, np.flatnonzero(coeffs.any(axis=2)), a, a)
+        """The samples np.fft.ifftn(coeffs) * M^3, written chunk by chunk and kept uncopied.
+
+        The shape is checked as the constructor checks it, before anything
+        is allocated: CapacityError for a side not in GRID_SIZES,
+        ConfigurationError for a shape other than (M, M, M).
+        """
+        shape = np.shape(coeffs)
+        M = shape[0] if shape else None
+        _check_shape(M, shape, "coefficients")
+        a = np.empty(shape, dtype=np.result_type(coeffs, 1j))  # ifft's output dtype
+        lines = np.flatnonzero(coeffs.any(axis=2))
+        _synthesize(coeffs.reshape(M * M, M)[lines], lines, a, _stage(M, a.dtype))
         a.flags.writeable = False
         return GridFunction(M, a)
 
@@ -136,12 +177,23 @@ def l4_norm(g: GridFunction) -> float:
 
 
 def _check_support(coeffs: np.ndarray, support: np.ndarray, what: str) -> None:
-    """Raise PreconditionError when over 1e-10 of the coefficient energy is off the support."""
-    energy = np.abs(coeffs) ** 2
+    """Raise PreconditionError when over 1e-10 of the coefficient energy is off the support.
+
+    The energy |c|^2 is the one float array: after its total, the entries
+    off the support move to its front, _BLOCK entries at a time, and their
+    sum there has the bits of np.sum(energy[~support]).
+    """
+    energy = np.abs(coeffs)
+    np.square(energy, out=energy)
     total = float(np.sum(energy))
     if not math.isfinite(total):
         raise NumericError(f"coefficient energy is {total}; the function has non-finite values")
-    leak = float(np.sum(energy[~support])) / total if total > 0 else 0.0
+    n = 0
+    for lo in range(0, energy.size, _BLOCK):
+        off = energy[lo : lo + _BLOCK][~support[lo : lo + _BLOCK]]
+        energy[n : n + off.size] = off
+        n += off.size
+    leak = float(np.sum(energy[:n])) / total if total > 0 else 0.0
     if leak > 1e-10:
         raise PreconditionError(f"{what}: {leak:.3g} of the energy")
 
@@ -577,11 +629,14 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     np.bincount over dense ids: the box masses come out as one array in
     lexicographic box order, as a sort-based grouping gives them.
 
-    Each |f_sigma|^2 comes from one `_synthesize` call on the lines that
-    hold the sigma's own points, through buffers made once per call.  Tau j
-    at scale s is the ordered sum of sigmas j m, ..., (j + 1) m - 1 with
-    m = s / s_min, so the coarser taus that start at the same sigma extend
-    one running sum; each scale's terms are still added in tau order.
+    The sigma fields stream in order.  Each |f_sigma|^2 comes from one
+    `_synthesize` call on the lines that hold the sigma's own points, chunk
+    by chunk into one real M^3 field, through one stage made per call.  Tau
+    j at scale s is the ordered sum of sigmas j m, ..., (j + 1) m - 1 with
+    m = s / s_min, so the taus of all scales that start at the same sigma
+    share one running sum, kept in that sigma's field; each tau is binned
+    when its last sigma is in, so each scale's terms are added in tau
+    order, and at most one real M^3 field per scale is alive at a time.
     """
     _check_grid(f, geometry)
     M = geometry.M
@@ -594,35 +649,35 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     on = np.flatnonzero(geometry.assignment >= 0)  # a few points per cap, in FFT order
     sigma = geometry.assignment[on] // round(geometry.s_min * M)
     n_sigma = geometry.n_sigma()
-    sigma_fields = np.empty((n_sigma, M**3))
-    c = np.zeros_like(coeffs)
-    stage, samples = np.zeros((2, M, M, M), dtype=coeffs.dtype)
-    for si, dest in enumerate(sigma_fields):
-        points = on[sigma == si]
-        c[points] = coeffs[points]
-        _synthesize(c.reshape((M,) * 3), np.unique(points // M), stage, samples)
-        c[points] = 0
-        np.square(np.abs(samples.ravel(), out=dest), out=dest)
-    del c, stage, samples  # the accumulator reuses their space
-
-    acc = np.empty(M**3)
+    spans = {s: round(s * n_sigma) for s in geometry.s_values}  # sigmas per tau
+    stage = _stage(M, coeffs.dtype)
+    res = np.empty_like(stage)
     per_s = dict.fromkeys(geometry.s_values, 0.0)
-    for lo in range(n_sigma):
-        field, end = sigma_fields[lo], lo + 1
-        for s in geometry.s_values:
-            m = round(s * n_sigma)
-            if lo % m:
-                break
-            for si in range(end, lo + m):
-                field = np.add(field, sigma_fields[si], out=acc)
-            end = lo + m
+    sums, spare = {}, []  # first sigma -> running sum of the open taus from it; free fields
+    for si in range(n_sigma):
+        points = on[sigma == si]
+        lines, at = _runs(points // M)
+        rows = np.zeros((lines.size, M), dtype=coeffs.dtype)
+        rows[at, points % M] = coeffs[points]
+        field = spare.pop() if spare else np.empty(M**3)
+        _synthesize(rows, lines, field.reshape((M,) * 3), stage, res)
+        for acc in sums.values():
+            np.add(acc, field, out=acc)
+        sums[si] = field
+        for s, m in spans.items():
+            if (si + 1) % m:
+                break  # a coarser tau ends on a multiple of m too
+            lo = si + 1 - m
+            acc = sums[lo]
             box_vol = M**3 * s**3
             if s == 1.0:
                 # U_{tau_1} is the full periodic box: one sharp box, exactly
-                per_s[s] += float(field.sum() ** 2 / box_vol)
+                per_s[s] += float(acc.sum() ** 2 / box_vol)
             else:
-                masses = np.bincount(boxes[s, lo // m], weights=field)
+                masses = np.bincount(boxes[s, lo // m], weights=acc)
                 per_s[s] += float(np.sum(masses**2) / box_vol)
+            if lo % (2 * m) or m == n_sigma:  # no coarser tau starts at lo
+                spare.append(sums.pop(lo))
     total = 0.0
     for value_s in per_s.values():  # left to right; sum() compensates from Python 3.12
         total += value_s

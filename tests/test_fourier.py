@@ -154,6 +154,23 @@ class TestGridFunction:
         with pytest.raises(CapacityError):
             GridFunction(17, np.zeros((17,) * 3, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "shape, error",
+        [
+            ((16, 16, 8), ConfigurationError),
+            ((16, 16), ConfigurationError),
+            ((32, 32, 32, 1), ConfigurationError),
+            ((20, 20, 20), CapacityError),
+            ((17,), CapacityError),
+            ((), CapacityError),
+        ],
+    )
+    def test_from_coeffs_refuses_a_bad_shape(self, shape, error, monkeypatch):
+        # the constructor's errors, raised before any synthesis (which would fail here)
+        monkeypatch.setattr(fourier, "_synthesize", None)
+        with pytest.raises(error):
+            GridFunction.from_coeffs(np.zeros(shape, dtype=complex))
+
     def test_l4_norm_basics(self):
         M = 16
         ones = GridFunction(M, np.ones((M,) * 3, dtype=complex))
@@ -205,7 +222,7 @@ def test_from_coeffs_bytes_match_ifftn(kind, M, seed, density):
 
 
 @given(
-    st.sampled_from([16, 32]),
+    st.sampled_from([16, 32, 64]),
     st.integers(0, 2**32 - 1),
     st.integers(0, 5),
     st.integers(-60, 60),
@@ -231,9 +248,10 @@ def test_unscaled_synthesis_bytes_match_ifftn(M, seed, n_slabs, exponent):
             lines.append(i * M + j)
     want = np.fft.ifftn(coeffs) * M**3
     assert GridFunction.from_coeffs(coeffs).samples.tobytes() == want.tobytes()
-    stage, out = np.zeros((M,) * 3, dtype=complex), np.empty((M,) * 3, dtype=complex)
+    stage, out = fourier._stage(M, complex), np.empty((M,) * 3, dtype=complex)
+    lines = np.unique(np.array(lines, dtype=np.int64))
     for _ in range(2):
-        fourier._synthesize(coeffs, np.unique(np.array(lines, dtype=np.int64)), stage, out)
+        fourier._synthesize(coeffs.reshape(M * M, M)[lines], lines, out, stage)
         assert out.tobytes() == want.tobytes()
         assert not stage.any()
 
@@ -800,6 +818,30 @@ def test_non_finite_function_rejected(geo16, call, where):
         run()
 
 
+@pytest.mark.parametrize("block", [7, 1000, fourier._BLOCK])
+@pytest.mark.parametrize("seed", range(3))
+def test_support_check_sums_as_the_gather_does(block, seed, monkeypatch):
+    # the check moves the off-support energy to the front of its one array, in
+    # blocks of _BLOCK, and sums it there: the arrays it sums must be the
+    # energy and energy[~support], in that order
+    rng = np.random.default_rng(seed)
+    n = 4096 << seed
+    coeffs = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.exp(rng.normal(size=n))
+    support = rng.random(n) < rng.random()
+    energy = np.abs(coeffs) ** 2
+    summed, real_sum = [], np.sum
+
+    def recorded(a, *args, **kwargs):
+        summed.append(np.array(a))
+        return real_sum(a, *args, **kwargs)
+
+    monkeypatch.setattr(fourier, "_BLOCK", block)
+    monkeypatch.setattr(np, "sum", recorded)
+    with pytest.raises(PreconditionError):
+        fourier._check_support(coeffs, support, "leak")
+    assert [a.tobytes() for a in summed] == [energy.tobytes(), energy[~support].tobytes()]
+
+
 class TestDecoupling:
     # frozen from the direct-summation oracle at delta = 2^-4 (also
     # recomputed below): all caps, unit coefficients, constant phase
@@ -982,8 +1024,17 @@ class TestWaveEnvelope:
 
     @pytest.mark.parametrize("M", [16, 32])
     @pytest.mark.parametrize("seed", range(4))
-    def test_bit_identical_to_unique_binning(self, M, seed):
+    def test_bit_identical_to_unique_binning(self, M, seed, monkeypatch):
         self.assert_matches_oracle(M, seed)
+        # nor do the bytes depend on the chunk width: jb = 1 and 2 j-columns against jb = M
+        geo = cached_geometry(M)
+        f = random_on(np.flatnonzero(geo.assignment >= 0), M, seed)
+        want = GridFunction.from_coeffs(f.coeffs()).samples.tobytes(), wave_envelope_rhs(f, geo)
+        for block in (M * M, 2 * M * M):
+            monkeypatch.setattr(fourier, "_BLOCK", block)
+            assert fourier._stage(M, complex).shape == (M, block // (M * M), M)
+            got = GridFunction.from_coeffs(f.coeffs()).samples.tobytes(), wave_envelope_rhs(f, geo)
+            assert got == want
 
     def test_bit_identical_to_unique_binning_at_bench_size(self):
         # the bench's largest grid: 1,280 to 1,425 boxes per tau at s = 1/8
@@ -1003,6 +1054,23 @@ class TestWaveEnvelope:
         assert rep.per_s == per_s
         assert rep.total == total
         assert total > 0
+
+    def test_one_call_allocates_under_seven_fields(self):
+        # M = 64, boxes, coefficients and L4 norm made first: the traced peak, in
+        # real M^3 fields of 8 bytes, was 14.8 with all sigma fields and three complex
+        # M^3 buffers alive; streamed it is 5.5 (one field per scale, 4, and the stage,
+        # its transform and the compact slabs), and one more complex M^3 buffer would
+        # cross 7
+        geo = cached_geometry(64)
+        f = random_on(np.flatnonzero(geo.assignment >= 0), 64, seed=0)
+        geo.envelope_boxes, f.coeffs(), l4_norm(f)
+        tracemalloc.start()
+        try:
+            wave_envelope_rhs(f, geo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 64**3 * 8
 
     def test_box_ids_built_once_per_geometry(self, monkeypatch):
         geo = build_geometry(CURVE, 2.0**-4)
