@@ -9,6 +9,7 @@ measure everything downstream relies on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -25,23 +26,14 @@ MARGIN_SAMPLES = 1024
 
 @dataclass(frozen=True)
 class Curve:
-    """A direction curve: `eval_fn`, `d1` and `d2` map an array of parameters to
-    gamma, gamma' and gamma'' in closed form, each (n, 3).  Immutable and shareable.
+    """A direction curve: its closed forms `points`, `deriv1` and `deriv2` map a float
+    array of parameters to gamma, gamma' and gamma'', each (n, 3).  Immutable, shareable.
     """
 
     label: str
-    eval_fn: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-
-    def points(self, thetas: np.ndarray) -> np.ndarray:
-        return self.eval_fn(np.asarray(thetas, dtype=float))
-
-    def deriv1(self, thetas: np.ndarray) -> np.ndarray:
-        return self.d1(np.asarray(thetas, dtype=float))
-
-    def deriv2(self, thetas: np.ndarray) -> np.ndarray:
-        return self.d2(np.asarray(thetas, dtype=float))
+    points: Callable[[np.ndarray], np.ndarray]
+    deriv1: Callable[[np.ndarray], np.ndarray]
+    deriv2: Callable[[np.ndarray], np.ndarray]
 
 
 def _cone(c: float, label: str) -> Curve:
@@ -196,6 +188,12 @@ def validate_direction_net(net: DirectionNet):
     return separated, worst, (r, corner[0])
 
 
+def _check_seed(seed) -> None:
+    """DomainError unless `seed` is an integer >= 0 (numpy's included, a bool not)."""
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def direction_net(delta: float, t: float, seed: int) -> DirectionNet:
     """Build a (delta, t)-net of direction parameters in [0, 1].
 
@@ -209,8 +207,9 @@ def direction_net(delta: float, t: float, seed: int) -> DirectionNet:
     survivors as its cap allows, first visited first.  The permutation and its visiting
     ranks hold 2^(k+1) entries, so nets with 2^(k+1) > CELL_CAP raise
     CapacityError before anything is allocated; a net below the target
-    cardinality raises InfeasibleError.  No spacing scan runs here.
+    cardinality raises InfeasibleError, a bad seed DomainError.  No spacing scan runs here.
     """
+    _check_seed(seed)
     k = dyadic_level(delta)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"spacing exponent t must lie in [0, 1], got {t}")

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curve import Curve, direction_net, frame, nondegeneracy_margin
+from .curve import Curve, _check_seed, direction_net, frame, nondegeneracy_margin
 from .dyadic import _BLOCK, _readonly, _Record, dot3, dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
@@ -135,7 +135,8 @@ class GridFunction(_Record):
 
     @cached_property
     def _l4(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 4))
+        a = np.abs(self.samples)
+        return float(np.sum(np.power(a, 4, out=a)))
 
     def coeffs(self) -> np.ndarray:
         """Coefficients c(xi) with f(x) = sum_xi c(xi) exp(2 pi i xi.x): one read-only array."""
@@ -213,20 +214,17 @@ class ConeGeometry:
     (angular width s_min): sigma j is the run of caps j M s_min, ...,
     (j + 1) M s_min - 1, so a point's sigma is its cap // (M s_min), and
     consecutive sigmas nest into each tau_s.  The grid side, the direction
-    count and the dyadic s values follow from delta, and the arrays from
-    the curve and delta, so two geometries are equal when those two are.
-    `assignment` and `frames` are read-only, so `envelope_boxes`, built from
-    `frames` and read-only too, cannot go stale.
+    count and the dyadic s values follow from delta, and the read-only
+    assignment and `envelope_boxes` from the immutable curve and delta, so
+    two geometries are equal when those two are and the boxes cannot go stale.
     """
 
     curve: Curve
     delta: float
     assignment: np.ndarray = field(compare=False)
-    frames: np.ndarray = field(compare=False)  # (n_caps, 3, 3): gamma, t, n rows
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", _readonly(self.assignment))
-        object.__setattr__(self, "frames", _readonly(self.frames))
 
     @property
     def M(self) -> int:
@@ -254,8 +252,8 @@ class ConeGeometry:
         """(s, tau index) -> box id of every lattice point, for s < 1.
 
         The boxes are sharp-indicator translates of U_tau (dimensions
-        delta^-1 x delta^-1 s x delta^-1 s^2 along the plank frame at the
-        tau's central direction), binned on the grid indices minus M/2 with
+        delta^-1 x delta^-1 s x delta^-1 s^2 along the `frame` at (cap + 1/2)
+        delta for the tau's central cap), binned on the grid indices minus M/2 with
         no wrap-around, so one box is centred at grid index (M/2, M/2, M/2),
         not at the origin; they partition the fundamental domain exactly.
         Box codes are mixed-radix in the per-axis bins, and an id is its
@@ -271,10 +269,10 @@ class ConeGeometry:
         taus = [(s, ti) for s in self.s_values[:-1] for ti in range(round(1.0 / s))]
         ids = np.empty((len(taus), M**3), dtype=np.uint16)
         axes = _grid_rows(np.arange(M) - M / 2)
-        for row, (s, ti) in zip(ids, taus):
+        caps = np.array([int((ti + 0.5) * s / self.delta) for s, ti in taus])
+        frames = zip(*frame(self.curve, (caps + 0.5) * self.delta))
+        for row, (s, ti), (gam, tan, nor) in zip(ids, taus, frames):
             widths = (float(M), float(M * s), float(M * s * s))
-            di = int((ti + 0.5) * s / self.delta)
-            gam, tan, nor = self.frames[di]
             code = 0
             for e, w in zip((nor, tan, gam), widths):
                 b = np.floor((dot3(axes, e) + w / 2) / w).astype(np.int64).ravel()
@@ -346,10 +344,8 @@ def build_geometry(curve: Curve, delta: float) -> ConeGeometry:
     assignment = np.full(M**3, -1, dtype=np.int32)
     caps = (thetas[ti[closest]] / delta).astype(np.int64)
     assignment[flat[closest]] = np.minimum(caps, M - 1)
-
-    frames = np.stack(frame(curve, (np.arange(M) + 0.5) * delta), axis=1)
-    assignment.flags.writeable = frames.flags.writeable = False
-    return ConeGeometry(curve=curve, delta=delta, assignment=assignment, frames=frames)
+    assignment.flags.writeable = False
+    return ConeGeometry(curve=curve, delta=delta, assignment=assignment)
 
 
 # ----------------------------------------------------------------------------
@@ -598,8 +594,9 @@ def decoupling_ratio(g: GridFunction, caps: CapSubset, geometry: ConeGeometry) -
 
 
 def random_cap_function(geometry: ConeGeometry, caps: CapSubset, seed: int) -> GridFunction:
-    """Unit-amplitude random-phase coefficients on the selected caps."""
+    """Unit-amplitude random-phase coefficients on the selected caps, seeded as nets are."""
     _check_caps(caps.directions, geometry)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     M = geometry.M
     coeffs = np.zeros(M**3, dtype=complex)

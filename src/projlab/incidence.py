@@ -18,12 +18,11 @@ which changes no comparison, so it would count the same matrix.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curve import Curve, DirectionNet, direction_net, frame, named_curve
+from .curve import Curve, DirectionNet, _check_seed, direction_net, frame, named_curve
 from .dyadic import _BLOCK, _readonly, _Record, dot3, dyadic_level, group_rows
 from .errors import (
     CapacityError,
@@ -326,7 +325,7 @@ def ball_target(delta: float, s: float, t: float) -> int:
     return max(1, round(2.0**-4 * delta ** -(2 + s - 2 * t)))
 
 
-def _runs(counts: list) -> list:
+def _run_ends(counts: list) -> list:
     """End positions of the runs of consecutive counts whose sums fit in
     _BLOCK; a count above _BLOCK is a run by itself."""
     ends, total = [], 0
@@ -398,7 +397,7 @@ def _sample_cells(rng, want: int, frames: tuple, offsets, families: tuple, delta
         dirs = np.flatnonzero(counts)  # the drawn directions, ascending
         counts = counts[dirs].tolist()
         found, start = [collected], 0
-        for end in _runs(counts):
+        for end in _run_ends(counts):
             js, cs = dirs[start:end], counts[start:end]
             found.append(_place_run(rng, js, cs, frames, offsets, families, delta))
             start = end
@@ -427,9 +426,7 @@ def random_admissible_config(spec: IncidenceSpec) -> IncidenceConfig:
     k = dyadic_level(spec.delta)
     if k < 1:
         raise DomainError(f"admissible configs need delta <= 1/2, got {spec.delta}")
-    seed = spec.seed
-    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_seed(spec.seed)
     rng = np.random.default_rng(spec.seed)
     net = direction_net(spec.delta, spec.t, spec.seed)
     offsets = _offset_delta_s_sets(k, spec.s, len(net), rng)

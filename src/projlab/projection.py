@@ -116,13 +116,17 @@ def _line_fit(xs, ys) -> tuple[float, float]:
 
 
 def box_dimension(p: PointSet, r_min: float, r_max: float) -> DimensionFit:
-    """Least-squares box-counting dimension over dyadic scales in [r_min, r_max]."""
+    """Least-squares box-counting dimension over dyadic scales in [r_min, r_max].
+
+    RangeError unless both are finite, delta <= r_min, 0 < r_max <= 1."""
     if len(p) == 0:
         raise ConfigurationError("cannot fit an empty set")
+    if not (math.isfinite(r_min) and math.isfinite(r_max)):
+        raise RangeError(f"r_min and r_max must be finite, got {r_min} and {r_max}")
     if r_min < p.delta:
         raise RangeError(f"r_min {r_min} is below the lattice scale {p.delta}")
-    if r_max > 1.0:
-        raise RangeError("r_max must be at most 1")
+    if not 0.0 < r_max <= 1.0:
+        raise RangeError(f"r_max must lie in (0, 1], got {r_max}")
     m_lo = int(math.ceil(-math.log2(r_max) - 1e-9))
     m_hi = int(math.floor(-math.log2(r_min) + 1e-9))
     if m_hi - m_lo + 1 < 3:
@@ -166,8 +170,9 @@ def exceptional_sweep(
     summary with the exceptional fraction, a box fit of the flagged theta
     set, and the comparison bound max{0, 1 + (s - alpha)/2}.  The per-theta
     fits run through `map_fn` (any order-preserving `map`, such as a thread
-    pool's), so the result does not depend on it.
+    pool's), so the result does not depend on it; a non-integer theta_grid raises RangeError.
     """
+    theta_grid = _integer_level("theta_grid", theta_grid)
     if theta_grid < 2:
         raise ConfigurationError("theta_grid must be at least 2")
     if theta_grid > CELL_CAP:  # map_fn may submit every theta up front

@@ -103,7 +103,7 @@ rot = np.array([[1.0, 0.0, 0.0], [0.0, 1 - 2 * x_ * x_, -2 * w * x_], [0.0, 2 * 
 def turn(a):
     return np.stack([(a[:, 0] * r[0] + a[:, 1] * r[1]) + a[:, 2] * r[2] for r in rot], axis=1)
 m = model_curve()
-turned = Curve("turned", lambda t: turn(m.eval_fn(t)), lambda t: turn(m.d1(t)), lambda t: turn(m.d2(t)))
+turned = Curve("turned", lambda t: turn(m.points(t)), lambda t: turn(m.deriv1(t)), lambda t: turn(m.deriv2(t)))
 geo = build_geometry(model_curve(), 2.0**-5)
 g = random_cap_function(geo, tspacing_subsample(geo, 0.5, 0), seed=0)
 rep = wave_envelope_rhs(g, geo)

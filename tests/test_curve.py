@@ -52,11 +52,11 @@ def greedy_net_oracle(delta, t, seed):
 
 
 def central_d1(curve, thetas, h=2.0**-20):
-    return (curve.eval_fn(thetas + h) - curve.eval_fn(thetas - h)) / (2 * h)
+    return (curve.points(thetas + h) - curve.points(thetas - h)) / (2 * h)
 
 
 def central_d2(curve, thetas, h=2.0**-10):
-    return (curve.eval_fn(thetas + h) - 2 * curve.eval_fn(thetas) + curve.eval_fn(thetas - h)) / h**2
+    return (curve.points(thetas + h) - 2 * curve.points(thetas) + curve.points(thetas - h)) / h**2
 
 
 class TestEvalCurve:
@@ -97,7 +97,7 @@ class TestEvalCurve:
 
     def test_derivatives_are_required(self):
         with pytest.raises(TypeError):
-            Curve("bare", model_curve().eval_fn)
+            Curve("bare", model_curve().points)
 
     def test_unit_norm_grids(self):
         for curve, tol in [(model_curve(), 1e-10), (great_circle(), 1e-10), (helix_curve(), 1e-6)]:
@@ -190,6 +190,19 @@ class TestDirectionNet:
         with pytest.raises(DomainError):
             direction_net(0.3, 0.5, seed=0)
 
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, "0", None])
+    def test_bad_seed_rejected(self, seed, t):
+        # -1 raised numpy's ValueError, 1.5 a TypeError, True ran as seed 1
+        # and None drew fresh entropy; the full grid at t = 1 ignores the
+        # seed but follows the same rule
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            direction_net(2.0**-4, t, seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        a = direction_net(2.0**-7, 0.6, np.int64(9))
+        assert a.thetas.tobytes() == direction_net(2.0**-7, 0.6, 9).thetas.tobytes()
+
 
 class TestCsvCurve:
     def test_named_curves(self):
@@ -248,7 +261,7 @@ def test_frame_names_the_first_theta_without_a_tangent():
     def d1(t):  # gamma' vanishes at theta = 0.5 and 0.75
         return model.deriv1(t) * ((t != 0.5) & (t != 0.75))[:, None]
 
-    flat = Curve("flat", model.eval_fn, d1, model.d2)
+    flat = Curve("flat", model.points, d1, model.deriv2)
     with pytest.raises(NumericError, match=r"'flat' has no tangent frame at theta=0.5$"):
         frame(flat, np.array([0.25, 0.5, 0.75, 0.0]))
     with pytest.raises(NumericError, match="theta=0.75"):

@@ -121,7 +121,7 @@ def envelope_oracle(f, geometry):
                 continue
             theta_c = (ti + 0.5) * s
             di = min(int(theta_c / geometry.delta), geometry.n_caps - 1)
-            gam, tan, nor = geometry.frames[di]
+            gam, tan, nor = frame(geometry.curve, (di + 0.5) * geometry.delta)
             widths = (float(M), float(M * s), float(M * s * s))
             bins = []
             for e, w in zip((nor, tan, gam), widths):
@@ -181,6 +181,22 @@ class TestGridFunction:
         coeffs = np.zeros((M,) * 3, dtype=complex)
         coeffs[3, 5, 1] = 1.0
         assert l4_norm(GridFunction.from_coeffs(coeffs)) == pytest.approx(M**3)
+
+    @pytest.mark.parametrize("M", [16, 32, 64])
+    def test_l4_norm_holds_one_float_field(self, M):
+        # |samples|^4 went through a second float M^3 array: a traced peak of 2.0
+        # units of M^3 x 8 bytes, 1.0 with the 4th power taken in place
+        rng = np.random.default_rng(M)
+        x = rng.normal(size=(M,) * 3) + 1j * rng.normal(size=(M,) * 3)
+        g = GridFunction(M, x)
+        tracemalloc.start()
+        try:
+            l4 = l4_norm(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M**3 * 8
+        assert l4 == float(np.sum(np.abs(x) ** 4))
 
 
 SUPPORTS = (
@@ -343,7 +359,7 @@ def rotated_model_curve(q):
         return np.stack([(a[:, 0] * r[0] + a[:, 1] * r[1]) + a[:, 2] * r[2] for r in rot], axis=1)
 
     return Curve(
-        "rotated", lambda t: turn(m.eval_fn(t)), lambda t: turn(m.d1(t)), lambda t: turn(m.d2(t))
+        "rotated", lambda t: turn(m.points(t)), lambda t: turn(m.deriv1(t)), lambda t: turn(m.deriv2(t))
     )
 
 
@@ -378,9 +394,9 @@ class TestGeometryOracle:
         m = model_curve()
         c = Curve(
             "twice",
-            lambda t: m.eval_fn(2 * (t % 0.5)),
-            lambda t: 2 * m.d1(2 * (t % 0.5)),
-            lambda t: 4 * m.d2(2 * (t % 0.5)),
+            lambda t: m.points(2 * (t % 0.5)),
+            lambda t: 2 * m.deriv1(2 * (t % 0.5)),
+            lambda t: 4 * m.deriv2(2 * (t % 0.5)),
         )
         a = build_geometry(c, 1.0 / M).assignment
         assert np.array_equal(a, oracle_assignment(c, 1.0 / M))
@@ -463,9 +479,9 @@ class TestGeometry:
         assert not np.array_equal(a.assignment, b.assignment)
         assert a != b and len({a, b}) == 2
 
-    def test_assignment_frames_and_box_ids_refuse_writes(self, geo16):
-        # the box ids are cached from the frames, so a write to either could leave them stale
-        for a in (geo16.assignment, geo16.frames, *geo16.envelope_boxes.values()):
+    def test_assignment_and_box_ids_refuse_writes(self, geo16):
+        # the box ids are cached, so a write to them could leave them stale
+        for a in (geo16.assignment, *geo16.envelope_boxes.values()):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = a.flat[0]
 
@@ -763,6 +779,22 @@ class TestTspacing:
         assert len(sub) == 8  # laminar rank at delta = 2^-6, t = 1/2
         assert spacing_scan(sub.directions[:, None], 6, 0.5)[0] <= 64
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, None])
+    def test_bad_seed_rejected(self, geo16, seed):
+        # as the incidence generator does: -1 raised numpy's ValueError, 1.5 a
+        # TypeError, True ran as seed 1 and None drew fresh entropy
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            tspacing_subsample(geo16, 0.5, seed)
+        caps = CapSubset(t=0.5, directions=[1, 5])
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            random_cap_function(geo16, caps, seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self, geo16):
+        caps = tspacing_subsample(geo16, 0.5, np.int64(3))
+        assert caps == tspacing_subsample(geo16, 0.5, 3)
+        got = random_cap_function(geo16, caps, np.int64(4))
+        assert got == random_cap_function(geo16, caps, 4)
+
 
 def test_cap_subset_from_a_list(geo16):
     # a list passed the checks but was kept as it was: len() and
@@ -963,7 +995,7 @@ class TestWaveEnvelope:
             field = fields[ti]
             theta_c = (ti + 0.5) * s
             di = min(int(theta_c * 16), 15)
-            gam, tan, nor = geo16.frames[di]
+            gam, tan, nor = frame(geo16.curve, (di + 0.5) * geo16.delta)
             widths = (16.0, 4.0, 1.0)
             masses = {}
             for x, val in zip(axes, field):

@@ -321,7 +321,7 @@ class TestCountMemo:
         model = named_curve("model")
         cached = incidence_count(cfg, model)
         # functions of its own: a Curve made by replace() would hash equal and hit the memo
-        twin = Curve("model", lambda t: model.eval_fn(t), lambda t: model.d1(t), lambda t: model.d2(t))
+        twin = Curve("model", lambda t: model.points(t), lambda t: model.deriv1(t), lambda t: model.deriv2(t))
         fresh = incidence_count(cfg, twin)
         assert fresh is not cached
         assert np.array_equal(fresh.hits, cached.hits)
@@ -369,9 +369,9 @@ class TestCountMemo:
             "__post_init__",
             counting("IncidenceConfig", IncidenceConfig.__post_init__),
         )
-        monkeypatch.setattr(Curve, "points", counting("points", Curve.points))
-        monkeypatch.setattr(incidence, "_hits", counting("hits", incidence._hits))
         model = named_curve("model")
+        monkeypatch.setitem(vars(model), "points", counting("points", model.points))
+        monkeypatch.setattr(incidence, "_hits", counting("hits", incidence._hits))
         cfg = random_admissible_config(IncidenceSpec(delta=2.0**-6, s=0.5, t=0.5, seed=5))
         verify_incidence_bound(cfg, model)
         assert built == {"PointSet": 1, "IncidenceConfig": 1, "points": 1, "hits": 1}

@@ -384,6 +384,21 @@ class TestBoxDimension:
         with pytest.raises(RangeError):
             box_dimension(full_grid(4), 2.0**-3, 2.0**-2)
 
+    @pytest.mark.parametrize(
+        "r_min, r_max",
+        [(math.inf, 0.5), (math.nan, 0.5), (2.0**-4, math.nan), (2.0**-4, -math.inf)],
+    )
+    def test_non_finite_scales_refused(self, r_min, r_max):
+        # infinity raised a bare OverflowError and NaN a bare ValueError
+        with pytest.raises(RangeError, match="must be finite"):
+            box_dimension(full_grid(4), r_min, r_max)
+
+    @pytest.mark.parametrize("r_max", [0.0, -0.5, 2.0])
+    def test_r_max_outside_the_unit_interval_refused(self, r_max):
+        # r_max <= 0 raised math.log2's bare ValueError
+        with pytest.raises(RangeError, match=r"r_max must lie in \(0, 1\]"):
+            box_dimension(full_grid(4), 2.0**-4, r_max)
+
 
 class TestSweep:
     def test_bound_values(self):
@@ -444,6 +459,18 @@ class TestSweep:
 
         with pytest.raises(CapacityError, match="theta_grid"):
             exceptional_sweep(full_grid(3), CURVE, s=0.5, theta_grid=theta_grid, map_fn=no_map)
+
+    @pytest.mark.parametrize("theta_grid", [4.0, "8", np.True_, True])
+    def test_theta_grid_must_be_an_integer(self, theta_grid):
+        # 4.0 and "8" raised a bare TypeError, and np.True_ was read as 1
+        with pytest.raises(RangeError, match="theta_grid must be an integer"):
+            exceptional_sweep(full_grid(3), CURVE, s=0.5, theta_grid=theta_grid)
+
+    def test_numpy_integer_theta_grid_gives_the_int_rows(self):
+        c = cantor_1d(1 / 3, 3)
+        a = product_set(c, c, c)
+        got = exceptional_sweep(a, CURVE, s=0.5, theta_grid=np.int64(8))
+        assert got == exceptional_sweep(a, CURVE, s=0.5, theta_grid=8)
 
     def test_est_dim_capped_by_source(self):
         c = cantor_1d(1 / 3, 4)

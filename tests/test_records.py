@@ -50,9 +50,9 @@ RECORDS = {
     ),
     # a geometry's arrays follow from its curve and delta, which are all it compares
     "ConeGeometry": (
-        lambda c, a, f: ConeGeometry(c, 2.0**-4, a, f),
-        (model_curve(), GEO.assignment, GEO.frames),
-        (helix_curve(), GEO.assignment, GEO.frames),
+        lambda c, a: ConeGeometry(c, 2.0**-4, a),
+        (model_curve(), GEO.assignment),
+        (helix_curve(), GEO.assignment),
     ),
 }
 
@@ -136,11 +136,18 @@ def _dataclasses():
                 yield obj
 
 
+#: `_Record` subclasses left out of RECORDS, each with a test of its own
+EXEMPT = {"TreeLevel": test_tree_levels_compare_by_content}
+
+
 def test_every_array_field_is_compared_by_content():
     # the generated __eq__ compares array fields as tuples, which raises
     # ValueError on arrays of two or more entries
     records = list(_dataclasses())
     assert {cls.__name__ for cls in records} >= set(RECORDS)
+    # and a new record cannot skip the ownership test above
+    skipped = {cls.__name__ for cls in records if issubclass(cls, _Record)} - set(RECORDS)
+    assert skipped == set(EXEMPT)
     unguarded = [
         f"{cls.__name__}.{f.name}"
         for cls in records
