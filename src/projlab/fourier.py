@@ -53,15 +53,6 @@ FINE_PER_CAP = 4
 MAX_SPACING_CONSTANT = 64.0
 
 
-def _stage(M: int, dtype) -> np.ndarray:
-    """A zeroed (M, jb, M) buffer for `_synthesize`: jb = min(M, _BLOCK // M^2) j-columns.
-
-    That is the whole grid at M = 16 and 32, 8 columns at M = 64 and 2 at
-    M = 128, so one chunk holds at most _BLOCK entries from M = 32 on.
-    """
-    return np.zeros((M, min(M, _BLOCK // (M * M)), M), dtype=dtype)
-
-
 def _runs(keys: np.ndarray) -> tuple:
     """(distinct keys, each key's index among them) of a sorted 1-D integer array."""
     new = np.empty(keys.size, dtype=bool)
@@ -70,7 +61,7 @@ def _runs(keys: np.ndarray) -> tuple:
     return keys[new], new.cumsum() - 1
 
 
-def _synthesize(rows: np.ndarray, lines: np.ndarray, out: np.ndarray, stage: np.ndarray, res=None):
+def _synthesize(rows: np.ndarray, lines: np.ndarray, out: np.ndarray):
     """Write sum_xi c(xi) exp(2 pi i xi.x), the bytes of ifftn(c) * M^3, into out.
 
     c is zero but on the (i, j) lines of axis 2 whose flat indices i M + j
@@ -78,20 +69,22 @@ def _synthesize(rows: np.ndarray, lines: np.ndarray, out: np.ndarray, stage: np.
     ifftn runs axis 2, then 1, then 0, one line at a time, and the
     transform of a zero line is exactly 0, so axis 2 runs on those lines
     only and axis 1 on their i slabs only, held compactly.  Axis 0 runs on
-    chunks of jb j-columns of the (M, jb, M) `stage` (see `_stage`): its
-    slab rows are overwritten for each chunk, its other rows stay 0, and
-    the slab rows go back to 0 at the end, so the next call can reuse it.
-    Each chunk goes straight to out[:, j:j + jb]: a complex out gets the
-    samples; a real out gets their squared moduli through `res`, a complex
-    buffer shaped as stage.  The passes run unscaled (norm="forward"):
-    ifftn's 1/M per axis and the factor M^3 are powers of two, so leaving
-    both out keeps the bits.
+    a zeroed (M, jb, M) stage, jb = min(M, _BLOCK // M^2) j-columns at a
+    time (all M up to M = 32, 8 at M = 64, 2 at M = 128), whose slab rows
+    are refilled per chunk; each chunk goes straight to out[:, j:j + jb],
+    as samples when out is complex and as their squared moduli when it is
+    real.  The passes run unscaled (norm="forward"): ifftn's 1/M per axis
+    and the factor M^3 are powers of two, so leaving both out keeps the bits.
     """
-    M, jb = out.shape[0], stage.shape[1]
+    M = out.shape[0]
+    jb = min(M, _BLOCK // (M * M))
+    dtype = np.result_type(rows, 1j)  # ifft's output dtype
     slabs, at = _runs(lines // M)
-    slab = np.zeros((slabs.size, M, M), dtype=stage.dtype)
+    slab = np.zeros((slabs.size, M, M), dtype=dtype)
     slab[at, lines % M] = np.fft.ifft(rows, norm="forward")
     np.fft.ifft(slab, axis=1, norm="forward", out=slab)
+    stage = np.zeros((M, jb, M), dtype=dtype)
+    res = None if np.iscomplexobj(out) else np.empty_like(stage)
     for j in range(0, M, jb):
         stage[slabs] = slab[:, j : j + jb]
         dest = out[:, j : j + jb]
@@ -100,7 +93,6 @@ def _synthesize(rows: np.ndarray, lines: np.ndarray, out: np.ndarray, stage: np.
         else:
             np.fft.ifft(stage, axis=0, norm="forward", out=res)
             np.square(np.abs(res, out=dest), out=dest)
-    stage[slabs] = 0
 
 
 def _check_shape(M, shape: tuple, what: str) -> None:
@@ -155,7 +147,7 @@ class GridFunction(_Record):
         _check_shape(M, shape, "coefficients")
         a = np.empty(shape, dtype=np.result_type(coeffs, 1j))  # ifft's output dtype
         lines = np.flatnonzero(coeffs.any(axis=2))
-        _synthesize(coeffs.reshape(M * M, M)[lines], lines, a, _stage(M, a.dtype))
+        _synthesize(coeffs.reshape(M * M, M)[lines], lines, a)
         a.flags.writeable = False
         return GridFunction(M, a)
 
@@ -627,13 +619,13 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     lexicographic box order, as a sort-based grouping gives them.
 
     The sigma fields stream in order.  Each |f_sigma|^2 comes from one
-    `_synthesize` call on the lines that hold the sigma's own points, chunk
-    by chunk into one real M^3 field, through one stage made per call.  Tau
-    j at scale s is the ordered sum of sigmas j m, ..., (j + 1) m - 1 with
-    m = s / s_min, so the taus of all scales that start at the same sigma
-    share one running sum, kept in that sigma's field; each tau is binned
-    when its last sigma is in, so each scale's terms are added in tau
-    order, and at most one real M^3 field per scale is alive at a time.
+    `_synthesize` call on the lines that hold the sigma's own points, into
+    one real M^3 field.  Tau j at scale s is the ordered sum of sigmas j m,
+    ..., (j + 1) m - 1 with m = s / s_min, so the taus of all scales that
+    start at the same sigma share one running sum, kept in that sigma's
+    field; each tau is binned when its last sigma is in, so each scale's
+    terms are added in tau order, and at most one real M^3 field per scale
+    is alive at a time.
     """
     _check_grid(f, geometry)
     M = geometry.M
@@ -647,8 +639,6 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
     sigma = geometry.assignment[on] // round(geometry.s_min * M)
     n_sigma = geometry.n_sigma()
     spans = {s: round(s * n_sigma) for s in geometry.s_values}  # sigmas per tau
-    stage = _stage(M, coeffs.dtype)
-    res = np.empty_like(stage)
     per_s = dict.fromkeys(geometry.s_values, 0.0)
     sums, spare = {}, []  # first sigma -> running sum of the open taus from it; free fields
     for si in range(n_sigma):
@@ -657,7 +647,7 @@ def wave_envelope_rhs(f: GridFunction, geometry: ConeGeometry) -> WaveEnvelopeRe
         rows = np.zeros((lines.size, M), dtype=coeffs.dtype)
         rows[at, points % M] = coeffs[points]
         field = spare.pop() if spare else np.empty(M**3)
-        _synthesize(rows, lines, field.reshape((M,) * 3), stage, res)
+        _synthesize(rows, lines, field.reshape((M,) * 3))
         for acc in sums.values():
             np.add(acc, field, out=acc)
         sums[si] = field

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import _Record, ancestor_tree, dyadic_level, group_rows, spacing_scan
+from .dyadic import _integer_level, _Record, ancestor_tree, dyadic_level, group_rows, spacing_scan
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -130,7 +130,8 @@ def frostman_constant(p: PointSet) -> float:
 
 
 def full_grid(k: int) -> PointSet:
-    """The full delta-grid of [0,1) at delta = 2^-k."""
+    """The full delta-grid of [0,1) at delta = 2^-k; RangeError unless k is an integer."""
+    k = _integer_level("k", k)
     if k >= CELL_CAP.bit_length():  # 2^k > CELL_CAP
         raise CapacityError("full grid would exceed the cell cap")
     return PointSet(1, 2.0**-k, np.arange(2**k, dtype=np.int64)[:, None], nominal_dim=1.0)
@@ -141,10 +142,12 @@ def cantor_1d(ratio: float, depth: int) -> PointSet:
 
     delta = 2^-k is the power of two nearest (in log scale) to
     ratio**depth; nominal_dim = log 2 / log(1/ratio).  A level k >= 63,
-    whose cell indices overflow int64, raises CapacityError.
+    whose cell indices overflow int64, raises CapacityError; a depth that
+    is not an integer, RangeError.
     """
     if not (0.0 < ratio <= 0.5):
         raise DomainError(f"ratio must lie in (0, 1/2], got {ratio}")
+    depth = _integer_level("depth", depth)
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if depth >= CELL_CAP.bit_length():  # 2^depth > CELL_CAP, without forming 2^depth
@@ -242,8 +245,8 @@ def extract_delta_s_set(p: PointSet, s: float, content_estimate: float) -> Point
     """
     if not (0.0 <= s <= p.ambient_dim):
         raise DomainError(f"need 0 <= s <= ambient_dim, got s={s}")
-    if content_estimate <= 0:
-        raise DomainError("content_estimate must be positive")
+    if not (math.isfinite(content_estimate) and content_estimate > 0):
+        raise DomainError(f"content_estimate must be finite and positive, got {content_estimate}")
     k = p.level
     n = len(p)
     target = content_estimate * p.delta ** (-s) / 64.0

@@ -14,7 +14,7 @@ import numpy as np
 
 from .curve import Curve
 from .dyadic import _BLOCK, _integer_level, _readonly, _Record, dot3, dyadic_level, group_rows
-from .errors import CapacityError, ConfigurationError, RangeError
+from .errors import CapacityError, ConfigurationError, DomainError, RangeError
 from .fractal import CELL_CAP, PointSet
 
 #: default dimension-decision margin: est_dim < s - margin flags theta
@@ -57,10 +57,13 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     one occupancy array of 2R + 1 flags; sparser sets (such as products of
     thin Cantor sets at large k) project all cells at once and sort them
     with `group_rows`.  Both routes give the same sorted cells, and the
-    route depends on the level and n only.
+    route depends on the level and n only.  A non-finite theta raises
+    DomainError.
     """
     if a.ambient_dim != 3:
         raise ConfigurationError("project_line expects a 3-D set")
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     gamma = curve.points(np.array([theta]))[0]
     x, n = a.float_indices, len(a)
     bound = math.isqrt(3 * 4**a.level) + 2
@@ -143,7 +146,11 @@ def box_dimension(p: PointSet, r_min: float, r_max: float) -> DimensionFit:
 
 
 def theorem_bound(s: float, alpha: float) -> float:
-    """Upper bound max{0, 1 + (s - alpha)/2} for the exceptional-set dimension."""
+    """Upper bound max{0, 1 + (s - alpha)/2} for the exceptional-set dimension.
+
+    DomainError for a NaN s or alpha, which max() would turn into 0."""
+    if math.isnan(s) or math.isnan(alpha):
+        raise DomainError(f"s and alpha must be numbers, got {s} and {alpha}")
     return max(0.0, 1.0 + (s - alpha) / 2.0)
 
 
@@ -171,7 +178,13 @@ def exceptional_sweep(
     set, and the comparison bound max{0, 1 + (s - alpha)/2}.  The per-theta
     fits run through `map_fn` (any order-preserving `map`, such as a thread
     pool's), so the result does not depend on it; a non-integer theta_grid raises RangeError.
+    Before any projection, DomainError unless 0 <= s <= 1 and the margin is
+    finite, and ConfigurationError unless a's nominal_dim is finite.
     """
+    if not (0.0 <= s <= 1.0 and math.isfinite(margin)):
+        raise DomainError(f"need 0 <= s <= 1 and a finite margin, got s={s}, margin={margin}")
+    if not math.isfinite(a.nominal_dim):
+        raise ConfigurationError("exceptional_sweep needs nominal_dim metadata")
     theta_grid = _integer_level("theta_grid", theta_grid)
     if theta_grid < 2:
         raise ConfigurationError("theta_grid must be at least 2")

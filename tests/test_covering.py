@@ -96,6 +96,11 @@ class TestGreedyCover:
         with pytest.raises(RangeError):
             greedy_cover(full_grid(4), 0.5, 1.0, min_level=4)
 
+    def test_empty_set_refused(self):
+        empty = PointSet(1, 2.0**-3, np.empty((0, 1), dtype=np.int64))
+        with pytest.raises(ConfigurationError, match="cannot cover an empty set"):
+            greedy_cover(empty, 0.5, 1.0, min_level=0)
+
     def test_negative_min_level_rejected(self):
         # level -2 cubes have side 4; the call used to return one
         with pytest.raises(RangeError, match="min_level must be >= 0"):

@@ -190,6 +190,11 @@ class TestDirectionNet:
         with pytest.raises(DomainError):
             direction_net(0.3, 0.5, seed=0)
 
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+    def test_spacing_exponent_outside_the_unit_interval_refused(self, t):
+        with pytest.raises(DomainError, match=r"t must lie in \[0, 1\]"):
+            direction_net(2.0**-4, t, 0)
+
     @pytest.mark.parametrize("t", [0.5, 1.0])
     @pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, "0", None])
     def test_bad_seed_rejected(self, seed, t):

@@ -10,8 +10,10 @@ from projlab.errors import (
     ConfigurationError,
     DomainError,
     InfeasibleError,
+    RangeError,
 )
 from projlab.fractal import (
+    CELL_CAP,
     PointSet,
     cantor_1d,
     extract_delta_s_set,
@@ -116,6 +118,60 @@ class TestCantor:
             cantor_1d(0.6, 3)
         with pytest.raises(DomainError):
             cantor_1d(1 / 3, 0)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [(lambda n: cantor_1d(0.25, n), "depth"), (full_grid, "k")],
+        ids=["cantor_1d", "full_grid"],
+    )
+    @pytest.mark.parametrize("level", [2.5, "3", True, np.float64(3.0)])
+    def test_a_level_that_is_no_integer_is_refused(self, build, name, level):
+        # 2.5 and "3" raised a bare TypeError, and True ran as 1
+        with pytest.raises(RangeError, match=f"{name} must be an integer"):
+            build(level)
+
+    @pytest.mark.parametrize("level", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_levels_give_the_int_sets(self, level):
+        assert cantor_1d(0.25, level) == cantor_1d(0.25, 3)
+        assert full_grid(level) == full_grid(3)
+
+
+def _empty(dim):
+    return PointSet(dim, 2.0**-2, np.empty((0, dim), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: PointSet(2, 0.25, [[0, 0, 0]]), ConfigurationError, "shape"),
+        (
+            # a zero-stride view: one row over the cap with no memory behind it
+            lambda: PointSet(
+                1, 2.0**-30, np.broadcast_to(np.zeros((1, 1), np.int64), (CELL_CAP + 1, 1))
+            ),
+            CapacityError,
+            "exceed the cap",
+        ),
+        (lambda: PointSet(1, 0.25, [[1], [2], [1]]), ConfigurationError, "pairwise distinct"),
+        (lambda: PointSet(1, 0.25, [[5]]), DomainError, r"must lie in \[0,1\]\^d"),
+        (lambda: PointSet(1, 0.25, [[-1]]), DomainError, r"must lie in \[0,1\]\^d"),
+        (lambda: PointSet(1, 0.25, [[1]], domain="torus"), ConfigurationError, "unknown domain"),
+        (lambda: PointSet(1, 0.25, [[1], [2]], weights=[1.0]), ConfigurationError, "one weight"),
+        (lambda: frostman_constant(full_grid(3)), ConfigurationError, "weighted set"),
+        (lambda: full_grid(25), CapacityError, "cell cap"),
+        (lambda: product_set(full_grid(2), full_grid(2), _empty(2)), ConfigurationError, "1-D"),
+        (lambda: product_set(*[full_grid(0)] * 3), ConfigurationError, "delta <= 1/2"),
+        (lambda: extract_delta_s_set(_empty(1), 0.5, 1.0), InfeasibleError, "empty set"),
+    ],
+    ids=[
+        "indices-shape", "cell-cap", "duplicate-cells", "cube-above", "cube-below",
+        "unknown-domain", "weight-count", "frostman-unweighted", "full-grid-cap",
+        "product-factor-dim", "product-delta-one", "extract-empty",
+    ],
+)
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestReadOnly:
@@ -270,6 +326,12 @@ class TestExtract:
         q = extract_delta_s_set(p, 0.0, 1.0)
         assert len(q) == 1
         assert q.indices[0, 0] == 3
+
+    @pytest.mark.parametrize("content", [math.nan, math.inf, 0.0, -1.0])
+    def test_content_estimate_must_be_finite_and_positive(self, content):
+        # NaN passed the old `<= 0` check and gave a set; infinity an InfeasibleError
+        with pytest.raises(DomainError, match="content_estimate must be finite and positive"):
+            extract_delta_s_set(full_grid(4), 0.5, content)
 
     def test_infeasible_content_estimate(self):
         p = PointSet(1, 2.0**-8, np.array([[0]]), nominal_dim=0.0)

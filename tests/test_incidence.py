@@ -405,6 +405,22 @@ class TestConfigScale:
         with pytest.raises(DomainError, match="delta <= 1/2"):
             IncidenceConfig(net=net, families=fams, balls=origin_ball(1.0))
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda cfg: {"families": cfg.families[:-1]}, "one slab family per direction"),
+            (
+                lambda cfg: {"balls": PointSet(2, 2.0**-4, [[0, 0]], domain="ball")},
+                "balls must be a 3-D point set",
+            ),
+        ],
+        ids=["family-count", "balls-2d"],
+    )
+    def test_config_refusals(self, change, match):
+        cfg = config_through_origin(2.0**-4)
+        with pytest.raises(ConfigurationError, match=match):
+            replace(cfg, **change(cfg))
+
     def test_config_rejects_a_family_off_its_direction(self):
         # the count pairs family j with net.thetas[j], but the family's own
         # theta places its slabs, so the two must agree

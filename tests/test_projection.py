@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from projlab import dyadic, projection
 from projlab.curve import Curve, frame, model_curve, named_curve
 from projlab.dyadic import group_rows
-from projlab.errors import CapacityError, DomainError, RangeError
+from projlab.errors import CapacityError, ConfigurationError, DomainError, RangeError
 from projlab.fractal import PointSet, cantor_1d, full_grid, product_set
 from projlab.projection import (
     box_counts,
@@ -99,7 +99,45 @@ def planar_set(theta0, delta=2.0**-6, radius=0.9):
     return PointSet(3, delta, idx, nominal_dim=2.0, domain="ball")
 
 
+def no_map(fn, items):
+    raise AssertionError("mapped")
+
+
+def cantor_product(depth):
+    c = cantor_1d(1 / 3, depth)
+    return product_set(c, c, c)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: project_line(full_grid(3), CURVE, 0.5), ConfigurationError, "3-D set"),
+        (
+            lambda: box_dimension(PointSet(1, 2.0**-4, np.empty((0, 1), np.int64)), 0.0625, 0.5),
+            ConfigurationError,
+            "empty set",
+        ),
+        (lambda: box_dimension(full_grid(4), 2.0**-5, 0.5), RangeError, "below the lattice scale"),
+        (
+            lambda: exceptional_sweep(cantor_product(2), CURVE, s=0.5, theta_grid=1),
+            ConfigurationError,
+            "theta_grid must be at least 2",
+        ),
+    ],
+    ids=["project-2d", "fit-empty", "fit-below-delta", "sweep-one-theta"],
+)
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestProjectLine:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_refused(self, theta):
+        # the dense route warned of an unsafe cast, then raised a bare IndexError
+        with pytest.raises(DomainError, match="theta must be finite"):
+            project_line(cantor_product(3), CURVE, theta)
+
     def test_north_cell_projects_to_invsqrt2(self):
         a = single_point_set([0.0, 0.0, 1.0])
         for theta in (0.0, 0.37, 1.0):
@@ -406,6 +444,27 @@ class TestSweep:
         alpha = 3 * math.log(2) / math.log(3)
         assert theorem_bound(1.0, alpha) == pytest.approx(0.5536053696, abs=1e-9)
         assert theorem_bound(1.0, alpha) == pytest.approx(0.5535, abs=2e-4)
+
+    @pytest.mark.parametrize("s, alpha", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_bound_refuses_nan(self, s, alpha):
+        # max(0.0, nan) is 0.0: a NaN bound read as 0
+        with pytest.raises(DomainError, match="must be numbers"):
+            theorem_bound(s, alpha)
+
+    @pytest.mark.parametrize(
+        "s, margin",
+        [(math.nan, 0.1), (-0.5, 0.1), (5.0, 0.1), (math.inf, 0.1), (0.5, math.nan),
+         (0.5, math.inf)],
+    )
+    def test_s_and_margin_outside_the_domain_refused_before_the_map(self, s, margin):
+        # s = NaN and margin = NaN flagged no direction, s = 5 or infinity every one
+        with pytest.raises(DomainError, match="need 0 <= s <= 1 and a finite margin"):
+            exceptional_sweep(cantor_product(3), CURVE, s, 8, margin, map_fn=no_map)
+
+    def test_a_set_without_nominal_dim_refused_before_the_map(self):
+        a = PointSet(3, 2.0**-3, [[0, 0, 0]], domain="ball")
+        with pytest.raises(ConfigurationError, match="nominal_dim"):
+            exceptional_sweep(a, CURVE, s=0.5, theta_grid=8, map_fn=no_map)
 
     def test_planar_set_flagged_at_theta0(self):
         theta0 = 0.25
