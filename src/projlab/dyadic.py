@@ -4,11 +4,12 @@ All scale arithmetic in the library runs on exact powers of two, so scans
 can work on integer lattice indices and stay free of float round-off.
 The level-l ancestor of a level-k cell is `indices >> (k - l)` (a floor, so
 negative ball-domain indices need no shift).  Cells are grouped by equality
-through `group_rows`, which numbers the groups in lexicographic row order,
-and by ancestor through one bottom-up `ancestor_tree` of distinct sorted
-rows: a point set's `tree`, or one level of a covering's cubes.  Two 1-D
-counts group nothing: `projection.project_line` marks the occupied cells of
-a dense index range in one bool array, and `projection.box_counts` counts
+through `group_rows`, which numbers the groups in lexicographic row order
+and compares the sorted rows in blocks of `_BLOCK`, and by ancestor
+through one bottom-up `ancestor_tree` of distinct sorted rows: a point
+set's `tree`, or one level of a covering's cubes.  Two 1-D counts group
+nothing: `projection.project_line` marks the occupied cells of a dense
+index range in one bool array, and `projection.box_counts` counts
 the steps between the ancestors of sorted cells, which are sorted too.
 Every (delta, s) spacing check, of point sets, direction nets and cap
 subsets alike, is one `spacing_scan` over lattice rows given in any order.
@@ -18,8 +19,9 @@ grid above CELL_BUDGET cells is cut into axis-0 slabs first.  The witness
 is the lexicographically smallest anchored corner among the maxima, so it
 does not depend on the row order or on the branch taken.
 Every projection onto a direction, x -> x . v, is the one 3-term dot `dot3`,
-and a pass that batches such dots over many points or directions works in
-blocks of at most `_BLOCK` entries, never on one whole-batch gather.
+and a pass that batches such dots, or any other row-wise work, over many
+points or directions works in blocks of at most `_BLOCK` entries, never on
+one whole-batch gather.
 Records that hold arrays lock them by `_readonly` and compare by `_Record`.
 """
 
@@ -256,14 +258,20 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return_index=True, return_inverse=True) does: groups are numbered in
     lexicographic row order, rows[first] are the distinct rows with first
     the lowest index of each group, and rows[first][inverse] == rows.
+    The group starts are found `_BLOCK` sorted rows at a time, each block
+    gathered through the sort order with the last row of the block before
+    it, so no sorted (n, d) copy of the rows is made.
     """
     order = np.lexsort(rows.T[::-1])  # stable, so each group starts at its lowest index
-    sorted_rows = rows[order]
-    starts = np.ones(len(order), dtype=bool)
-    # array methods: the wrappers np.any and np.cumsum cost a third of a call on few rows
-    (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1, out=starts[1:])
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True  # the first sorted row starts a group; the blocks write the rest
+    for lo in range(0, len(order) - 1, _BLOCK):
+        block = rows[order[lo : lo + _BLOCK + 1]]  # sorted rows lo .. lo + _BLOCK
+        # array methods: the wrappers np.any and np.cumsum cost a third of a call on few rows
+        (block[1:] != block[:-1]).any(axis=1, out=starts[lo + 1 : lo + _BLOCK + 1])
     inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = starts.cumsum() - 1
+    inverse[order] = starts.cumsum()
+    inverse -= 1
     return order[starts], inverse
 
 

@@ -16,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import _integer_level, _Record, ancestor_tree, dyadic_level, group_rows, spacing_scan
+from .dyadic import (
+    _BLOCK, _integer_level, _Record, ancestor_tree, dyadic_level, group_rows, spacing_scan
+)
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -41,6 +43,10 @@ class PointSet(_Record):
     another is `tree`, the set's dyadic tree.  Sets compare by content.
     `nominal_dim` is declared dimension metadata (similarity dimension for
     the shipped generators).
+
+    Building a set holds the given rows and weights, their sort order and
+    the sorted copies; the grouping and the ball check work `_BLOCK` rows
+    at a time, so no other (n, d) temporary is made.
     """
 
     ambient_dim: int
@@ -59,15 +65,16 @@ class PointSet(_Record):
             raise ConfigurationError("indices must have shape (n, ambient_dim)")
         if idx.shape[0] > CELL_CAP:
             raise CapacityError(f"{idx.shape[0]} cells exceed the cap {CELL_CAP}")
-        order, _ = group_rows(idx)  # distinct rows come out in lexicographic order
+        order = group_rows(idx)[0]  # distinct rows come out in lexicographic order
         if len(order) != idx.shape[0]:
             raise ConfigurationError("cells must be pairwise distinct on the lattice")
-        vals = idx * self.delta
         if self.domain == "cube":
             if idx.shape[0] and (idx.min() < 0 or idx.max() > 2**k):
                 raise DomainError("cube-domain cells must lie in [0,1]^d")
         elif self.domain == "ball":
-            if idx.shape[0] and np.max(np.linalg.norm(vals, axis=1)) > 1.0 + 1e-12:
+            blocks = range(0, idx.shape[0], _BLOCK)
+            norms = (np.linalg.norm(idx[lo : lo + _BLOCK] * self.delta, axis=1).max() for lo in blocks)
+            if max(norms, default=0.0) > 1.0 + 1e-12:
                 raise DomainError("ball-domain cells must lie in the unit ball")
         else:
             raise ConfigurationError(f"unknown domain {self.domain!r}")
@@ -175,7 +182,10 @@ def product_set(sx: PointSet, sy: PointSet, sz: PointSet) -> PointSet:
 
     The translation by -1/2 per axis is an exact lattice shift, so cells
     stay on the delta-lattice; nominal dimensions add and weights are
-    uniform.
+    uniform.  The shifted factor indices are written column by column into
+    one (n, 3) int64 array, through its (nx, ny, nz, 3) view; the factors'
+    indices are sorted, so the rows come out in lexicographic order.  An
+    empty factor raises ConfigurationError.
     """
     for p in (sx, sy, sz):
         if p.ambient_dim != 1:
@@ -187,13 +197,19 @@ def product_set(sx: PointSet, sy: PointSet, sz: PointSet) -> PointSet:
     k = sx.level
     if k < 1:
         raise ConfigurationError("product_set needs delta <= 1/2")
-    n = len(sx) * len(sy) * len(sz)
+    shape = (len(sx), len(sy), len(sz))
+    n = math.prod(shape)
+    if n == 0:
+        raise ConfigurationError(f"product_set needs nonempty factors, got {shape} cells")
     if n > CELL_CAP:
         raise CapacityError(f"{n} product cells exceed the cap {CELL_CAP}")
     half = 2 ** (k - 1)
-    ax, ay, az = (p.indices[:, 0] for p in (sx, sy, sz))
-    mesh = np.meshgrid(ax, ay, az, indexing="ij")
-    idx = np.stack([m.ravel() for m in mesh], axis=1) - half
+    idx = np.empty((n, 3), dtype=np.int64)
+    grid = idx.reshape(shape + (3,))  # a view: row (i, j, l) is cell (x_i, y_j, z_l)
+    ax, ay, az = (p.indices[:, 0] - half for p in (sx, sy, sz))
+    grid[..., 0] = ax[:, None, None]
+    grid[..., 1] = ay[:, None]
+    grid[..., 2] = az
     dim = sx.nominal_dim + sy.nominal_dim + sz.nominal_dim
     return PointSet(
         3, sx.delta, idx, weights=np.full(n, 1.0 / n), nominal_dim=dim, domain="ball"

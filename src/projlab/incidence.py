@@ -281,10 +281,11 @@ def _offset_delta_s_sets(k: int, s: float, n_sets: int, rng) -> np.ndarray:
       two children, so all nodes of one level share the rank
       rank_l = min(cap_l, 2 rank_{l+1}), rank_K = 1, cap_l =
       ceil((2^(K-l))^s);
-    - node weights are one bincount over (j << l) + (i >> (K - l)), which
-      adds each node's leaves in the same order as the general routine's
-      bincount over its grouping, so every heavier-child comparison sees
-      the same bits;
+    - node weights are one bincount over the ids (j << l) + (i >> (K - l)),
+      taken as ((j << K) + i) >> (K - l) since i < 2^K, which adds each
+      node's leaves in the same order as the general routine's bincount
+      over its grouping, so every heavier-child comparison sees the same
+      bits;
     - within a parent of budget b the heavier child (ties go to the lower
       index) takes min(r, b) and the other the rest, b - min(r, b): the
       general routine's clamped cumulative sum of the children's ranks,
@@ -301,21 +302,21 @@ def _offset_delta_s_sets(k: int, s: float, n_sets: int, rng) -> np.ndarray:
     K = k + 1
     if n_sets << K > CELL_CAP:
         raise CapacityError(f"{n_sets} offset draws of 2^{K} weights exceed the cap {CELL_CAP}")
-    leaves = np.arange(2**K)
-    rows = np.arange(n_sets)[:, None]
-    w = rng.random((n_sets, leaves.size))
+    w = rng.random((n_sets, 2**K))
     w = (w / w.sum(axis=1, keepdims=True)).ravel()
+    leaf = np.arange(n_sets << K)
     rank = [1] * (K + 1)
     for l in range(K - 1, -1, -1):
         rank[l] = min(math.ceil((2 ** (K - l)) ** s), 2 * rank[l + 1])
     budgets = np.full((n_sets, 1), rank[0], dtype=np.int64)
     for l in range(1, K + 1):
-        node = ((rows << l) + (leaves >> (K - l))).ravel()
-        weight = np.bincount(node, weights=w, minlength=n_sets << l).reshape(n_sets, -1)
+        weight = np.bincount(leaf >> (K - l), weights=w, minlength=n_sets << l).reshape(n_sets, -1)
         left_heavy = weight[:, 0::2] >= weight[:, 1::2]
         heavy = np.minimum(rank[l], budgets)
-        left = np.where(left_heavy, heavy, budgets - heavy)
-        budgets = np.stack([left, budgets - left], axis=-1).reshape(n_sets, -1)
+        split = np.empty((n_sets, 2**l), dtype=np.int64)
+        split[:, 0::2] = np.where(left_heavy, heavy, budgets - heavy)
+        np.subtract(budgets, split[:, 0::2], out=split[:, 1::2])
+        budgets = split
     chosen = np.nonzero(budgets)[1].reshape(n_sets, rank[0])
     return chosen * 2.0**-K * 2.0 - 1.0
 

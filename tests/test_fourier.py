@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -183,18 +182,12 @@ class TestGridFunction:
         assert l4_norm(GridFunction.from_coeffs(coeffs)) == pytest.approx(M**3)
 
     @pytest.mark.parametrize("M", [16, 32, 64])
-    def test_l4_norm_holds_one_float_field(self, M):
+    def test_l4_norm_holds_one_float_field(self, M, traced_peak):
         # |samples|^4 went through a second float M^3 array: a traced peak of 2.0
         # units of M^3 x 8 bytes, 1.0 with the 4th power taken in place
         rng = np.random.default_rng(M)
         x = rng.normal(size=(M,) * 3) + 1j * rng.normal(size=(M,) * 3)
-        g = GridFunction(M, x)
-        tracemalloc.start()
-        try:
-            l4 = l4_norm(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        l4, peak = traced_peak(l4_norm, GridFunction(M, x))
         assert peak < 1.5 * M**3 * 8
         assert l4 == float(np.sum(np.abs(x) ** 4))
 
@@ -417,15 +410,10 @@ class TestGeometryOracle:
             "9851418ff27e22cbf4c4b6bf057958f30150c32eec7cbe752db14da144208afd"
         )
 
-    def test_one_build_allocates_under_four_mib(self):
+    def test_one_build_allocates_under_four_mib(self, traced_peak):
         # M = 64: the radial shell and the coarse pass peaked at 18.5 MiB, the box pass at 1.8 MiB
         build_geometry(CURVE, 2.0**-6)
-        tracemalloc.start()
-        try:
-            build_geometry(CURVE, 2.0**-6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(build_geometry, CURVE, 2.0**-6)
         assert peak < 4 * 2**20
 
 
@@ -1095,7 +1083,7 @@ class TestWaveEnvelope:
         assert rep.total == total
         assert total > 0
 
-    def test_one_call_allocates_under_seven_fields(self):
+    def test_one_call_allocates_under_seven_fields(self, traced_peak):
         # M = 64, boxes, coefficients and L4 norm made first: the traced peak, in
         # real M^3 fields of 8 bytes, was 14.8 with all sigma fields and three complex
         # M^3 buffers alive; streamed it is 5.5 (one field per scale, 4, and the stage,
@@ -1104,12 +1092,7 @@ class TestWaveEnvelope:
         geo = cached_geometry(64)
         f = random_on(np.flatnonzero(geo.assignment >= 0), 64, seed=0)
         geo.envelope_boxes, f.coeffs(), l4_norm(f)
-        tracemalloc.start()
-        try:
-            wave_envelope_rhs(f, geo)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(wave_envelope_rhs, f, geo)
         assert peak < 7 * 64**3 * 8
 
     def test_box_ids_built_once_per_geometry(self, monkeypatch):

@@ -4,7 +4,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from projlab import fractal
 from projlab.errors import (
     CapacityError,
     ConfigurationError,
@@ -161,12 +164,14 @@ def _empty(dim):
         (lambda: full_grid(25), CapacityError, "cell cap"),
         (lambda: product_set(full_grid(2), full_grid(2), _empty(2)), ConfigurationError, "1-D"),
         (lambda: product_set(*[full_grid(0)] * 3), ConfigurationError, "delta <= 1/2"),
+        # raised a bare ZeroDivisionError from the uniform weights 1/n
+        (lambda: product_set(full_grid(2), _empty(1), full_grid(2)), ConfigurationError, "nonempty"),
         (lambda: extract_delta_s_set(_empty(1), 0.5, 1.0), InfeasibleError, "empty set"),
     ],
     ids=[
         "indices-shape", "cell-cap", "duplicate-cells", "cube-above", "cube-below",
         "unknown-domain", "weight-count", "frostman-unweighted", "full-grid-cap",
-        "product-factor-dim", "product-delta-one", "extract-empty",
+        "product-factor-dim", "product-delta-one", "product-empty-factor", "extract-empty",
     ],
 )
 def test_refusals(call, error, match):
@@ -244,6 +249,64 @@ class TestProduct:
     def test_mismatched_delta(self):
         with pytest.raises(ConfigurationError):
             product_set(full_grid(4), full_grid(5), full_grid(4))
+
+    def test_rows_match_the_meshgrid_product(self):
+        # the construction product_set replaced: a meshgrid, a stack and a shifted copy
+        a, g = cantor_1d(1 / 3, 3), full_grid(5)
+        single = PointSet(1, 2.0**-5, np.array([[7]]), nominal_dim=0.0)
+        for factors in ((a, g, single), (single, a, g), (g, single, a)):
+            mesh = np.meshgrid(*(f.indices[:, 0] for f in factors), indexing="ij")
+            want = np.stack([m.ravel() for m in mesh], axis=1) - 16
+            p = product_set(*factors)
+            assert p.indices.tobytes() == want.tobytes()
+            assert p.weights.tobytes() == np.full(len(want), 1.0 / len(want)).tobytes()
+
+    def test_building_criterion_4_set_holds_no_whole_temporary(self, traced_peak):
+        # the set keeps 8 MiB (int64 rows and float weights, 262,144 cells); building
+        # it holds the unsorted rows and weights, the sort order and the sorted
+        # copies: 18.0 MiB.  The meshgrid route peaked at 34.0 MiB, and sorting the
+        # whole array in group_rows at 22.3 MiB; a bound of 20 MiB fails either
+        c = cantor_1d(1 / 3, 6)
+        p, peak = traced_peak(product_set, c, c, c)
+        assert len(p) == 64**3
+        assert peak < 20 * 2**20
+
+
+class TestBallCheckInBlocks:
+    """With _BLOCK = 7 the ball check reads 15 rows in blocks of 7, 7 and 1."""
+
+    ROWS = np.array([[i, 0, 0] for i in range(-7, 8)])  # |x| <= 7/8 at delta = 1/8
+
+    @pytest.mark.parametrize("row", [7, 14], ids=["first-of-block-2", "last"])
+    def test_the_one_cell_outside_is_found(self, monkeypatch, row):
+        monkeypatch.setattr(fractal, "_BLOCK", 7)
+        rows = self.ROWS.copy()
+        rows[row] = [8, 1, 0]
+        with pytest.raises(DomainError, match="unit ball"):
+            PointSet(3, 2.0**-3, rows, domain="ball")
+
+    def test_a_cell_on_the_sphere_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(fractal, "_BLOCK", 7)
+        rows = self.ROWS.copy()
+        rows[7], rows[14] = [0, 8, 0], [0, 0, -8]
+        assert len(PointSet(3, 2.0**-3, rows, domain="ball")) == 15
+
+    @given(k=st.integers(1, 30), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_same_verdict_as_the_norm_of_all_rows(self, k, n, seed):
+        # cells next to the sphere, some just inside and some just outside
+        rng = np.random.default_rng(seed)
+        ab = rng.integers(-(2**k), 2**k + 1, size=(n, 2)) // 2
+        c = np.sqrt(4.0**k - (ab**2).sum(axis=1)).astype(np.int64) + rng.integers(-1, 2, n)
+        rows = np.unique(np.column_stack([ab, c]), axis=0)
+        outside = np.max(np.linalg.norm(rows * 2.0**-k, axis=1)) > 1.0 + 1e-12
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fractal, "_BLOCK", 2)
+            try:
+                PointSet(3, 2.0**-k, rows, domain="ball")
+                refused = False
+            except DomainError:
+                refused = True
+        assert refused == outside
 
 
 class TestValidate:

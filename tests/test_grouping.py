@@ -389,6 +389,26 @@ def test_group_rows_matches_np_unique(rows):
     assert np.array_equal(inverse, u_inverse.ravel())
 
 
+#: few distinct values, so the sorted rows hold runs of equal rows that cross block boundaries
+run_rows = hnp.arrays(
+    np.int64,
+    st.tuples(st.integers(0, 40), st.integers(1, 3)),
+    elements=st.integers(-2, 1),
+)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@given(rows=run_rows)
+@example(rows=np.repeat([[1, -2], [-1, 0], [0, -3]], [9, 1, 8], axis=0)[::-1])
+def test_group_rows_in_blocks_matches_np_unique(block, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyadic, "_BLOCK", block)
+        first, inverse = group_rows(rows)
+    _, u_first, u_inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, u_first)
+    assert np.array_equal(inverse, u_inverse.ravel())
+
+
 @given(int_rows)
 def test_group_rows_matches_python_sets(rows):
     first, inverse = group_rows(rows)

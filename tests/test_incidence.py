@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -734,18 +733,13 @@ def test_a_bench_item_makes_one_dot_per_slice_and_per_direction_block(monkeypatc
             assert calls == [2] * len(attempts) + [3]
 
 
-def test_sampler_peak_memory_is_bounded():
+def test_sampler_peak_memory_is_bounded(traced_peak):
     """delta = 2^-7, s = 1, t = 0.2 draws 37,640 balls over 3 directions in
     runs of at most _BLOCK.  Its tracemalloc peak is 4.3 MiB; placing a
     whole attempt in one gather reads 6.4 MiB, and the per-direction loop
     that kept each attempt's arrays to the end read 6.3 MiB."""
     spec = IncidenceSpec(delta=2.0**-7, s=1.0, t=0.2, seed=0)
     random_admissible_config(spec)  # first-call caches stay out of the peak
-    tracemalloc.start()
-    try:
-        cfg = random_admissible_config(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cfg, peak = traced_peak(random_admissible_config, spec)
     assert (len(cfg.net), len(cfg.balls)) == (3, 18820)
     assert peak < 5.0 * 2**20

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -320,18 +319,13 @@ def test_project_line_matches_the_blas_route(name):
             )
 
 
-def test_one_projection_allocates_under_one_mib():
+def test_one_projection_allocates_under_one_mib(traced_peak):
     # criterion 4's set; the former route allocated four 2 MB temporaries
     c = cantor_1d(1 / 3, 6)
     a = product_set(c, c, c)
     a.float_indices
     project_line(a, CURVE, 0.3)
-    tracemalloc.start()
-    try:
-        project_line(a, CURVE, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(project_line, a, CURVE, 0.3)
     assert peak < 2**20
 
 
