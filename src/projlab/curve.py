@@ -113,6 +113,17 @@ def named_curve(name: str) -> Curve:
         raise DomainError(f"unknown curve {name!r}; choose from {sorted(_NAMED)}") from None
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of two (n, 3) arrays, as an (n, 3) array.
+
+    The three differences a1 b2 - a2 b1, a2 b0 - a0 b2 and a0 b1 - a1 b0,
+    each product rounded once, are np.cross's own, so the bits are its bits
+    without its axis handling.
+    """
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
 def frame(curve: Curve, thetas):
     """Orthonormal frames (gamma, tangent, normal) at one theta or an array of them.
 
@@ -133,7 +144,7 @@ def frame(curve: Curve, thetas):
         theta = flat[np.argmax(bad)]
         raise NumericError(f"curve {curve.label!r} has no tangent frame at theta={theta}")
     t = d / n[:, None]
-    out = (g, t, np.cross(g, t))
+    out = (g, t, _cross(g, t))
     return tuple(a[0] for a in out) if th.ndim == 0 else out
 
 
@@ -145,7 +156,7 @@ def nondegeneracy_margin(curve: Curve) -> float:
     """
     thetas = np.linspace(0.0, 1.0, MARGIN_SAMPLES)
     g = curve.points(thetas)
-    c = np.cross(curve.deriv1(thetas), curve.deriv2(thetas))
+    c = _cross(curve.deriv1(thetas), curve.deriv2(thetas))
     det = dot3(g.T, c.T)
     if not np.all(np.isfinite(det)):
         raise NumericError("non-finite frame values on the sample grid")

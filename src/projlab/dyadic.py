@@ -5,7 +5,8 @@ can work on integer lattice indices and stay free of float round-off.
 The level-l ancestor of a level-k cell is `indices >> (k - l)` (a floor, so
 negative ball-domain indices need no shift).  Cells are grouped by equality
 through `group_rows`, which numbers the groups in lexicographic row order
-and compares the sorted rows in blocks of `_BLOCK`, and by ancestor
+and compares the sorted rows in blocks of `_BLOCK` (its sorting half,
+`sort_rows`, serves callers that need no inverse), and by ancestor
 through one bottom-up `ancestor_tree` of distinct sorted rows: a point
 set's `tree`, or one level of a covering's cubes.  Two 1-D counts group
 nothing: `projection.project_line` marks the occupied cells of a dense
@@ -251,6 +252,26 @@ def spacing_scan(rows: np.ndarray, k: int, exponent: float):
     return worst, witness
 
 
+def sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorting half of `group_rows`: (order, starts) of an (n, d) integer array.
+
+    order is the stable lexicographic sort order of the rows, and starts[i]
+    flags sorted row i as the first of its group of equal rows, so
+    order[starts] is `group_rows`' first, and the rows are distinct iff
+    every flag is set.  The starts are found `_BLOCK` sorted rows at a time,
+    each block gathered through the sort order with the last row of the
+    block before it, so no sorted (n, d) copy of the rows is made.
+    """
+    order = np.lexsort(rows.T[::-1])  # stable, so each group starts at its lowest index
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True  # the first sorted row starts a group; the blocks write the rest
+    for lo in range(0, len(order) - 1, _BLOCK):
+        block = rows[order[lo : lo + _BLOCK + 1]]  # sorted rows lo .. lo + _BLOCK
+        # array methods: the wrappers np.any and np.cumsum (group_rows) cost a third of a call on few rows
+        (block[1:] != block[:-1]).any(axis=1, out=starts[lo + 1 : lo + _BLOCK + 1])
+    return order, starts
+
+
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the equal rows of an (n, d) integer array.
 
@@ -258,17 +279,10 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return_index=True, return_inverse=True) does: groups are numbered in
     lexicographic row order, rows[first] are the distinct rows with first
     the lowest index of each group, and rows[first][inverse] == rows.
-    The group starts are found `_BLOCK` sorted rows at a time, each block
-    gathered through the sort order with the last row of the block before
-    it, so no sorted (n, d) copy of the rows is made.
+    `sort_rows` finds the groups; the inverse is one cumulative sum of its
+    starts, scattered through the sort order.
     """
-    order = np.lexsort(rows.T[::-1])  # stable, so each group starts at its lowest index
-    starts = np.empty(len(order), dtype=bool)
-    starts[:1] = True  # the first sorted row starts a group; the blocks write the rest
-    for lo in range(0, len(order) - 1, _BLOCK):
-        block = rows[order[lo : lo + _BLOCK + 1]]  # sorted rows lo .. lo + _BLOCK
-        # array methods: the wrappers np.any and np.cumsum cost a third of a call on few rows
-        (block[1:] != block[:-1]).any(axis=1, out=starts[lo + 1 : lo + _BLOCK + 1])
+    order, starts = sort_rows(rows)
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = starts.cumsum()
     inverse -= 1
@@ -297,10 +311,19 @@ def ancestor_tree(rows: np.ndarray, depth: int) -> tuple:
 
     One `TreeLevel` per l = 0..depth, built bottom-up: level l's nodes are the
     distinct `rows >> (depth - l)` in `group_rows` order, grouped from level l + 1's.
+    Once a level has at most one node, every coarser level is that node
+    shifted, and all their `inverse` and `up` arrays are zero: they share one
+    zeros array and group nothing.
     """
     leaf = np.arange(len(rows))
     nodes, inverse, levels = _readonly(rows), leaf, []
-    for _ in range(depth):
+    for l in range(depth, 0, -1):
+        if len(nodes) <= 1:
+            zeros = np.zeros(len(rows), dtype=np.intp)
+            for _ in range(l):
+                levels.append(TreeLevel(nodes, inverse, zeros[: len(nodes)]))
+                nodes, inverse = nodes >> 1, zeros
+            break
         parents = nodes >> 1
         first, up = group_rows(parents)
         levels.append(TreeLevel(nodes, inverse, up))

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import (
-    _BLOCK, _integer_level, _Record, ancestor_tree, dyadic_level, group_rows, spacing_scan
+    _BLOCK, _integer_level, _Record, ancestor_tree, dyadic_level, sort_rows, spacing_scan
 )
 from .errors import (
     CapacityError,
@@ -65,8 +65,8 @@ class PointSet(_Record):
             raise ConfigurationError("indices must have shape (n, ambient_dim)")
         if idx.shape[0] > CELL_CAP:
             raise CapacityError(f"{idx.shape[0]} cells exceed the cap {CELL_CAP}")
-        order = group_rows(idx)[0]  # distinct rows come out in lexicographic order
-        if len(order) != idx.shape[0]:
+        order, starts = sort_rows(idx)  # distinct rows come out in lexicographic order
+        if not starts.all():
             raise ConfigurationError("cells must be pairwise distinct on the lattice")
         if self.domain == "cube":
             if idx.shape[0] and (idx.min() < 0 or idx.max() > 2**k):

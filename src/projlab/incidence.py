@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curve import Curve, DirectionNet, _check_seed, direction_net, frame, named_curve
-from .dyadic import _BLOCK, _readonly, _Record, dot3, dyadic_level, group_rows
+from .dyadic import _BLOCK, _readonly, _Record, dot3, dyadic_level, sort_rows
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -403,7 +403,8 @@ def _sample_cells(rng, want: int, frames: tuple, offsets, families: tuple, delta
             found.append(_place_run(rng, js, cs, frames, offsets, families, delta))
             start = end
         stacked = np.concatenate(found)
-        collected = stacked[group_rows(stacked)[0]]
+        order, starts = sort_rows(stacked)
+        collected = stacked[order[starts]]
     return collected[:want]
 
 

@@ -41,6 +41,33 @@ class SweepRow:
     below_s: bool
 
 
+#: 1.5 * 2^52, an even integer: for a double |v| < 2^51, v + _SNAP lies in
+#: [2^52, 2^53), where the doubles are the integers and their bits step by 1
+_SNAP = 1.5 * 2.0**52
+_SNAP_BITS = int(np.float64(_SNAP).view(np.int64))
+
+
+def _snap(v: np.ndarray, offset: int, bound: int) -> np.ndarray:
+    """rint(v) + offset as int64, written over v's own buffer; |v| <= bound.
+
+    Below bound 2^51 this is one float add and one integer subtract: v +
+    _SNAP rounds v to the nearest integer m, ties to even (as np.rint does,
+    since _SNAP is even and the doubles there are spaced 1), and the sum's
+    bits are _SNAP_BITS + m.  -0.0 and every half-integer of either sign
+    take rint's value.  From bound 2^51 on, v + _SNAP may reach 2^53, where
+    the doubles are spaced 2, so those levels (k >= 51, which only the
+    sparse route reaches) round with np.rint and an exact cast.
+    """
+    cells = v.view(np.int64)
+    if bound < 2**51:
+        v += _SNAP
+        cells -= _SNAP_BITS - offset
+    else:
+        cells[...] = np.rint(v, out=v)  # integral doubles below 2^63: the cast is exact
+        cells += offset
+    return cells
+
+
 def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     """Orthogonal projection x -> x . gamma(theta), snapped to a's lattice.
 
@@ -50,14 +77,16 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     delta is a power of two, so each cell is rint(i . gamma) for the set's
     float indices i, i . gamma summed by `dot3` (so no BLAS kernel moves a
     bit).  Every cell of a valid set of either domain has |i| <= sqrt(3) 2^k,
-    so |cell| <= R = isqrt(3 4^k) + 2, the 2 covering
-    rint and round-off at every level the dense route reaches (k <= 24, as
-    n <= CELL_CAP).  When 2R + 1 is at most 4n, the dense route projects
-    _BLOCK cells at a time into cache-sized buffers and marks each cell in
-    one occupancy array of 2R + 1 flags; sparser sets (such as products of
-    thin Cantor sets at large k) project all cells at once and sort them
-    with `group_rows`.  Both routes give the same sorted cells, and the
-    route depends on the level and n only.  A non-finite theta raises
+    and gamma is a unit vector, so |cell| <= R = isqrt(3 4^k) + 2, the 2
+    covering rint and round-off.  Both routes run one loop over _BLOCK
+    cells at a time: `dot3` into a float buffer, then `_snap` in place to
+    rint + offset as int64.  When 2R + 1 is at most 4n (so k <= 24 and
+    R < 2^26, as n <= CELL_CAP), the dense route snaps with offset R into
+    one cache-sized buffer and marks each cell in one occupancy array of
+    2R + 1 flags; sparser sets (such as products of thin Cantor sets at
+    large k) snap each block into its slice of one n-cell array, sorted by
+    `group_rows`.  Both routes give the same sorted cells, and the route
+    depends on the level and n only.  A non-finite theta raises
     DomainError.
     """
     if a.ambient_dim != 3:
@@ -67,19 +96,23 @@ def project_line(a: PointSet, curve: Curve, theta: float) -> PointSet:
     gamma = curve.points(np.array([theta]))[0]
     x, n = a.float_indices, len(a)
     bound = math.isqrt(3 * 4**a.level) + 2
-    if 2 * bound + 1 <= 4 * n:
-        occupied = np.zeros(2 * bound + 1, dtype=bool)
-        m = min(n, _BLOCK)
-        out, tmp, idx = np.empty(m), np.empty(m), np.empty(m, dtype=np.intp)
-        for lo in range(0, n, _BLOCK):
-            w = min(n - lo, _BLOCK)
-            v = np.rint(dot3(x[:, lo : lo + w], gamma, out[:w], tmp[:w]), out=out[:w])
-            v += bound
-            np.copyto(idx[:w], v, casting="unsafe")  # exact: v holds integers
-            occupied[idx[:w]] = True
+    dense = 2 * bound + 1 <= 4 * n
+    m = min(n, _BLOCK)
+    tmp = np.empty(m)
+    if dense:
+        occupied, offset, out = np.zeros(2 * bound + 1, dtype=bool), bound, np.empty(m)
+    else:
+        offset, out = 0, np.empty(n)  # each block snaps into its own slice: the cells
+    for lo in range(0, n, _BLOCK):
+        w = min(n - lo, _BLOCK)
+        at = 0 if dense else lo
+        v = _snap(dot3(x[:, lo : lo + w], gamma, out[at : at + w], tmp[:w]), offset, bound)
+        if dense:
+            occupied[v] = True
+    if dense:
         cells = np.flatnonzero(occupied) - bound
     else:
-        cells = np.rint(dot3(x, gamma, np.empty(n), np.empty(n))).astype(np.int64)
+        cells = out.view(np.int64)
         cells = cells[group_rows(cells[:, None])[0]]
     return PointSet(
         1, a.delta, cells[:, None], nominal_dim=min(1.0, a.nominal_dim), domain="ball"

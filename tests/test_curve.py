@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from projlab.curve import (
+    MARGIN_SAMPLES,
     Curve,
     DirectionNet,
     _cone,
+    _cross,
     direction_net,
     frame,
     great_circle,
@@ -258,6 +261,37 @@ def test_frame_rows_are_the_scalar_frames_bit_for_bit(name, thetas):
         for got_row, got_scalar, w in zip(rows, scalar, want):
             assert got_scalar.shape == (3,)
             assert got_row[i].tobytes() == got_scalar.tobytes() == w.tobytes()
+
+
+#: pairs of (n, 3) float rows: any finite double, signed zeros and subnormals included
+cross_rows = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        *[hnp.arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False))] * 2
+    )
+)
+
+
+@given(cross_rows)
+@example((np.array([[1.0, -0.0, 3e300]]), np.array([[0.0, 2e-310, -1.0]])))
+def test_cross_is_np_cross_bit_for_bit(ab):
+    a, b = ab
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["model", "helix", "greatcircle"])
+def test_margin_and_frames_match_np_cross(name):
+    # np.cross, the former product, as the oracle on every theta the margin samples
+    curve = named_curve(name)
+    thetas = np.linspace(0.0, 1.0, MARGIN_SAMPLES)
+    g, d1, d2 = curve.points(thetas), curve.deriv1(thetas), curve.deriv2(thetas)
+    det = np.cross(d1, d2)
+    det = (g[:, 0] * det[:, 0] + g[:, 1] * det[:, 1]) + g[:, 2] * det[:, 2]
+    assert nondegeneracy_margin(curve) == float(np.min(np.abs(det)))
+    gs, ts, ns = frame(curve, thetas)
+    assert ns.tobytes() == np.cross(gs, ts).tobytes()
 
 
 def test_frame_names_the_first_theta_without_a_tangent():

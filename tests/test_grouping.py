@@ -21,9 +21,11 @@ tests run each input once at the real budget and once at a budget of one
 cell, which sends every count with d >= 2 down the slab branch.
 
 `dyadic.ancestor_tree`, and so `PointSet.tree`, must equal, at every
-level, `group_rows` of the shifted rows, and a static check keeps every
-other `group_rows` or `rows_in` call on right-shifted rows out of
-`src/projlab`: the tree builder is the only one left.
+level, `group_rows` of the shifted rows, and the bottom-up loop that
+grouped every level, single nodes included (`oracle_ancestor_tree`).  A
+static check keeps every other `group_rows`, `sort_rows` or `rows_in`
+call on right-shifted rows out of `src/projlab`: the tree builder is the
+only one left.
 """
 
 import ast
@@ -54,6 +56,7 @@ from projlab.dyadic import (
     max_cube_count,
     max_window_count,
     rows_in,
+    sort_rows,
     spacing_scan,
 )
 from projlab.errors import (
@@ -409,6 +412,18 @@ def test_group_rows_in_blocks_matches_np_unique(block, rows):
     assert np.array_equal(inverse, u_inverse.ravel())
 
 
+@pytest.mark.parametrize("block", [1, 7, dyadic._BLOCK])
+@given(rows=run_rows)
+def test_sort_rows_is_the_sorting_half_of_group_rows(block, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyadic, "_BLOCK", block)
+        order, starts = sort_rows(rows)
+        first, _ = group_rows(rows)
+    assert np.array_equal(order, np.lexsort(rows.T[::-1]))
+    assert np.array_equal(order[starts], first)
+    assert starts.all() == (len(first) == len(rows))
+
+
 @given(int_rows)
 def test_group_rows_matches_python_sets(rows):
     first, inverse = group_rows(rows)
@@ -595,6 +610,64 @@ def distinct_rows(draw):
     return rows, depth
 
 
+def oracle_ancestor_tree(rows, depth):
+    """The tree's former loop: one `group_rows` per level, one- and no-node levels included."""
+    leaf = np.arange(len(rows))
+    nodes, inverse, levels = rows, leaf, []
+    for _ in range(depth):
+        parents = nodes >> 1
+        first, up = group_rows(parents)
+        levels.append(dyadic.TreeLevel(nodes, inverse, up))
+        nodes, inverse = parents[first], up if inverse is leaf else up[inverse]
+    levels.append(dyadic.TreeLevel(nodes, inverse, None))
+    return tuple(reversed(levels))
+
+
+@st.composite
+def narrow_rows(draw):
+    """Distinct sorted rows that share their ancestors from a level on, and a depth."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 8))
+    spread = draw(st.integers(0, depth))  # rows differ only in their low `spread` bits
+    base = draw(st.lists(st.integers(-(2**depth), 2**depth), min_size=d, max_size=d))
+    low = st.integers(0, 2**spread - 1)
+    offsets = draw(st.lists(st.lists(low, min_size=d, max_size=d), unique_by=tuple, max_size=6))
+    rows = np.array(sorted(offsets), dtype=np.int64).reshape(-1, d)
+    return (np.array(base) >> spread << spread) + rows, depth
+
+
+@given(st.one_of(distinct_rows(), narrow_rows()))
+@example((np.array([[5, -3]]), 6))  # one row: every level is a lone node
+@example((np.array([[-8, 4], [-7, 4]]), 4))  # two leaves, one node from level 3 up
+@example((np.zeros((0, 2), dtype=np.int64), 3))
+def test_ancestor_tree_matches_the_grouping_loop(rows_depth):
+    rows, depth = rows_depth
+    tree = ancestor_tree(rows, depth)
+    assert tree == oracle_ancestor_tree(rows, depth)  # by dtype, shape and content
+    for level in tree:
+        arrays = (level.nodes, level.inverse, level.up)
+        assert not any(a.flags.writeable for a in arrays if a is not None)
+
+
+def test_ancestor_tree_groups_no_level_of_one_node(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return group_rows(rows)
+
+    monkeypatch.setattr(dyadic, "group_rows", counted)
+    rows = np.array([[0, 0], [0, 1], [3, 2]], dtype=np.int64)
+    tree = ancestor_tree(rows, 6)
+    # levels 6 and 5 have three and two nodes; from level 4 on one node, shifted,
+    # and the maps above level 4 are views of one zeros array
+    assert calls == [3, 2]
+    assert [len(level.nodes) for level in tree] == [1, 1, 1, 1, 1, 2, 3]
+    zeros = tree[0].inverse
+    assert not zeros.any() and all(level.inverse is zeros for level in tree[:4])
+    assert all(level.up.base is zeros for level in tree[1:5])
+
+
 @given(distinct_rows())
 @example((np.array([[-3, 0], [-1, 2], [0, -1]]), 2))
 @example((np.zeros((0, 3), dtype=np.int64), 3))
@@ -622,8 +695,12 @@ def test_tree_is_built_once_for_all_its_readers(monkeypatch):
 
     c = cantor_1d(1 / 3, 3)
     p = product_set(c, c, c)
+    def counted_sort(rows):
+        calls.append(len(rows))
+        return sort_rows(rows)
+
     monkeypatch.setattr(dyadic, "group_rows", counted)
-    monkeypatch.setattr(fractal, "group_rows", counted)
+    monkeypatch.setattr(fractal, "sort_rows", counted_sort)
     content = dyadic_content(p, 1.5, p.level)
     sub = extract_delta_s_set(p, 1.0, content)
     frostman_constant(p)
@@ -636,7 +713,7 @@ def test_tree_is_built_once_for_all_its_readers(monkeypatch):
     validate_covering(replace(cov))
     assert calls[n:m] == calls[m:]
     # one group_rows per coarse level, each over the nodes of the level below,
-    # then the one in the constructor of the extracted set
+    # then the constructor's sort_rows of the extracted set
     assert calls[:n] == [len(level.nodes) for level in p.tree[:0:-1]] + [len(sub)]
     assert calls[:n] == [512, 512, 125, 64, 8, 128]
 
@@ -647,11 +724,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "projlab"
 SHIFTED_GROUPING_ALLOWED = {"ancestor_tree"}
 
 #: the calls that group rows, by equality or by membership
-GROUPING_CALLS = {"group_rows", "rows_in"}
+GROUPING_CALLS = {"group_rows", "sort_rows", "rows_in"}
 
 
 def shifted_groupings(source: str) -> list:
-    """(function, line) of every `group_rows` or `rows_in` call on a right-shifted array.
+    """(function, line) of every `group_rows`, `sort_rows` or `rows_in` call on a right-shifted array.
 
     An argument is right-shifted when it holds a `>>`, or is a name that the
     same function assigns from an expression holding one.

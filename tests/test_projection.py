@@ -50,6 +50,14 @@ def blas_project_line(a, curve, theta):
     )
 
 
+def ball_set(k, n, seed):
+    """Up to n random distinct cells of the unit ball at delta = 2^-k, negative indices included."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-(2**k), 2**k + 1, size=(n, 3))
+    rows = np.unique(rows[np.linalg.norm(rows * 2.0**-k, axis=1) <= 1.0], axis=0)
+    return PointSet(3, 2.0**-k, rows, nominal_dim=3.0, domain="ball")
+
+
 def constant_curve(direction):
     """A curve that points in one direction for every theta (its derivatives are unused)."""
     g = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
@@ -307,16 +315,70 @@ class TestProjectLineRoutes:
 
 
 @pytest.mark.parametrize("name", ["model", "helix", "greatcircle"])
-def test_project_line_matches_the_blas_route(name):
-    # the former matvec route, kept as an oracle, on the sweep's sets
+def test_project_line_matches_the_blas_route(name, sort_calls):
+    # the former matvec route, kept as an oracle, on the sweep's sets and on
+    # scattered ball sets with negative indices, through both routes; the
+    # great circle has gamma_z = 0, so x2 * gamma_z adds signed zeros
     curve = named_curve(name)
     thin = cantor_1d(0.001, 3)
     sets = [product_set(c, c, c) for c in (cantor_1d(1 / 3, 6), cantor_1d(1 / 4, 3), thin)]
+    sets += [ball_set(k, n, seed) for seed, (k, n) in enumerate([(5, 3000), (12, 3000), (20, 500)])]
+    sparse = []
     for a in sets:
         for theta in np.linspace(0.0, 1.0, 17):
+            before = len(sort_calls)
             assert_same_projection(
                 project_line(a, curve, theta), blas_project_line(a, curve, theta)
             )
+            sparse.append(len(sort_calls) > before)
+    assert any(sparse) and not all(sparse)
+
+
+@pytest.mark.parametrize("k", [26, 50, 51, 53, 62])
+def test_sparse_route_at_the_deepest_levels(k, sort_calls):
+    # from k = 51 on, |i . gamma| may pass 2^51 and the snap rounds with np.rint
+    a = ball_set(k, 300, k)
+    for name in ("model", "helix", "greatcircle"):
+        curve = named_curve(name)
+        for theta in (0.0, 0.3, 0.77):
+            got = project_line(a, curve, theta)
+            assert_same_projection(got, oracle_project_line(a, curve, theta))
+    assert sort_calls == [len(a)] * 9
+
+
+#: the bound R = isqrt(3 4^k) + 2 at k = 24, the largest level of the dense route
+R24 = math.isqrt(3 * 4**24) + 2
+
+
+@st.composite
+def snap_inputs(draw):
+    """(values, offset, bound): |values| <= bound, ties and signed zeros among them."""
+    bound = draw(st.sampled_from([R24, 2**51 - 1, 2**62]))
+    edge = float(bound) - 2.0 if bound < 2**51 else 2.0**52  # a float below bound, spacing <= 1/2
+    value = st.one_of(
+        st.integers(-2 * R24, 2 * R24).map(lambda m: m / 2),  # half-integers of both signs
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, R24 - 0.5, 0.5 - R24]),
+        st.integers(-64, 64).map(lambda j: math.copysign(edge, j) - j / 4),  # near +-bound
+        st.floats(-float(bound), float(bound)).filter(lambda v: abs(v) <= bound),
+    )
+    values = draw(st.lists(value, max_size=40))
+    offset = draw(st.sampled_from([0, 1, R24]))
+    return np.array(values, dtype=np.float64), offset, bound
+
+
+@given(snap_inputs())
+@example((np.array([-0.0, 0.0, -0.5, 0.5, -1.5, 1.5, -2.5, 2.5]), 0, R24))
+@example((np.array([R24 - 0.5, 0.5 - R24, R24 - 1.5, 1.5 - R24, -R24 + 0.0]), R24, R24))
+@example((np.array([2.0**51 - 0.5, 0.5 - 2.0**51, 2.0**51 - 1.5]), 0, 2**51 - 1))
+@example((np.array([2.0**51 + 0.5, -(2.0**51) - 0.5, 2.0**62, -(2.0**62)]), 0, 2**62))
+def test_snap_is_rint(case):
+    # np.rint and a cast, the former rounding, as the oracle: ties to even and -0.0 -> 0
+    v, offset, bound = case
+    want = np.rint(v).astype(np.int64) + offset
+    buf = v.copy()
+    got = projection._snap(buf, offset, bound)
+    assert got.dtype == np.int64 and got.base is buf  # written over the buffer
+    assert got.tolist() == want.tolist()
 
 
 def test_one_projection_allocates_under_one_mib(traced_peak):
